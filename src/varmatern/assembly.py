@@ -8,6 +8,15 @@ exponent uses the pair-local upper order bound, which coincides with the
 global bound for constant-order profiles); disjoint pairs use plain tensor
 Gauss.
 
+Disjoint pairs are batched by index offset k: on the uniform mesh every
+pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
+only the pair order beta varies. Elementwise-constant profiles (the grouped
+path) evaluate the kernel once per distinct beta of the offset. Every other
+profile (the general path) tabulates the kernel on the grid at the
+BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta and sums the
+Chebyshev series by Clenshaw at each quadrature point; a table that does
+not resolve the kernel to BETA_TAIL_RTOL raises AssemblyError.
+
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
 with both elements exterior are skipped. Note the double sum formally runs
@@ -44,6 +53,19 @@ __all__ = [
     "pair_block_disjoint",
     "assemble_stiffness",
 ]
+
+
+# Chebyshev degree in beta of the general disjoint-pair kernel table; the
+# degree is 0 for a profile whose bounds coincide.
+BETA_DEGREE = 24
+
+# A table whose last two Chebyshev coefficients at some grid point exceed
+# this share of the largest one there does not resolve the kernel in beta,
+# and assembly fails.
+BETA_TAIL_RTOL = 1e-13
+
+# Slack on the profile bounds for pair orders that rounding moved past them.
+_BETA_ROUNDING = 1e-14
 
 
 class AssemblyError(RuntimeError):
@@ -294,17 +316,9 @@ def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
     return block, (e_left, e_left + 1, e_left + 2)
 
 
-def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
-    """(sxx, sxy, syy) 2x2 blocks for disjoint pairs, direct tensor Gauss."""
+def _blocks_from_kernel(g, h, rule):
+    """(sxx, sxy, syy) 2x2 blocks from kernel values g[p, a, b] at (x_a, y_b)."""
     xq, wq = rule.nodes, rule.weights
-    x = lefts_x[:, None] + h * xq[None, :]
-    y = lefts_y[:, None] + h * xq[None, :]
-    s_x = smoothness.evaluate(ctx.profile, x)
-    s_y = smoothness.evaluate(ctx.profile, y)
-    b = 0.5 * (s_x[:, :, None] + s_y[:, None, :])
-    r = np.abs(x[:, :, None] - y[:, None, :])
-    nu = 0.5 + b
-    g = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
     psi = np.stack([1.0 - xq, xq])
     col = np.einsum("pab,b->pa", g, wq)
     row = np.einsum("pab,a->pb", g, wq)
@@ -313,6 +327,20 @@ def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
     gw = g * wq[None, :, None] * wq[None, None, :]
     sxy = -h * h * np.einsum("pab,ia,jb->pij", gw, psi, psi)
     return sxx, sxy, syy
+
+
+def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
+    """(sxx, sxy, syy) 2x2 blocks for disjoint pairs, direct tensor Gauss."""
+    xq = rule.nodes
+    x = lefts_x[:, None] + h * xq[None, :]
+    y = lefts_y[:, None] + h * xq[None, :]
+    s_x = smoothness.evaluate(ctx.profile, x)
+    s_y = smoothness.evaluate(ctx.profile, y)
+    b = 0.5 * (s_x[:, :, None] + s_y[:, None, :])
+    r = np.abs(x[:, :, None] - y[:, None, :])
+    nu = 0.5 + b
+    g = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
+    return _blocks_from_kernel(g, h, rule)
 
 
 def pair_block_disjoint(mesh, ctx, e1, e2, n):
@@ -343,11 +371,83 @@ def _check_finite(arr, what):
         raise AssemblyError(f"non-finite entries while assembling {what}")
 
 
-def _disjoint_offset_general(ctx, mesh, k, rule):
-    n_el = mesh.n_elements
-    lefts = mesh.nodes[: n_el - k]
-    rights = mesh.nodes[k : n_el]
-    return _disjoint_blocks_direct(ctx, mesh.h, lefts, rights, rule)
+class _BetaTable:
+    """Chebyshev nodes of [s_lower, s_upper] in beta and the map from kernel
+    values at those nodes to Chebyshev coefficients (first kind)."""
+
+    def __init__(self, profile):
+        self.lower = profile.s_lower
+        self.upper = profile.s_upper
+        self.degree = 0 if self.lower == self.upper else BETA_DEGREE
+        j = np.arange(self.degree + 1)
+        theta = np.pi * (j + 0.5) / (self.degree + 1)
+        self.mid = 0.5 * (self.lower + self.upper)
+        self.half = 0.5 * (self.upper - self.lower)
+        self.nodes = self.mid + self.half * np.cos(theta)
+        self.to_coef = 2.0 / (self.degree + 1) * np.cos(np.outer(j, theta))
+        self.to_coef[0] *= 0.5
+
+    def coefficients(self, kappa, r, k):
+        """Coefficients in t of F = g (kappa r^2 / 2)^nu = phi (kappa / 2)^nu
+        on the grid r, shape (degree + 1,) + r.shape; raises when unresolved.
+
+        Scaling the r^(-2 nu) singularity out of g is what lets one fixed
+        degree resolve every r. Grid points where the kernel underflows to 0
+        count as resolved."""
+        b = self.nodes[:, None, None]
+        values = _phi_from_beta(kappa, b, r) * (0.5 * kappa) ** (0.5 + b)
+        coef = np.tensordot(self.to_coef, values, axes=1)
+        if self.degree:
+            largest = np.max(np.abs(coef), axis=0)
+            trailing = np.max(np.abs(coef[-2:]), axis=0)
+            unresolved = trailing > BETA_TAIL_RTOL * largest
+            if np.any(unresolved):
+                worst = np.max(trailing[unresolved] / largest[unresolved])
+                raise AssemblyError(
+                    f"beta table of degree {self.degree} does not resolve the kernel "
+                    f"at disjoint offset {k}: trailing Chebyshev coefficient "
+                    f"{worst:.1e} of the largest"
+                )
+        return coef
+
+    def abscissae(self, b, k):
+        """t in [-1, 1] for the pair orders b; orders outside the bounds raise."""
+        if np.max(np.abs(b - self.mid)) > self.half + _BETA_ROUNDING:
+            raise AssemblyError(
+                f"pair order beta leaves the profile bounds [{self.lower}, "
+                f"{self.upper}] at disjoint offset {k}"
+            )
+        if not self.degree:
+            return np.zeros_like(b)
+        return (b - self.mid) / self.half
+
+
+def _clenshaw(coef, t):
+    """sum_j coef[j] T_j(t); coef[j] broadcasts against t."""
+    two_t = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    tmp = np.empty_like(t)
+    for c in coef[:0:-1]:
+        np.multiply(two_t, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    return coef[0] + t * b1 - b2
+
+
+def _disjoint_offset_general(ctx, mesh, k, rule, s_q, table):
+    """Blocks for offset k from the beta table on the offset's distance grid;
+    ``s_q`` holds s at the quadrature points of every element."""
+    count = mesh.n_elements - k
+    h = mesh.h
+    xq = rule.nodes
+    r = h * (k + xq[None, :] - xq[:, None])
+    coef = table.coefficients(ctx.kappa, r, k)
+    b = 0.5 * (s_q[:count, :, None] + s_q[k:, None, :])
+    f = _clenshaw(coef, table.abscissae(b, k))
+    g = f * np.exp(-(0.5 + b) * np.log(0.5 * ctx.kappa * r * r))
+    return _blocks_from_kernel(g, h, rule)
 
 
 def _disjoint_offset_grouped(ctx, mesh, k, rule, s_el):
@@ -355,24 +455,18 @@ def _disjoint_offset_grouped(ctx, mesh, k, rule, s_el):
     per distinct pair order beta, scaled per pair by its smooth prefactor."""
     n_el = mesh.n_elements
     count = n_el - k
-    xq, wq = rule.nodes, rule.weights
+    xq = rule.nodes
     h = mesh.h
     b_pair = 0.5 * (s_el[:count] + s_el[k : k + count])
     # distance grid depends only on the offset: r_ab = h * (k + y_b - x_a)
     r = h * (k + xq[None, :] - xq[:, None])
-    psi = np.stack([1.0 - xq, xq])
     sxx = np.zeros((count, 2, 2))
     sxy = np.zeros((count, 2, 2))
     syy = np.zeros((count, 2, 2))
     for b_val in np.unique(b_pair):
         nu = 0.5 + b_val
         g = _prefactor_from_beta(ctx.kappa, b_val) * bessel_k(nu, ctx.kappa * r) * r ** (-nu)
-        col = g @ wq
-        row = wq @ g
-        cxx = h * h * np.einsum("a,a,ia,ja->ij", col, wq, psi, psi)
-        cyy = h * h * np.einsum("b,b,ib,jb->ij", row, wq, psi, psi)
-        gw = g * wq[:, None] * wq[None, :]
-        cxy = -h * h * np.einsum("ab,ia,jb->ij", gw, psi, psi)
+        cxx, cxy, cyy = (part[0] for part in _blocks_from_kernel(g[None], h, rule))
         mask = (b_pair == b_val).astype(float)
         sxx += mask[:, None, None] * cxx
         sxy += mask[:, None, None] * cxy
@@ -414,8 +508,12 @@ def assemble_stiffness(
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
     ``strategy`` selects the disjoint-pair path: "grouped" exploits
-    profiles that are constant per element, "general" evaluates the kernel
-    at every quadrature point, "auto" picks grouped when valid.
+    profiles that are constant per element, "general" interpolates the
+    kernel in beta from a per-offset Chebyshev table of degree BETA_DEGREE
+    (0 when s_lower == s_upper; recorded as ``quad_meta["beta_degree"]``,
+    None on the grouped path), "auto" picks grouped when valid. Raises
+    AssemblyError when a block is not finite or the beta table does not
+    resolve the kernel.
     """
     profile = ctx.profile
     if n is None:
@@ -477,14 +575,18 @@ def assemble_stiffness(
     if strategy == "grouped":
         mids = 0.5 * (mesh.nodes[:n_el] + mesh.nodes[1:])
         s_el = smoothness.evaluate(profile, mids)
+        beta_degree = None
 
         def compute(k):
             return _disjoint_offset_grouped(ctx, mesh, k, rule, s_el)
 
     else:
+        s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * rule.nodes)
+        table = _BetaTable(profile)
+        beta_degree = table.degree
 
         def compute(k):
-            return _disjoint_offset_general(ctx, mesh, k, rule)
+            return _disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
 
     def accumulate(k, blocks):
         for part in blocks:
@@ -526,6 +628,7 @@ def assemble_stiffness(
         "c": c,
         "target_rate": target_rate,
         "strategy": strategy,
+        "beta_degree": beta_degree,
         "deterministic": bool(deterministic),
         "threads": threads,
     }

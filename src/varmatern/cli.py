@@ -232,6 +232,8 @@ def _cmd_converge(cfg):
         quad_c=cfg.quad_c,
         target_rate=cfg.quad_target_rate,
         n_override=cfg.quad_n_override,
+        n_min=cfg.quad_n_min,
+        n_max=cfg.quad_n_max,
         norm_kind=cfg.norm_kind,
         threads=cfg.threads,
     )

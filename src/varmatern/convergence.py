@@ -99,7 +99,7 @@ def level_error_samples(fine_batch, coarse_batch, p, mass_fine):
             f"sample count mismatch: {fine_batch.shape[1]} vs {coarse_batch.shape[1]}"
         )
     d = fine_batch - p @ coarse_batch
-    return np.sqrt(np.einsum("ik,ij,jk->k", d, mass_fine, d))
+    return np.sqrt(np.einsum("ik,ik->k", d, mass_fine @ d))
 
 
 def level_error(fine_batch, coarse_batch, p, mass_fine):
@@ -195,6 +195,8 @@ def estimate_rate(
     quad_c=1.0,
     target_rate=None,
     n_override=None,
+    n_min=4,
+    n_max=64,
     norm_kind="mass_matrix",
     strategy="auto",
     threads=1,
@@ -216,7 +218,7 @@ def estimate_rate(
             systems.append(
                 assemble_stiffness(
                     mesh, ctx, n=n_override, c=quad_c, target_rate=target_rate,
-                    strategy=strategy, threads=threads,
+                    n_min=n_min, n_max=n_max, strategy=strategy, threads=threads,
                 )
             )
         except Exception as exc:
@@ -225,6 +227,8 @@ def estimate_rate(
         "quad_c": quad_c,
         "target_rate": target_rate,
         "n_override": n_override,
+        "n_min": n_min,
+        "n_max": n_max,
         "r_int": r_int,
         "r_ext": r_ext,
     }

@@ -7,15 +7,16 @@ beta(x, y) the symmetric order average and nu = 1/2 + beta,
     phi(x, y)       = prefactor * K_nu(kappa r) * r**nu      (smooth up to r=0)
     gamma_kernel    = phi / r**(2 nu)                         (singular at r=0)
 
-K_nu itself is evaluated with a Temme-style series for small arguments and
-Steed's continued fraction for large ones; both branches carry the pair
-(K_mu, K_{mu+1}) for |mu| <= 1/2 and recur upward to the requested order.
+K_nu itself comes from scipy.special.kv (the AMOS routines, Amos, ACM TOMS
+Alg. 644); bessel_k adds the order window, argument checks and the
+underflow rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
+from scipy.special import kv as _kv
 
 __all__ = [
     "NU_SUPPORT",
@@ -41,134 +42,19 @@ PHI_SMALL_Z = 1e-6
 # Arguments beyond this underflow exp(-z) past double range; K is 0 there.
 _Z_UNDERFLOW = 700.0
 
-_EULER_GAMMA = 0.5772156649015329
-_INV_GAMMA1P_C3 = -0.04200263503409524  # x^3 coefficient of 1/Gamma(1+x)
 _SQRT_PI = float(np.sqrt(np.pi))
-
-
-def _recip_gamma_pair(mu):
-    """gam1, gam2, 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2.
-
-    gam1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) with its analytic
-    mu -> 0 limit, gam2 the even counterpart.
-    """
-    gampl = 1.0 / _gamma_fn(1.0 + mu)
-    gammi = 1.0 / _gamma_fn(1.0 - mu)
-    mu_safe = np.where(mu == 0.0, 1.0, mu)
-    gam1 = np.where(
-        np.abs(mu) < 1e-5,
-        -(_EULER_GAMMA + _INV_GAMMA1P_C3 * mu * mu),
-        (gammi - gampl) / (2.0 * mu_safe),
-    )
-    gam2 = 0.5 * (gammi + gampl)
-    return gam1, gam2, gampl, gammi
-
-
-def _temme_series(mu, z):
-    """(K_mu(z), K_{mu+1}(z)) for |mu| <= 1/2 and 0 < z <= 2."""
-    x2 = 0.5 * z
-    mu2 = mu * mu
-    d = -np.log(x2)
-    e = mu * d
-    fact = 1.0 / np.sinc(mu)  # pi*mu / sin(pi*mu), exact 1 at mu=0
-    e_safe = np.where(e == 0.0, 1.0, e)
-    fact2 = np.where(np.abs(e) < 1e-6, 1.0 + e * e / 6.0, np.sinh(e_safe) / e_safe)
-    gam1, gam2, gampl, gammi = _recip_gamma_pair(mu)
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    ksum = ff.copy()
-    p = 0.5 * np.exp(e) / gampl
-    q = 0.5 / (np.exp(e) * gammi)
-    psum = p.copy()
-    c = np.ones_like(z)
-    dd = x2 * x2
-    out_k = np.empty_like(z)
-    out_p = np.empty_like(z)
-    active = np.arange(z.size)
-    i = 0
-    while active.size and i < 200:
-        i += 1
-        ff = (i * ff + p + q) / (i * i - mu2)
-        c = c * dd / i
-        p = p / (i - mu)
-        q = q / (i + mu)
-        delt = c * ff
-        ksum = ksum + delt
-        psum = psum + c * (p - i * ff)
-        done = np.abs(delt) < 1e-18 * np.abs(ksum) + 1e-300
-        if np.any(done):
-            out_k[active[done]] = ksum[done]
-            out_p[active[done]] = psum[done]
-            keep = ~done
-            active = active[keep]
-            ff, c, p, q, ksum, psum, mu, mu2, dd = (
-                arr[keep] for arr in (ff, c, p, q, ksum, psum, mu, mu2, dd)
-            )
-    if active.size:
-        out_k[active] = ksum
-        out_p[active] = psum
-    return out_k, out_p * 2.0 / z
-
-
-def _steed_cf2(mu, z):
-    """(K_mu(z), K_{mu+1}(z)) for |mu| <= 1/2 and z > 2 (continued fraction)."""
-    mu_full = mu
-    z_full = z
-    mu2 = mu * mu
-    b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    delh = d.copy()
-    h = d.copy()
-    q1 = np.zeros_like(z)
-    q2 = np.ones_like(z)
-    a1 = 0.25 - mu2
-    q = a1.copy()
-    c = a1.copy()
-    a = -a1
-    s = 1.0 + q * delh
-    h_out = np.empty_like(z)
-    s_out = np.empty_like(z)
-    active = np.arange(z.size)
-    i = 1
-    while active.size and i < 8000:
-        i += 1
-        a = a - 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        done = np.abs(dels) < 1e-17 * np.abs(s)
-        if np.any(done):
-            h_out[active[done]] = h[done]
-            s_out[active[done]] = s[done]
-            keep = ~done
-            active = active[keep]
-            a, b, c, d, q, q1, q2, delh, h, s = (
-                arr[keep] for arr in (a, b, c, d, q, q1, q2, delh, h, s)
-            )
-    if active.size:
-        h_out[active] = h
-        s_out[active] = s
-    h_fin = (0.25 - mu_full * mu_full) * h_out
-    kmu = np.sqrt(np.pi / (2.0 * z_full)) * np.exp(-z_full) / s_out
-    k1 = kmu * (mu_full + z_full + 0.5 - h_fin) / z_full
-    return kmu, k1
 
 
 def bessel_k(nu, z):
     """Modified Bessel function of the second kind K_nu(z).
 
-    Vectorized over both the (real) order and the argument; supported
-    window nu in [0, 2], z > 0. Relative accuracy is ~1e-12 across
-    z in [1e-8, 50]; for z > 700 the value underflows and 0 is returned.
+    Thin wrapper over ``scipy.special.kv`` (AMOS), vectorized over both the
+    (real) order and the argument; supported window nu in [0, 2], z > 0.
+    Relative accuracy is ~1e-14 across z in [1e-6, 50] against the integral
+    representation; for z > 700 the value underflows and 0 is returned.
 
-    Raises ValueError for z <= 0 or an order outside the support window.
+    Raises ValueError for non-finite input, z <= 0 or an order outside the
+    support window.
     """
     nu_in = np.asarray(nu, dtype=float)
     z_in = np.asarray(z, dtype=float)
@@ -178,29 +64,10 @@ def bessel_k(nu, z):
         raise ValueError("bessel_k: argument z must be positive")
     if np.any(nu_in < NU_SUPPORT[0]) or np.any(nu_in > NU_SUPPORT[1]):
         raise ValueError(f"bessel_k: order must lie in {list(NU_SUPPORT)}")
-    nu_b, z_b = np.broadcast_arrays(nu_in, z_in)
-    shape = nu_b.shape
-    nu_f = np.ascontiguousarray(nu_b, dtype=float).ravel()
-    z_f = np.ascontiguousarray(z_b, dtype=float).ravel()
-
-    m = np.floor(nu_f + 0.5).astype(np.int64)
-    mu = nu_f - m
-    k0 = np.zeros_like(z_f)
-    k1 = np.zeros_like(z_f)
-    live = z_f <= _Z_UNDERFLOW
-    small = live & (z_f <= 2.0)
-    large = live & (z_f > 2.0)
-    if np.any(small):
-        k0[small], k1[small] = _temme_series(mu[small].copy(), z_f[small].copy())
-    if np.any(large):
-        k0[large], k1[large] = _steed_cf2(mu[large].copy(), z_f[large].copy())
-    res = np.where(m == 0, k0, k1)
-    k2 = 2.0 * (mu + 1.0) / z_f * k1 + k0
-    res = np.where(m == 2, k2, res)
-    out = np.where(live, res, 0.0)
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+    out = np.where(z_in <= _Z_UNDERFLOW, _kv(nu_in, z_in), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def abs_gamma_neg(beta):

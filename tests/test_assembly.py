@@ -307,3 +307,77 @@ def test_quad_metadata_recorded():
     assert meta["n_disjoint"] == meta["n_adjacent"] == meta["n_identical"]
     assert meta["c"] == 1.0
     assert meta["strategy"] == "grouped"
+
+
+# ------------------------------------------------------ general-path beta table
+
+BETA_TABLE_PROFILES = {
+    "gaussian_bump": lambda: smoothness.gaussian_bump(0.35, 0.85, 0.9, 3.0),
+    "oscillatory_ramp": PROFILES["ramp"],
+    "tabulated": lambda: smoothness.tabulated([-3.0, -1.0, 2.0, 3.5],
+                                              [0.45, 0.8, 0.52, 0.61]),
+    "wide_bump": lambda: smoothness.gaussian_bump(0.05, 0.95, 0.9, 3.0),
+}
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.5, 10.0])
+@pytest.mark.parametrize("key", sorted(BETA_TABLE_PROFILES))
+def test_beta_table_offset_blocks_match_direct(key, kappa):
+    import varmatern.assembly as asm
+
+    profile = BETA_TABLE_PROFILES[key]()
+    ctx = KernelContext(kappa, 1.0, profile)
+    table = asm._BetaTable(profile)
+    assert table.degree == asm.BETA_DEGREE
+    rule = gauss_legendre_01(8)
+    for level in (3, 4, 5, 6):
+        mesh = build_uniform(3, 4, level)
+        n_el = mesh.n_elements
+        s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
+        # both ends of the offset range and one in between keep level 6 cheap
+        for k in sorted({2, 3, n_el // 2, n_el - 1}):
+            tab = asm._disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
+            ref = asm._disjoint_blocks_direct(
+                ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
+            )
+            for part_tab, part_ref in zip(tab, ref):
+                scale = np.max(np.abs(part_ref), axis=(1, 2))
+                err = np.max(np.abs(part_tab - part_ref), axis=(1, 2))
+                assert np.all(err <= 1e-10 * scale), (level, k, np.max(err / scale))
+
+
+def test_beta_table_constant_profile_has_degree_zero():
+    mesh = build_uniform(3, 4, 3)
+    general = assemble_stiffness(mesh, _ctx("const05"), strategy="general")
+    grouped = assemble_stiffness(mesh, _ctx("const05"), strategy="grouped")
+    assert general.quad_meta["beta_degree"] == 0
+    assert grouped.quad_meta["beta_degree"] is None
+    scale = np.max(np.abs(grouped.a))
+    assert np.max(np.abs(general.a - grouped.a)) <= 1e-12 * scale
+
+
+def test_beta_degree_recorded_for_general_path():
+    import varmatern.assembly as asm
+
+    system = assemble_stiffness(build_uniform(1, 2, 2), _ctx("bump"), n=4)
+    assert system.quad_meta["strategy"] == "general"
+    assert system.quad_meta["beta_degree"] == asm.BETA_DEGREE
+
+
+def test_beta_table_unresolved_degree_raises(monkeypatch):
+    import varmatern.assembly as asm
+
+    monkeypatch.setattr(asm, "BETA_DEGREE", 4)
+    ctx = KernelContext(2.5, 1.0, smoothness.gaussian_bump(0.05, 0.95, 0.9, 3.0))
+    with pytest.raises(AssemblyError, match="beta table of degree 4"):
+        assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
+
+
+def test_beta_table_order_outside_profile_bounds_raises():
+    # bounds narrower than the values the profile takes
+    profile = smoothness.SmoothnessProfile(
+        "tabulated", 0.5, 0.6, {"x": np.array([-3.0, 3.0]), "s": np.array([0.4, 0.7])}
+    )
+    ctx = KernelContext(2.5, 1.0, profile)
+    with pytest.raises(AssemblyError, match="leaves the profile bounds"):
+        assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4, strategy="general")

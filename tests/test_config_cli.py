@@ -221,3 +221,18 @@ def test_cli_manifest_reproducibility_fields(tmp_path):
     assert man["config"]["sampling"]["seed"] == 7
     assert "assemble" in man["timings_s"]
     assert any(p.endswith("samples.csv") for p in man["outputs"])
+
+
+def test_cli_converge_honours_quadrature_order_bounds(tmp_path):
+    orders = {}
+    for flags in ([], ["--quadrature.n_max", "4"]):
+        out = tmp_path / f"conv{len(flags)}"
+        code = _run([
+            "converge", "--levels", "6,5,4", "--m", "10", "--profile", "constant",
+            "--s", "0.5", "--out", str(out), *flags,
+        ])
+        assert code == 0
+        rep = json.loads((out / "rate_report.json").read_text())
+        orders[len(flags)] = rep["config"]["quad_n_per_level"]
+    assert max(orders[0].values()) > 4  # the bound below binds
+    assert orders[2] == {"6": 4, "5": 4, "4": 4}

@@ -133,3 +133,28 @@ def test_stage_failure_names_stage(monkeypatch, build_system):
     monkeypatch.setattr(conv, "draw_noise", boom)
     with pytest.raises(RuntimeError, match="coupled load"):
         rate_from_systems(systems, 10, seed=1)
+
+
+def test_level_error_samples_matches_per_sample_loop(rng):
+    from varmatern.convergence import level_error_samples
+
+    n_f, n_c, m = 9, 4, 7
+    a = rng.standard_normal((n_f, n_f))
+    mass = a @ a.T + n_f * np.eye(n_f)  # dense SPD, not tridiagonal
+    p = rng.standard_normal((n_f, n_c))
+    fine = rng.standard_normal((n_f, m))
+    coarse = rng.standard_normal((n_c, m))
+    ref = []
+    for k in range(m):
+        d = fine[:, k] - p @ coarse[:, k]
+        ref.append(np.sqrt(d @ mass @ d))
+    got = level_error_samples(fine, coarse, p, mass)
+    assert got.shape == (m,)
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_estimate_rate_forwards_order_bounds():
+    prof = PROFILES["const05"]()
+    report = estimate_rate(prof, 2.5, 1.0, 3.0, 4.0, [5, 4, 3], 10, seed=1,
+                           n_min=7, n_max=7)
+    assert set(report.config["quad_n_per_level"].values()) == {7}

@@ -47,6 +47,12 @@ def test_bessel_matches_integral_oracle_grid():
             assert bessel_k(nu, z) == pytest.approx(ref, rel=1e-10), (nu, z)
 
 
+@pytest.mark.parametrize("nu", [1 - 1e-4, 1 - 3e-5, 1 + 1e-4])
+@pytest.mark.parametrize("z", [1.5, 1.9, 2.0])
+def test_bessel_matches_integral_oracle_near_order_one(nu, z):
+    assert bessel_k(nu, z) == pytest.approx(bessel_k_integral(nu, z), rel=1e-12)
+
+
 def test_bessel_underflow_and_errors():
     assert bessel_k(1.0, 701.0) == 0.0
     assert bessel_k(1.0, 650.0) > 0.0
