@@ -14,8 +14,10 @@ only the pair order beta varies. Elementwise-constant profiles (the grouped
 path) evaluate the kernel once per distinct beta of the offset. Every other
 profile (the general path) tabulates the kernel on the grid at the
 BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta and sums the
-Chebyshev series by Clenshaw at each quadrature point; a table that does
-not resolve the kernel to BETA_TAIL_RTOL raises AssemblyError.
+Chebyshev series by Clenshaw at each quadrature point. The table holds the
+kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out;
+a table that does not resolve the rest to BETA_TAIL_RTOL raises
+AssemblyError.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -61,8 +63,10 @@ BETA_DEGREE = 24
 
 # A table whose last two Chebyshev coefficients at some grid point exceed
 # this share of the largest one there does not resolve the kernel in beta,
-# and assembly fails.
-BETA_TAIL_RTOL = 1e-13
+# and assembly fails. It sits a decade under the 1e-10 relative accuracy the
+# blocks are held to, and well above the noise of the tabulated values (K_nu
+# loses about z eps, 1.6e-13 at the z = 700 underflow cutoff).
+BETA_TAIL_RTOL = 1e-11
 
 # Slack on the profile bounds for pair orders that rounding moved past them.
 _BETA_ROUNDING = 1e-14
@@ -387,15 +391,17 @@ class _BetaTable:
         self.to_coef = 2.0 / (self.degree + 1) * np.cos(np.outer(j, theta))
         self.to_coef[0] *= 0.5
 
-    def coefficients(self, kappa, r, k):
-        """Coefficients in t of F = g (kappa r^2 / 2)^nu = phi (kappa / 2)^nu
-        on the grid r, shape (degree + 1,) + r.shape; raises when unresolved.
+    def coefficients(self, kappa, r, log_growth, k):
+        """Coefficients in t of F = phi / max(4, 2 kappa r)^nu on the grid r,
+        shape (degree + 1,) + r.shape; raises when unresolved.
 
-        Scaling the r^(-2 nu) singularity out of g is what lets one fixed
-        degree resolve every r. Grid points where the kernel underflows to 0
-        count as resolved."""
+        ``log_growth`` is log max(4, 2 kappa r). phi grows like 4^nu where
+        kappa r is small and like (2 kappa r)^nu where it is large; dividing
+        that out leaves no growth in beta that depends on r or kappa, which
+        is what lets one fixed degree resolve every r and kappa. Grid points
+        where the kernel underflows to 0 count as resolved."""
         b = self.nodes[:, None, None]
-        values = _phi_from_beta(kappa, b, r) * (0.5 * kappa) ** (0.5 + b)
+        values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
         coef = np.tensordot(self.to_coef, values, axes=1)
         if self.degree:
             largest = np.max(np.abs(coef), axis=0)
@@ -443,10 +449,11 @@ def _disjoint_offset_general(ctx, mesh, k, rule, s_q, table):
     h = mesh.h
     xq = rule.nodes
     r = h * (k + xq[None, :] - xq[:, None])
-    coef = table.coefficients(ctx.kappa, r, k)
+    log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
+    coef = table.coefficients(ctx.kappa, r, log_growth, k)
     b = 0.5 * (s_q[:count, :, None] + s_q[k:, None, :])
     f = _clenshaw(coef, table.abscissae(b, k))
-    g = f * np.exp(-(0.5 + b) * np.log(0.5 * ctx.kappa * r * r))
+    g = f * np.exp((0.5 + b) * (log_growth - 2.0 * np.log(r)))
     return _blocks_from_kernel(g, h, rule)
 
 

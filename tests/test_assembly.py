@@ -317,12 +317,29 @@ BETA_TABLE_PROFILES = {
     "tabulated": lambda: smoothness.tabulated([-3.0, -1.0, 2.0, 3.5],
                                               [0.45, 0.8, 0.52, 0.61]),
     "wide_bump": lambda: smoothness.gaussian_bump(0.05, 0.95, 0.9, 3.0),
+    "bump_01": lambda: smoothness.gaussian_bump(0.01, 0.99, 0.9, 3.0),
+    "bump_02": lambda: smoothness.gaussian_bump(0.02, 0.98, 0.9, 3.0),
+    "bump_001": lambda: smoothness.gaussian_bump(0.001, 0.999, 0.9, 3.0),
 }
 
+BETA_TABLE_CASES = [
+    (key, kappa, (3, 4, 5, 6))
+    for key in ("gaussian_bump", "oscillatory_ramp", "tabulated", "wide_bump")
+    for kappa in (0.5, 2.5, 10.0)
+] + [
+    # the kernel far out in its exponential tail (kappa r past the underflow
+    # cutoff 700) or close to its r -> 0 limit (kappa r down to 4e-6)
+    ("bump_01", 50.0, (3,)),
+    ("bump_01", 200.0, (3,)),
+    ("bump_01", 0.1, (9,)),
+    ("bump_02", 0.1, (9,)),
+    ("bump_001", 0.001, (8,)),
+]
 
-@pytest.mark.parametrize("kappa", [0.5, 2.5, 10.0])
-@pytest.mark.parametrize("key", sorted(BETA_TABLE_PROFILES))
-def test_beta_table_offset_blocks_match_direct(key, kappa):
+
+@pytest.mark.parametrize("key, kappa, levels", BETA_TABLE_CASES,
+                         ids=[f"{key}-{kappa}" for key, kappa, _ in BETA_TABLE_CASES])
+def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
     import varmatern.assembly as asm
 
     profile = BETA_TABLE_PROFILES[key]()
@@ -330,12 +347,12 @@ def test_beta_table_offset_blocks_match_direct(key, kappa):
     table = asm._BetaTable(profile)
     assert table.degree == asm.BETA_DEGREE
     rule = gauss_legendre_01(8)
-    for level in (3, 4, 5, 6):
+    for level in levels:
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
         s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-        # both ends of the offset range and one in between keep level 6 cheap
-        for k in sorted({2, 3, n_el // 2, n_el - 1}):
+        # both ends of the offset range and geometric steps in between
+        for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
             tab = asm._disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
             ref = asm._disjoint_blocks_direct(
                 ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
@@ -359,7 +376,9 @@ def test_beta_table_constant_profile_has_degree_zero():
 def test_beta_degree_recorded_for_general_path():
     import varmatern.assembly as asm
 
-    system = assemble_stiffness(build_uniform(1, 2, 2), _ctx("bump"), n=4)
+    # wide bounds and a large kappa: every offset's table must resolve
+    ctx = KernelContext(50.0, 1.0, BETA_TABLE_PROFILES["bump_01"]())
+    system = assemble_stiffness(build_uniform(3, 4, 3), ctx)
     assert system.quad_meta["strategy"] == "general"
     assert system.quad_meta["beta_degree"] == asm.BETA_DEGREE
 

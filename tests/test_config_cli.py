@@ -225,7 +225,8 @@ def test_cli_manifest_reproducibility_fields(tmp_path):
 
 def test_cli_converge_honours_quadrature_order_bounds(tmp_path):
     orders = {}
-    for flags in ([], ["--quadrature.n_max", "4"]):
+    for flags in ([], ["--quadrature.n_max", "4"],
+                  ["--quadrature.n_min", "7", "--quadrature.n_max", "7"]):
         out = tmp_path / f"conv{len(flags)}"
         code = _run([
             "converge", "--levels", "6,5,4", "--m", "10", "--profile", "constant",
@@ -236,3 +237,4 @@ def test_cli_converge_honours_quadrature_order_bounds(tmp_path):
         orders[len(flags)] = rep["config"]["quad_n_per_level"]
     assert max(orders[0].values()) > 4  # the bound below binds
     assert orders[2] == {"6": 4, "5": 4, "4": 4}
+    assert orders[4] == {"6": 7, "5": 7, "4": 7}

@@ -152,9 +152,3 @@ def test_level_error_samples_matches_per_sample_loop(rng):
     assert got.shape == (m,)
     assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
-
-def test_estimate_rate_forwards_order_bounds():
-    prof = PROFILES["const05"]()
-    report = estimate_rate(prof, 2.5, 1.0, 3.0, 4.0, [5, 4, 3], 10, seed=1,
-                           n_min=7, n_max=7)
-    assert set(report.config["quad_n_per_level"].values()) == {7}
