@@ -11,13 +11,20 @@ Gauss.
 Disjoint pairs are batched by index offset k: on the uniform mesh every
 pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
 only the pair order beta varies. Elementwise-constant profiles (the grouped
-path) evaluate the kernel once per distinct beta of the offset. Every other
-profile (the general path) tabulates the kernel on the grid at the
-BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta and sums the
-Chebyshev series by Clenshaw at each quadrature point. The table holds the
-kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out;
-a table that does not resolve the rest to BETA_TAIL_RTOL raises
-AssemblyError.
+path) take the offsets in chunks of about _CHUNK_PAIRS pairs: each kept
+pair is labelled by its beta, the kernel grid of every (offset, beta) a
+chunk needs comes from one bessel_k call, and one-hot pair weights turn the
+chunk's blocks into per-element and per-pair sums by matrix products. Every
+other profile (the general path) tabulates the kernel per offset on the
+grid at the BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta
+and sums the Chebyshev series by Clenshaw at each quadrature point. The
+table holds the kernel with its growth in nu, max(4, 2 kappa r)^nu /
+r^(2 nu), divided out; a table that does not resolve the rest to
+BETA_TAIL_RTOL raises AssemblyError. Both paths hand their blocks to one
+accumulator (_DisjointSums): the element self blocks are summed into one
+(n_el, 2, 2) array that reaches the band once, and the cross blocks of
+offset k go onto the diagonals k - 1, k and k + 1. A2 is accumulated on its
+upper triangle only and mirrored when A is formed.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -35,9 +42,8 @@ never frozen per element.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import smoothness
 from .kernel import _phi_from_beta, _prefactor_from_beta, bessel_k
@@ -67,6 +73,10 @@ BETA_DEGREE = 24
 # blocks are held to, and well above the noise of the tabulated values (K_nu
 # loses about z eps, 1.6e-13 at the z = 700 underflow cutoff).
 BETA_TAIL_RTOL = 1e-11
+
+# Pairs per chunk of offsets on the grouped disjoint-pair path: the chunk's
+# one-hot pair weights and cross blocks stay at a few MB at every level.
+_CHUNK_PAIRS = 2**17
 
 # Slack on the profile bounds for pair orders that rounding moved past them.
 _BETA_ROUNDING = 1e-14
@@ -364,9 +374,9 @@ def pair_block_disjoint(mesh, ctx, e1, e2, n):
     return block, (e1, e1 + 1, e2, e2 + 1)
 
 
-def _band_add(flat, n_all, first_node, dr, dc, vec):
+def _band_add(flat, n_all, dr, dc, vec):
     stride = n_all + 1
-    start = (first_node + dr) * n_all + (first_node + dc)
+    start = dr * n_all + dc
     flat[start : start + vec.size * stride : stride] += vec
 
 
@@ -457,43 +467,146 @@ def _disjoint_offset_general(ctx, mesh, k, rule, s_q, table):
     return _blocks_from_kernel(g, h, rule)
 
 
-def _disjoint_offset_grouped(ctx, mesh, k, rule, s_el):
-    """Blocks for offset k when s is constant per element: one kernel grid
-    per distinct pair order beta, scaled per pair by its smooth prefactor."""
+class _GroupedPairs:
+    """Pair-order labels of the disjoint pairs when s is constant per element.
+
+    Each element has a state: the index of its order among the distinct
+    element orders, plus their count when the element is exterior. A table
+    maps the states of a pair to the index of its order beta among the
+    distinct pair orders ``betas`` (ascending), or to -1 when both elements
+    are exterior (the pair is skipped) or one lies past the mesh end (the
+    padding state). States and table use the smallest integer types that
+    hold them, which keeps the per-chunk lookups cheap.
+    """
+
+    def __init__(self, mesh, s_el):
+        orders, el_label = np.unique(s_el, return_inverse=True)
+        betas, pair_label = np.unique(
+            0.5 * (orders[:, None] + orders[None, :]), return_inverse=True
+        )
+        n_ord = orders.size
+        pad = 2 * n_ord
+        s = np.arange(pad) % n_ord
+        table = np.full((pad + 1, pad + 1), -1, dtype=np.min_scalar_type(-betas.size))
+        table[:pad, :pad] = pair_label.reshape(n_ord, n_ord)[s[:, None], s]
+        table[n_ord:pad, n_ord:pad] = -1
+        code = np.min_scalar_type(table.size)
+        state = (el_label + n_ord * ~mesh.element_interior).astype(code)
+        fill = np.full(state.size, pad, dtype=code)
+        self.betas = betas
+        self._table = table.ravel()
+        # a pair's table index is (pad + 1) * state of its first element
+        # plus state of its second; row k of _ahead holds the state of
+        # element e + k and row k of _behind the scaled state of e - k
+        self._first = (pad + 1) * state
+        self._second = state
+        self._ahead = sliding_window_view(np.concatenate([state, fill]), state.size)
+        self._behind = sliding_window_view(
+            np.concatenate([(pad + 1) * fill, self._first]), state.size
+        )[::-1]
+
+    def labels(self, ks):
+        """Pair-order indices of the pairs (e, e + k) and of the pairs
+        (e - k, e), shape (len(ks), n_el) each, -1 where there is no pair."""
+        return (
+            np.take(self._table, self._first + self._ahead[ks]),
+            np.take(self._table, self._behind[ks] + self._second),
+        )
+
+
+def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
+    """Blocks for the offsets ``ks`` (ascending) when s is constant per element.
+
+    The kernel grid of each (offset, beta) that a kept pair needs comes from
+    one bessel_k call, and all their blocks from one _blocks_from_kernel
+    call. One-hot weights of the pairs by (beta, offset) then sum the self
+    blocks per element and spread the cross blocks over the pairs, both by
+    matrix products. ``pairs`` is the _GroupedPairs of the profile. Returns
+    what _DisjointSums.add takes: the self-block sums (n_el, 2, 2) and the
+    cross blocks (2, 2, n_el - ks[0], len(ks)) of the pairs (i, i + ks[j]),
+    zero where a pair is skipped or does not exist.
+    """
     n_el = mesh.n_elements
-    count = n_el - k
-    xq = rule.nodes
     h = mesh.h
-    b_pair = 0.5 * (s_el[:count] + s_el[k : k + count])
+    xq = rule.nodes
+    n_beta = pairs.betas.size
+    # (n_beta, len(ks), n_el): pairs by first element (x) and by second (y)
+    wx, wy = (
+        (lab == np.arange(n_beta)[:, None, None]).astype(float) for lab in pairs.labels(ks)
+    )
+    bb, kk = np.nonzero(wx.any(axis=2))
+    beta = pairs.betas[bb]
+    nu = 0.5 + beta[:, None, None]
     # distance grid depends only on the offset: r_ab = h * (k + y_b - x_a)
-    r = h * (k + xq[None, :] - xq[:, None])
-    sxx = np.zeros((count, 2, 2))
-    sxy = np.zeros((count, 2, 2))
-    syy = np.zeros((count, 2, 2))
-    for b_val in np.unique(b_pair):
-        nu = 0.5 + b_val
-        g = _prefactor_from_beta(ctx.kappa, b_val) * bessel_k(nu, ctx.kappa * r) * r ** (-nu)
-        cxx, cxy, cyy = (part[0] for part in _blocks_from_kernel(g[None], h, rule))
-        mask = (b_pair == b_val).astype(float)
-        sxx += mask[:, None, None] * cxx
-        sxy += mask[:, None, None] * cxy
-        syy += mask[:, None, None] * cyy
-    return sxx, sxy, syy
+    r = h * (ks[kk][:, None, None] + xq[None, None, :] - xq[None, :, None])
+    g = (
+        _prefactor_from_beta(ctx.kappa, beta)[:, None, None]
+        * bessel_k(nu, ctx.kappa * r)
+        * r ** (-nu)
+    )
+    parts = np.stack(_blocks_from_kernel(g, h, rule)).reshape(3, -1, 4)
+    finite = np.all(np.isfinite(parts), axis=(0, 2))
+    if not np.all(finite):
+        bad = int(np.flatnonzero(~finite)[0])
+        e1 = int(np.argmax(wx[bb[bad], kk[bad]]))
+        raise AssemblyError(
+            f"non-finite disjoint block for element pair ({e1}, {e1 + int(ks[kk[bad]])})"
+        )
+    sxx, sxy, syy = np.zeros((3, n_beta * ks.size, 4))
+    for dense, part in zip((sxx, sxy, syy), parts):
+        dense[bb * ks.size + kk] = part
+    self_blocks = wx.reshape(-1, n_el).T @ sxx + wy.reshape(-1, n_el).T @ syy
+    rows = n_el - int(ks[0])
+    cross = np.einsum(
+        "bki,bkf->fik", wx[:, :, :rows], sxy.reshape(n_beta, ks.size, 4), optimize=True
+    )
+    return self_blocks.reshape(n_el, 2, 2), cross.reshape(2, 2, rows, ks.size)
 
 
-def _accumulate_disjoint(flat, n_all, k, keep, blocks):
-    sxx, sxy, syy = blocks
-    m = keep.astype(float)[:, None, None]
-    sxx = sxx * m
-    sxy = sxy * m
-    syy = syy * m
-    # factor 2: unordered pair computed once, ordered sum visits both
-    for da in range(2):
-        for db in range(2):
-            _band_add(flat, n_all, 0, da, db, 2.0 * sxx[:, da, db])
-            _band_add(flat, n_all, 0, k + da, k + db, 2.0 * syy[:, da, db])
-            _band_add(flat, n_all, 0, da, k + db, 2.0 * sxy[:, da, db])
-            _band_add(flat, n_all, 0, k + da, db, 2.0 * sxy[:, db, da])
+class _DisjointSums:
+    """Disjoint-pair blocks summed onto the upper triangle of A2.
+
+    The self blocks (sxx on the first element of a pair, syy on the second)
+    collect in one (n_el, 2, 2) array that reaches the band of A2 once, in
+    finish(); the cross blocks sxy of offset k go onto the diagonals k - 1,
+    k and k + 1. Every block enters with factor 2: each unordered pair is
+    computed once and the ordered double sum visits it twice.
+    """
+
+    def __init__(self, a2, n_el):
+        self.a2 = a2
+        self.self_blocks = np.zeros((n_el, 2, 2))
+
+    def add(self, k0, self_blocks, cross):
+        """Add self-block sums (n_el, 2, 2) and the cross blocks
+        cross[:, :, i, j] of the pairs (i, i + k0 + j)."""
+        self.self_blocks += self_blocks
+        rows, nk = cross.shape[2:]
+        n_all = self.a2.shape[0]
+        # window[i, d] = A2[i, i + k0 - 1 + d]: the rows of the diagonals
+        # k0 - 1 ... k0 + nk. Entries past the last column wrap into the
+        # strict lower triangle; only pairs past the mesh end, all zero, do.
+        start = k0 - 1
+        window = self.a2.ravel()[start : start + (rows + 1) * (n_all + 1)]
+        window = window.reshape(rows + 1, n_all + 1)
+        window[:-1, 1 : nk + 1] += 2.0 * cross[0, 0]
+        window[:-1, 2 : nk + 2] += 2.0 * cross[0, 1]
+        window[1:, :nk] += 2.0 * cross[1, 0]
+        window[1:, 1 : nk + 1] += 2.0 * cross[1, 1]
+
+    def finish(self):
+        flat = self.a2.ravel()
+        for da, db in ((0, 0), (0, 1), (1, 1)):
+            _band_add(flat, self.a2.shape[0], da, db, 2.0 * self.self_blocks[:, da, db])
+
+
+def _check_pairs_finite(blocks, k):
+    for part in blocks:
+        if not np.all(np.isfinite(part)):
+            e1 = int(np.argwhere(~np.isfinite(part))[0][0])
+            raise AssemblyError(
+                f"non-finite disjoint block for element pair ({e1}, {e1 + k})"
+            )
 
 
 def assemble_stiffness(
@@ -506,8 +619,6 @@ def assemble_stiffness(
     n_min=4,
     n_max=64,
     strategy="auto",
-    deterministic=True,
-    threads=1,
 ):
     """Assemble the full system (stiffness A = A1 + A2, plain mass M).
 
@@ -515,12 +626,16 @@ def assemble_stiffness(
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
     ``strategy`` selects the disjoint-pair path: "grouped" exploits
-    profiles that are constant per element, "general" interpolates the
-    kernel in beta from a per-offset Chebyshev table of degree BETA_DEGREE
-    (0 when s_lower == s_upper; recorded as ``quad_meta["beta_degree"]``,
-    None on the grouped path), "auto" picks grouped when valid. Raises
-    AssemblyError when a block is not finite or the beta table does not
-    resolve the kernel.
+    profiles that are constant per element and batches the offsets in
+    chunks of about _CHUNK_PAIRS pairs, one bessel_k call per chunk;
+    "general" interpolates the kernel in beta from a per-offset Chebyshev
+    table of degree BETA_DEGREE (0 when s_lower == s_upper; recorded as
+    ``quad_meta["beta_degree"]``, None on the grouped path); "auto" picks
+    grouped when valid. Both paths scatter through one accumulator that
+    sums the element self blocks once and writes the cross blocks onto the
+    offsets' diagonals; A2 is summed on its upper triangle and mirrored.
+    Raises AssemblyError when a block is not finite or the beta table does
+    not resolve the kernel.
     """
     profile = ctx.profile
     if n is None:
@@ -541,6 +656,7 @@ def assemble_stiffness(
     el_max = _element_order_max(profile, mesh)
     interior_el = mesh.element_interior
     ext = ~interior_el
+    # upper triangle only; mirrored into A below
     a2 = np.zeros((n_all, n_all))
     flat = a2.ravel()
 
@@ -558,9 +674,8 @@ def assemble_stiffness(
         )
     vals = vals * keep_id
     q = _identical_q_signs(mesh, 0)
-    for da in range(2):
-        for db in range(2):
-            _band_add(flat, n_all, 0, da, db, q[da] * q[db] * vals)
+    for da, db in ((0, 0), (0, 1), (1, 1)):
+        _band_add(flat, n_all, da, db, q[da] * q[db] * vals)
 
     # vertex-sharing pairs
     keep_adj = ~(ext[: n_el - 1] & ext[1:])
@@ -574,57 +689,41 @@ def assemble_stiffness(
         )
     adj = adj * keep_adj[:, None, None]
     for da in range(3):
-        for db in range(3):
-            _band_add(flat, n_all, 0, da, db, 2.0 * adj[:, da, db])
+        for db in range(da, 3):
+            _band_add(flat, n_all, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs, one batch per index offset
-    offsets = list(range(2, n_el))
+    # disjoint pairs, offsets k = 2 ... n_el - 1
+    sums = _DisjointSums(a2, n_el)
     if strategy == "grouped":
         mids = 0.5 * (mesh.nodes[:n_el] + mesh.nodes[1:])
-        s_el = smoothness.evaluate(profile, mids)
+        pairs = _GroupedPairs(mesh, smoothness.evaluate(profile, mids))
+        chunk = max(1, _CHUNK_PAIRS // n_el)
+        for k0 in range(2, n_el, chunk):
+            ks = np.arange(k0, min(k0 + chunk, n_el))
+            sums.add(k0, *_disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs))
         beta_degree = None
-
-        def compute(k):
-            return _disjoint_offset_grouped(ctx, mesh, k, rule, s_el)
-
     else:
         s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * rule.nodes)
         table = _BetaTable(profile)
+        for k in range(2, n_el):
+            blocks = _disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
+            _check_pairs_finite(blocks, k)
+            keep = ~(ext[: n_el - k] & ext[k:])[:, None, None]
+            sxx, sxy, syy = (part * keep for part in blocks)
+            self_blocks = np.zeros((n_el, 2, 2))
+            self_blocks[: n_el - k] += sxx
+            self_blocks[k:] += syy
+            sums.add(k, self_blocks, sxy.transpose(1, 2, 0)[..., None])
         beta_degree = table.degree
-
-        def compute(k):
-            return _disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
-
-    def accumulate(k, blocks):
-        for part in blocks:
-            if not np.all(np.isfinite(part)):
-                bad = np.argwhere(~np.isfinite(part))
-                e1 = int(bad[0][0])
-                raise AssemblyError(
-                    f"non-finite disjoint block for element pair ({e1}, {e1 + k})"
-                )
-        keep = ~(ext[: n_el - k] & ext[k:n_el])
-        _accumulate_disjoint(flat, n_all, k, keep, blocks)
-
-    threads = int(threads) if threads else 1
-    if threads > 1 and len(offsets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            if deterministic:
-                for k, blocks in zip(offsets, ex.map(compute, offsets)):
-                    accumulate(k, blocks)
-            else:
-                from concurrent.futures import as_completed
-
-                futs = {ex.submit(compute, k): k for k in offsets}
-                for fut in as_completed(futs):
-                    accumulate(futs[fut], fut.result())
-    else:
-        for k in offsets:
-            accumulate(k, compute(k))
+    sums.finish()
 
     sl = mesh.interior_slice
+    upper = a2[sl, sl]
+    a = upper + upper.T
+    a[np.diag_indices_from(a)] *= 0.5
+    del a2, flat, upper, sums
     a1 = assemble_weighted_mass(mesh, ctx, rule)
-    a = a1 + a2[sl, sl]
+    a += a1
     _check_finite(a, "stiffness")
     m = assemble_plain_mass(mesh)
     quad_meta = {
@@ -636,7 +735,5 @@ def assemble_stiffness(
         "target_rate": target_rate,
         "strategy": strategy,
         "beta_degree": beta_degree,
-        "deterministic": bool(deterministic),
-        "threads": threads,
     }
     return AssembledSystem(mesh, ctx, a, m, a1, quad_meta)

@@ -40,7 +40,6 @@ _SHORTHANDS = {
     "s": "profile.s",
     "s_lower": "profile.s_lower",
     "s_upper": "profile.s_upper",
-    "threads": "assembly.threads",
     "n": "quadrature.n_override",
 }
 
@@ -235,7 +234,6 @@ def _cmd_converge(cfg):
         n_min=cfg.quad_n_min,
         n_max=cfg.quad_n_max,
         norm_kind=cfg.norm_kind,
-        threads=cfg.threads,
     )
     timings["converge"] = time.perf_counter() - t0
     payload = report.to_dict()
@@ -297,6 +295,7 @@ def main(argv=None):
         command, config_path, overrides = _parse_args(argv)
         overrides = _resolve_profile_overrides(overrides)
         cfg = load_config(config_path, overrides)
+        cfg.check_command(command)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ProfileError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from pathlib import Path
 
 from . import smoothness
+from .convergence import NORM_KINDS
 from .kernel import KernelContext
 from .mesh import MeshError, build_uniform
+from .quadrature import MAX_ORDER
 
 __all__ = ["ConfigError", "RunConfig", "default_config_dict", "load_config"]
 
@@ -40,8 +41,9 @@ def default_config_dict():
         "outputs": {"directory": "out", "formats": ["csv"]},
         "slices": {"x0": [-1.5, 0.0, 1.5]},
         "convergence": {"levels": [7, 6, 5], "norm": "mass_matrix"},
-        "assembly": {"deterministic": True, "threads": None},
     }
+
+OUTPUT_FORMATS = ("csv", "vwm1")
 
 
 def _deep_update(base, extra, prefix=""):
@@ -86,6 +88,24 @@ def _require(block, key, kind, path):
     return val
 
 
+def _order(block, key):
+    """Gauss order under quadrature.<key>, within [1, MAX_ORDER]."""
+    n = _require(block, key, int, "quadrature")
+    if not 1 <= n <= MAX_ORDER:
+        raise ConfigError(
+            f"config key 'quadrature.{key}' must lie in [1, {MAX_ORDER}], got {n}"
+        )
+    return n
+
+
+def _list(block, key, kind, path):
+    """List under <path>.<key> whose items convert to ``kind``."""
+    vals = block.get(key)
+    if not isinstance(vals, list):
+        raise ConfigError(f"config key '{path}.{key}' must be a list, got {vals!r}")
+    return [_require({key: v}, key, kind, path) for v in vals]
+
+
 class RunConfig:
     """Validated configuration with resolved objects attached."""
 
@@ -113,14 +133,19 @@ class RunConfig:
         self.ctx = KernelContext(kappa, mu, self.profile)
         quad = raw["quadrature"]
         self.quad_c = _require(quad, "c", float, "quadrature")
-        self.quad_n_min = _require(quad, "n_min", int, "quadrature")
-        self.quad_n_max = _require(quad, "n_max", int, "quadrature")
-        self.quad_n_override = quad.get("n_override")
-        if self.quad_n_override is not None:
-            self.quad_n_override = int(self.quad_n_override)
+        self.quad_n_min = _order(quad, "n_min")
+        self.quad_n_max = _order(quad, "n_max")
+        if self.quad_n_min > self.quad_n_max:
+            raise ConfigError(
+                f"config key 'quadrature.n_min' ({self.quad_n_min}) exceeds "
+                f"'quadrature.n_max' ({self.quad_n_max})"
+            )
+        self.quad_n_override = None
+        if quad.get("n_override") is not None:
+            self.quad_n_override = _order(quad, "n_override")
         self.quad_target_rate = quad.get("target_rate")
         if self.quad_target_rate is not None:
-            self.quad_target_rate = float(self.quad_target_rate)
+            self.quad_target_rate = _require(quad, "target_rate", float, "quadrature")
         samp = raw["sampling"]
         self.m = _require(samp, "m", int, "sampling")
         if self.m < 0:
@@ -128,26 +153,51 @@ class RunConfig:
         self.seed = _require(samp, "seed", int, "sampling")
         out = raw["outputs"]
         self.out_dir = Path(out.get("directory", "out"))
-        self.formats = list(out.get("formats", ["csv"]))
-        self.slices = [float(x) for x in raw["slices"]["x0"]]
+        self.formats = _list(out, "formats", str, "outputs")
+        unknown = sorted(set(self.formats) - set(OUTPUT_FORMATS))
+        if unknown:
+            raise ConfigError(
+                f"config key 'outputs.formats' holds unknown formats {unknown}; "
+                f"choose from {list(OUTPUT_FORMATS)}"
+            )
+        self.slices = _list(raw["slices"], "x0", float, "slices")
         conv = raw["convergence"]
-        self.levels = [int(x) for x in conv["levels"]]
+        self.levels = _list(conv, "levels", int, "convergence")
+        finest = max(self.levels, default=0)
+        if sorted(set(self.levels)) != [finest - 2, finest - 1, finest]:
+            raise ConfigError(
+                f"config key 'convergence.levels' must hold three consecutive "
+                f"levels, got {self.levels}"
+            )
         self.norm_kind = conv.get("norm", "mass_matrix")
-        asm = raw["assembly"]
-        self.deterministic = bool(asm.get("deterministic", True))
-        threads = asm.get("threads")
-        if threads is None:
-            # Vectorized assembly already saturates memory bandwidth; extra
-            # threads mostly contend, so the fallback default is serial.
-            env = os.environ.get("VARMATERN_THREADS")
-            threads = int(env) if env else 1
-        self.threads = max(1, int(threads))
+        if self.norm_kind not in NORM_KINDS:
+            raise ConfigError(
+                f"config key 'convergence.norm' must be one of {list(NORM_KINDS)}, "
+                f"got {self.norm_kind!r}"
+            )
+
+    def check_command(self, command):
+        """Checks of the keys whose valid values depend on the domain, made
+        only for the command that reads them, so that the defaults of a key
+        a command ignores cannot fail it."""
+        if command == "covariance":
+            outside = [x for x in self.slices if not -self.r_int <= x <= self.r_int]
+            if outside:
+                raise ConfigError(
+                    f"config key 'slices.x0' holds locations {outside} outside "
+                    f"D = [{-self.r_int}, {self.r_int}]"
+                )
+        if command == "converge":
+            for lev in self.levels:
+                try:
+                    build_uniform(self.r_int, self.r_ext, lev)
+                except MeshError as exc:
+                    raise ConfigError(f"invalid 'convergence.levels': {exc}") from exc
 
     def echo(self):
         """Resolved config dict written into every output file."""
         out = copy.deepcopy(self.raw)
         out["profile"] = self.profile.to_dict()
-        out["assembly"]["threads"] = self.threads
         return out
 
     def assemble_kwargs(self):
@@ -157,8 +207,6 @@ class RunConfig:
             "target_rate": self.quad_target_rate,
             "n_min": self.quad_n_min,
             "n_max": self.quad_n_max,
-            "deterministic": self.deterministic,
-            "threads": self.threads,
         }
 
 

@@ -18,6 +18,7 @@ from .quadrature import gauss_legendre_01
 from .sampler import draw_noise
 
 __all__ = [
+    "NORM_KINDS",
     "RateReport",
     "injection",
     "coupled_loads",
@@ -27,6 +28,10 @@ __all__ = [
     "rate_from_systems",
     "estimate_rate",
 ]
+
+# Error norms rate_from_systems accepts: the M-norm of the nodal differences
+# (level_error_samples) or per-element Gauss quadrature (level_error_quadrature).
+NORM_KINDS = ("mass_matrix", "quadrature")
 
 
 class RateReport:
@@ -137,7 +142,7 @@ def level_error_quadrature(fine_batch, coarse_batch, p, fine_mesh, n=2):
 
 def rate_from_systems(systems, m, seed, norm_kind="mass_matrix", extra_config=None):
     """Rate estimate from three prebuilt systems ordered fine to coarse."""
-    if norm_kind not in ("mass_matrix", "quadrature"):
+    if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     levels = [s.mesh.level for s in systems]
     if len(systems) != 3 or levels[0] - levels[1] != 1 or levels[1] - levels[2] != 1:
@@ -199,7 +204,6 @@ def estimate_rate(
     n_max=64,
     norm_kind="mass_matrix",
     strategy="auto",
-    threads=1,
 ):
     """Estimate the strong L2 rate from three consecutive levels.
 
@@ -218,7 +222,7 @@ def estimate_rate(
             systems.append(
                 assemble_stiffness(
                     mesh, ctx, n=n_override, c=quad_c, target_rate=target_rate,
-                    n_min=n_min, n_max=n_max, strategy=strategy, threads=threads,
+                    n_min=n_min, n_max=n_max, strategy=strategy,
                 )
             )
         except Exception as exc:

@@ -75,10 +75,15 @@ def write_csv(path, names, columns):
     for c in columns:
         if c.shape != (n_rows,):
             raise ValueError("columns must be equal-length 1d arrays")
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(format_float(c[i]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # "%.17g" % x equals format_float(x); one % per row formats the table
+    # far faster than one format call per value, and writing row by row
+    # keeps no more than one row's text in memory
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack(columns).astype(float, copy=False)
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in table:
+            fh.write(row_format % tuple(row.tolist()))
     return Path(path)
 
 

@@ -263,16 +263,6 @@ def test_quadrature_order_robustness(build_system):
     assert rel < 1e-6
 
 
-def test_threaded_assembly_deterministic():
-    mesh = build_uniform(3, 4, 4)
-    ctx = _ctx("bump")
-    serial = assemble_stiffness(mesh, ctx, n=5, threads=1)
-    threaded = assemble_stiffness(mesh, ctx, n=5, threads=3, deterministic=True)
-    assert np.array_equal(serial.a, threaded.a)
-    relaxed = assemble_stiffness(mesh, ctx, n=5, threads=3, deterministic=False)
-    assert np.allclose(relaxed.a, serial.a, rtol=1e-13)
-
-
 def test_non_finite_block_names_pair(monkeypatch):
     import varmatern.assembly as asm
 
@@ -290,6 +280,105 @@ def test_non_finite_block_names_pair(monkeypatch):
     monkeypatch.setattr(asm, "_phi_from_beta", poisoned)
     with pytest.raises(AssemblyError, match="element pair"):
         assemble_stiffness(mesh, ctx, n=4, strategy="general")
+
+
+@pytest.mark.parametrize("key", ["const05", "step"])
+def test_grouped_non_finite_block_names_pair(monkeypatch, key):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, 2)  # elements 0-3 and 28-31 are exterior
+    ctx = _ctx(key)
+    unit = ctx.kappa * mesh.h
+    real = asm.bessel_k
+
+    def poisoned(nu, z):
+        out = np.array(real(nu, z), dtype=float, copy=True)
+        # the mean of kappa r_ab = kappa h (k + x_b - x_a) over a grid is kappa h k
+        offset = np.rint(np.mean(z, axis=(-2, -1)) / unit)
+        out[offset == 3] = np.nan
+        return out
+
+    monkeypatch.setattr(asm, "bessel_k", poisoned)
+    # (0, 3) has offset 3 too, but both its elements are exterior
+    with pytest.raises(AssemblyError, match=r"element pair \(1, 4\)"):
+        assemble_stiffness(mesh, ctx, n=4, strategy="grouped")
+
+
+def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
+    import varmatern.assembly as asm
+
+    calls = []
+    real = asm.bessel_k
+
+    def counted(nu, z):
+        calls.append(np.shape(z))
+        return real(nu, z)
+
+    monkeypatch.setattr(asm, "bessel_k", counted)
+    mesh = build_uniform(3, 4, 7)
+    system = assemble_stiffness(mesh, _ctx("const05"), strategy="grouped")
+    n_el = mesh.n_elements
+    assert 0 < len(calls) < (n_el - 2) / 8
+    n = system.quad_meta["n_disjoint"]
+    # one grid per offset with a kept pair for a constant order, none repeated
+    ext = ~mesh.element_interior
+    needed = sum(np.any(~(ext[: n_el - k] & ext[k:])) for k in range(2, n_el))
+    assert sum(shape[0] for shape in calls) == needed
+    assert all(shape[1:] == (n, n) for shape in calls)
+
+
+GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
+
+
+@pytest.mark.parametrize("key, kappa", GROUPED_CASES,
+                         ids=[f"{key}-{kappa}" for key, kappa in GROUPED_CASES])
+def test_grouped_chunk_blocks_match_direct(key, kappa):
+    import varmatern.assembly as asm
+
+    ctx = _ctx(key, kappa=kappa)
+    rule = gauss_legendre_01(8)
+    for level in (3, 4, 5, 6, 7):
+        mesh = build_uniform(3, 4, level)
+        n_el = mesh.n_elements
+        ext = ~mesh.element_interior
+        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+        pairs = asm._GroupedPairs(mesh, smoothness.evaluate(ctx.profile, mids))
+        # both ends of the offset range and geometric steps in between
+        ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
+        self_blocks, cross = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs)
+        self_ref = np.zeros((n_el, 2, 2))
+        cross_ref = np.zeros(cross.shape)
+        for j, k in enumerate(ks):
+            count = n_el - k
+            blocks = asm._disjoint_blocks_direct(
+                ctx, mesh.h, mesh.nodes[:count], mesh.nodes[k:n_el], rule
+            )
+            keep = ~(ext[:count] & ext[k:])[:, None, None]
+            sxx, sxy, syy = (part * keep for part in blocks)
+            self_ref[:count] += sxx
+            self_ref[k:] += syy
+            cross_ref[:, :, :count, j] = sxy.transpose(1, 2, 0)
+        for got, ref in ((self_blocks, self_ref), (cross, cross_ref)):
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
+        # the one pair of the last offset has both elements exterior
+        assert not np.any(cross[..., -1])
+
+
+@pytest.mark.parametrize("key", ["const05", "step"])
+def test_grouped_chunking_matches_brute_force(monkeypatch, key):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, 2)  # 32 elements, 4 exterior at each end
+    ctx = _ctx(key)
+    one_chunk = assemble_stiffness(mesh, ctx, n=6, strategy="grouped").a
+    # three offsets per chunk: ten chunks over the 30 offsets
+    monkeypatch.setattr(asm, "_CHUNK_PAIRS", 3 * mesh.n_elements)
+    chunked = assemble_stiffness(mesh, ctx, n=6, strategy="grouped").a
+    ref = _assemble_brute(mesh, ctx, 6)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(chunked - one_chunk)) <= 1e-14 * scale
+    assert np.max(np.abs(chunked - ref)) <= 1e-13 * scale
 
 
 def test_grouped_strategy_requires_elementwise_constant():

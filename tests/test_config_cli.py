@@ -71,14 +71,6 @@ def test_config_file_loading(tmp_path):
         load_config(bad)
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("VARMATERN_THREADS", "3")
-    assert load_config().threads == 3
-    monkeypatch.delenv("VARMATERN_THREADS")
-    assert load_config().threads == 1
-    assert load_config(overrides={"assembly.threads": 5}).threads == 5
-
-
 def test_config_echo_contains_resolved_profile():
     cfg = load_config(overrides={"profile": {"kind": "step", "s_lower": 0.35,
                                              "s_upper": 0.85}})
@@ -111,6 +103,24 @@ def test_csv_full_precision_roundtrip(tmp_path):
     assert lines[0] == "v"
     back = np.array([float(s) for s in lines[1:]])
     assert np.array_equal(back, vals)
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path):
+    special = [-0.0, 0.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan,
+               math.pi, -1.0 / 3.0, 2.0**53 + 2.0, 1.0]
+    rng = np.random.default_rng(5)
+    cols = [
+        np.arange(1, len(special) + 1),  # integer column, as in per_sample_errors.csv
+        np.array(special),
+        rng.standard_normal(len(special)) * 10.0 ** rng.integers(-20, 20, len(special)),
+    ]
+    names = ["i", "special", "random"]
+    path = fileio.write_csv(tmp_path / "t.csv", names, cols)
+    rows = [",".join(fileio.format_float(c[i]) for c in cols) for i in range(len(special))]
+    expected = "\n".join([",".join(names)] + rows) + "\n"
+    assert path.read_bytes() == expected.encode()
+    empty = fileio.write_csv(tmp_path / "e.csv", ["a", "b"], [np.array([]), np.array([])])
+    assert empty.read_bytes() == b"a,b\n"
 
 
 # --------------------------------------------------------------------- CLI
@@ -202,6 +212,45 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert "config error" in err
     assert _run(["covariance", "--no.such.key", "1",
                  "--out", str(tmp_path / "y")]) == 1
+
+
+LOAD_TIME_ERRORS = [
+    (["covariance", "--convergence.norm", "bogus"], "convergence.norm"),
+    (["covariance", "--slices", "9"], "slices.x0"),
+    (["converge", "--levels", "4,3"], "convergence.levels"),
+    (["assemble", "--quadrature.n_override", "99"], "quadrature.n_override"),
+    (["covariance", "--outputs.formats", '["xml"]'], "outputs.formats"),
+]
+
+
+@pytest.mark.parametrize("argv, key", LOAD_TIME_ERRORS, ids=[k for _, k in LOAD_TIME_ERRORS])
+def test_cli_invalid_config_fails_at_load(tmp_path, capsys, argv, key):
+    out = tmp_path / "x"
+    assert _run([*argv, "--level", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()  # failed before any output or compute
+
+
+def test_domain_dependent_keys_checked_only_where_read(tmp_path):
+    # the default slices lie outside D = [-1, 1]; only covariance reads them
+    small = ["--domain.r_int", "1", "--domain.r_ext", "2", "--level", "3"]
+    assert _run(["sample", *small, "--m", "2", "--out", str(tmp_path / "s")]) == 0
+    assert _run(["covariance", *small, "--out", str(tmp_path / "c")]) == 1
+    # level 0 gives h = 1, of which r_int = 0.5 is no multiple
+    half = ["--domain.r_int", "0.5", "--domain.r_ext", "1", "--levels", "2,1,0"]
+    assert _run(["matern", *half, "--slices", "0", "--out", str(tmp_path / "m")]) == 0
+    assert _run(["converge", *half, "--out", str(tmp_path / "v")]) == 1
+
+
+def test_cli_thread_settings_are_gone(tmp_path, capsys):
+    for argv, key in ((["--assembly.threads", "2"], "assembly.threads"),
+                      (["--threads", "2"], "threads")):
+        assert _run(["assemble", "--level", "2", *argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
 
 
 def test_cli_dotted_override_equals_syntax(tmp_path):
