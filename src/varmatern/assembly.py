@@ -552,9 +552,9 @@ def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
         raise AssemblyError(
             f"non-finite disjoint block for element pair ({e1}, {e1 + int(ks[kk[bad]])})"
         )
-    sxx, sxy, syy = np.zeros((3, n_beta * ks.size, 4))
-    for dense, part in zip((sxx, sxy, syy), parts):
-        dense[bb * ks.size + kk] = part
+    dense = np.zeros((3, n_beta * ks.size, 4))
+    dense[:, bb * ks.size + kk] = parts
+    sxx, sxy, syy = dense
     self_blocks = wx.reshape(-1, n_el).T @ sxx + wy.reshape(-1, n_el).T @ syy
     rows = n_el - int(ks[0])
     cross = np.einsum(
