@@ -10,21 +10,24 @@ Gauss.
 
 Disjoint pairs are batched by index offset k: on the uniform mesh every
 pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
-only the pair order beta varies. Elementwise-constant profiles (the grouped
-path) take the offsets in chunks of about _CHUNK_PAIRS pairs: each kept
-pair is labelled by its beta, the kernel grid of every (offset, beta) a
-chunk needs comes from one bessel_k call, and one-hot pair weights turn the
-chunk's blocks into per-element and per-pair sums by matrix products. Every
-other profile (the general path) tabulates the kernel per offset on the
-grid at the BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta
-and sums the Chebyshev series by Clenshaw at each quadrature point. The
-table holds the kernel with its growth in nu, max(4, 2 kappa r)^nu /
-r^(2 nu), divided out; a table that does not resolve the rest to
-BETA_TAIL_RTOL raises AssemblyError. Both paths hand their blocks to one
-accumulator (_DisjointSums): the element self blocks are summed into one
-(n_el, 2, 2) array that reaches the band once, and the cross blocks of
-offset k go onto the diagonals k - 1, k and k + 1. A2 is accumulated on its
-upper triangle only and mirrored when A is formed.
+only the pair order beta varies. Tensor Gauss reads s only at the
+quadrature points of each element, so the path follows from those values.
+When s takes one value at the quadrature points of each element (the
+grouped path), the offsets are taken in chunks of about _CHUNK_PAIRS
+pairs: each kept pair is labelled by its beta, the kernel grid of every
+(offset, beta) a chunk needs comes from one bessel_k call, and one-hot pair
+weights turn the chunk's blocks into per-element and per-pair sums by
+matrix products. Otherwise (the general path) the kernel is tabulated per
+offset on the grid at the BETA_DEGREE + 1 Chebyshev points of
+[s_lower, s_upper] in beta and the Chebyshev series is summed by Clenshaw
+at each quadrature point. The table holds the kernel with its growth in
+nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that does not
+resolve the rest to BETA_TAIL_RTOL raises AssemblyError. Both paths hand
+their blocks to one accumulator (_DisjointSums): the element self blocks
+are summed into one (n_el, 2, 2) array that reaches the band once, and the
+cross blocks of offset k go onto the diagonals k - 1, k and k + 1. A2 is
+accumulated on its upper triangle only and mirrored when A is formed; A1's
+local blocks are built from their upper half, so A is exactly symmetric.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -63,8 +66,7 @@ __all__ = [
 ]
 
 
-# Chebyshev degree in beta of the general disjoint-pair kernel table; the
-# degree is 0 for a profile whose bounds coincide.
+# Chebyshev degree in beta of the general disjoint-pair kernel table.
 BETA_DEGREE = 24
 
 # A table whose last two Chebyshev coefficients at some grid point exceed
@@ -156,6 +158,7 @@ def assemble_weighted_mass(mesh, ctx, rule):
     weight = ctx.kappa ** (2.0 * smoothness.evaluate(ctx.profile, pts))
     psi = np.stack([1.0 - xq, xq])
     local = mesh.h * np.einsum("eq,q,aq,bq->eab", weight, wq, psi, psi)
+    local[:, 1, 0] = local[:, 0, 1]  # the einsum's two halves differ in the last bit
     a1 = np.zeros((n, n))
     flat = a1.ravel()
     first = int(els[0]) - lo
@@ -183,13 +186,13 @@ def _element_order_max(profile, mesh):
     return np.max(s_vals, axis=1)
 
 
-def _identical_common(ctx, h, rule, s_up, anchor_coords, sign=1.0, swapped=False):
+def _identical_common(ctx, h, rule, s_up, anchor_coords, sign=1.0):
     """Transformed identical-pair integrand (one triangle half), summed.
 
     Returns the quadrature value of the scalar part for each element (the
-    basis-difference product contributes only signs q_a q_b = +-1).
-    ``swapped`` selects the second triangle half (xhat = xi eta, yhat = xi);
-    beta and the regularized factor are symmetric, so both halves agree.
+    basis-difference product contributes only signs q_a q_b = +-1). beta
+    and the regularized factor are symmetric, so the other triangle half
+    (xhat = xi eta, yhat = xi) agrees bitwise and callers double this one.
     ``sign`` picks the endpoint the refinement anchors to (+1: reference
     origin at the left endpoint, -1: at the right endpoint); both
     parameterizations are exact, and assembly averages them so that
@@ -203,8 +206,6 @@ def _identical_common(ctx, h, rule, s_up, anchor_coords, sign=1.0, swapped=False
     one_m_eta = t[None, None, :] ** (1.0 / (2.0 - 2.0 * s_up))  # (E, 1, n)
     x = anchor_coords[:, None, None] + sign * h * xi + 0.0 * one_m_eta
     y = anchor_coords[:, None, None] + sign * h * xi * (1.0 - one_m_eta)
-    if swapped:
-        x, y = y, x
     b = smoothness.beta(ctx.profile, x, y)
     r = h * xi * one_m_eta  # product form: no cancellation
     ph = _phi_from_beta(ctx.kappa, b, r)
@@ -238,23 +239,18 @@ def _identical_q_signs(mesh, e):
 def pair_block_identical(mesh, ctx, e, n):
     """Local 2x2 block of an element with itself, both triangle halves.
 
-    Each half is evaluated from both element endpoints and averaged (the
-    two anchors parameterize the same integral; averaging keeps mirror
-    symmetry exact for even profiles). Returns (block, (node, node+1)).
-    Row sums vanish: the basis difference of the constant function is zero.
+    One half is evaluated from each element endpoint and doubled; the two
+    anchored values are averaged (the anchors parameterize the same
+    integral; averaging keeps mirror symmetry exact for even profiles).
+    Returns (block, (node, node+1)). Row sums vanish: the basis difference
+    of the constant function is zero.
     """
     rule = gauss_legendre_01(n)
     s_up = _element_order_max(ctx.profile, mesh)[e : e + 1]
-    left = np.array([mesh.nodes[e]])
-    right = np.array([mesh.nodes[e + 1]])
-    total = 0.0
-    for anchor, sign in ((left, 1.0), (right, -1.0)):
-        for swapped in (False, True):
-            total += float(
-                _identical_common(ctx, mesh.h, rule, s_up, anchor, sign, swapped)[0]
-            )
+    left = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e : e + 1], 1.0)
+    right = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e + 1 : e + 2], -1.0)
     q = _identical_q_signs(mesh, e)
-    block = np.outer(q, q) * (0.5 * total)
+    block = np.outer(q, q) * float(left[0] + right[0])
     return block, (e, e + 1)
 
 
@@ -392,7 +388,7 @@ class _BetaTable:
     def __init__(self, profile):
         self.lower = profile.s_lower
         self.upper = profile.s_upper
-        self.degree = 0 if self.lower == self.upper else BETA_DEGREE
+        self.degree = BETA_DEGREE
         j = np.arange(self.degree + 1)
         theta = np.pi * (j + 0.5) / (self.degree + 1)
         self.mid = 0.5 * (self.lower + self.upper)
@@ -413,17 +409,16 @@ class _BetaTable:
         b = self.nodes[:, None, None]
         values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
         coef = np.tensordot(self.to_coef, values, axes=1)
-        if self.degree:
-            largest = np.max(np.abs(coef), axis=0)
-            trailing = np.max(np.abs(coef[-2:]), axis=0)
-            unresolved = trailing > BETA_TAIL_RTOL * largest
-            if np.any(unresolved):
-                worst = np.max(trailing[unresolved] / largest[unresolved])
-                raise AssemblyError(
-                    f"beta table of degree {self.degree} does not resolve the kernel "
-                    f"at disjoint offset {k}: trailing Chebyshev coefficient "
-                    f"{worst:.1e} of the largest"
-                )
+        largest = np.max(np.abs(coef), axis=0)
+        trailing = np.max(np.abs(coef[-2:]), axis=0)
+        unresolved = trailing > BETA_TAIL_RTOL * largest
+        if np.any(unresolved):
+            worst = np.max(trailing[unresolved] / largest[unresolved])
+            raise AssemblyError(
+                f"beta table of degree {self.degree} does not resolve the kernel "
+                f"at disjoint offset {k}: trailing Chebyshev coefficient "
+                f"{worst:.1e} of the largest"
+            )
         return coef
 
     def abscissae(self, b, k):
@@ -433,8 +428,6 @@ class _BetaTable:
                 f"pair order beta leaves the profile bounds [{self.lower}, "
                 f"{self.upper}] at disjoint offset {k}"
             )
-        if not self.degree:
-            return np.zeros_like(b)
         return (b - self.mid) / self.half
 
 
@@ -600,13 +593,15 @@ class _DisjointSums:
             _band_add(flat, self.a2.shape[0], da, db, 2.0 * self.self_blocks[:, da, db])
 
 
-def _check_pairs_finite(blocks, k):
-    for part in blocks:
-        if not np.all(np.isfinite(part)):
-            e1 = int(np.argwhere(~np.isfinite(part))[0][0])
-            raise AssemblyError(
-                f"non-finite disjoint block for element pair ({e1}, {e1 + k})"
-            )
+def _kept_finite(blocks, keep, what, gap):
+    """``blocks`` (pair index first) with the skipped pairs zeroed. Raises
+    naming the first kept pair (e, e + gap) whose block is not finite."""
+    blocks = np.where(keep.reshape(keep.shape + (1,) * (blocks.ndim - 1)), blocks, 0.0)
+    finite = np.isfinite(blocks.reshape(keep.size, -1)).all(axis=1)
+    if not np.all(finite):
+        e = int(np.argmin(finite))
+        raise AssemblyError(f"non-finite {what} block for element pair ({e}, {e + gap})")
+    return blocks
 
 
 def assemble_stiffness(
@@ -618,24 +613,23 @@ def assemble_stiffness(
     target_rate=None,
     n_min=4,
     n_max=64,
-    strategy="auto",
 ):
     """Assemble the full system (stiffness A = A1 + A2, plain mass M).
 
     ``n`` fixes the tensor-Gauss order for every pair class; when omitted it
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
-    ``strategy`` selects the disjoint-pair path: "grouped" exploits
-    profiles that are constant per element and batches the offsets in
-    chunks of about _CHUNK_PAIRS pairs, one bessel_k call per chunk;
-    "general" interpolates the kernel in beta from a per-offset Chebyshev
-    table of degree BETA_DEGREE (0 when s_lower == s_upper; recorded as
-    ``quad_meta["beta_degree"]``, None on the grouped path); "auto" picks
-    grouped when valid. Both paths scatter through one accumulator that
-    sums the element self blocks once and writes the cross blocks onto the
-    offsets' diagonals; A2 is summed on its upper triangle and mirrored.
-    Raises AssemblyError when a block is not finite or the beta table does
-    not resolve the kernel.
+    The disjoint-pair path follows from s at the quadrature points of each
+    element. When s takes one value there in every element, the grouped
+    path batches the offsets in chunks of about _CHUNK_PAIRS pairs, one
+    bessel_k call per chunk; otherwise the general path interpolates the
+    kernel in beta from a per-offset Chebyshev table of degree BETA_DEGREE.
+    ``quad_meta`` records the path as "strategy" and the table degree as
+    "beta_degree" (None on the grouped path). Both paths scatter through
+    one accumulator that sums the element self blocks once and writes the
+    cross blocks onto the offsets' diagonals; A2 is summed on its upper
+    triangle and mirrored. Raises AssemblyError when a kept pair's block is
+    not finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
     if n is None:
@@ -643,19 +637,12 @@ def assemble_stiffness(
                              n_min=n_min, n_max=n_max)
     n = int(n)
     rule = gauss_legendre_01(n)
-    if strategy == "auto":
-        strategy = "grouped" if profile.is_elementwise_constant else "general"
-    if strategy not in ("grouped", "general"):
-        raise ValueError(f"unknown assembly strategy {strategy!r}")
-    if strategy == "grouped" and not profile.is_elementwise_constant:
-        raise ValueError("grouped assembly requires an elementwise-constant profile")
 
     n_all = mesh.n_nodes
     n_el = mesh.n_elements
     h = mesh.h
     el_max = _element_order_max(profile, mesh)
-    interior_el = mesh.element_interior
-    ext = ~interior_el
+    ext = ~mesh.element_interior
     # upper triangle only; mirrored into A below
     a2 = np.zeros((n_all, n_all))
     flat = a2.ravel()
@@ -663,53 +650,42 @@ def assemble_stiffness(
     # identical pairs: the two triangle halves coincide bitwise (beta and
     # the regularized factor are symmetric), so each anchor needs one half
     # doubled; the two anchors are averaged for mirror symmetry
-    keep_id = interior_el
     vals = _identical_common(
         ctx, h, rule, el_max, mesh.nodes[:n_el], 1.0
     ) + _identical_common(ctx, h, rule, el_max, mesh.nodes[1 : n_el + 1], -1.0)
-    if not np.all(np.isfinite(vals)):
-        e_bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise AssemblyError(
-            f"non-finite block for identical element pair ({e_bad}, {e_bad})"
-        )
-    vals = vals * keep_id
+    vals = _kept_finite(vals, ~ext, "identical", 0)
     q = _identical_q_signs(mesh, 0)
     for da, db in ((0, 0), (0, 1), (1, 1)):
         _band_add(flat, n_all, da, db, q[da] * q[db] * vals)
 
     # vertex-sharing pairs
-    keep_adj = ~(ext[: n_el - 1] & ext[1:])
     alpha, delta = _adjacent_delta_coeffs(mesh, 0)
     s_up_adj = 0.5 * (el_max[:-1] + el_max[1:])
     adj = _adjacent_blocks(ctx, h, rule, s_up_adj, mesh.nodes[1:n_el], alpha, delta)
-    if not np.all(np.isfinite(adj)):
-        e_bad = int(np.argwhere(~np.isfinite(adj))[0][0])
-        raise AssemblyError(
-            f"non-finite block for adjacent element pair ({e_bad}, {e_bad + 1})"
-        )
-    adj = adj * keep_adj[:, None, None]
+    adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing", 1)
     for da in range(3):
         for db in range(da, 3):
             _band_add(flat, n_all, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs, offsets k = 2 ... n_el - 1
+    # disjoint pairs, offsets k = 2 ... n_el - 1; tensor Gauss reads s only
+    # at the quadrature points of each element
+    s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * rule.nodes)
     sums = _DisjointSums(a2, n_el)
-    if strategy == "grouped":
-        mids = 0.5 * (mesh.nodes[:n_el] + mesh.nodes[1:])
-        pairs = _GroupedPairs(mesh, smoothness.evaluate(profile, mids))
+    if np.all(s_q == s_q[:, :1]):
+        path = "grouped"
+        pairs = _GroupedPairs(mesh, s_q[:, 0])
         chunk = max(1, _CHUNK_PAIRS // n_el)
         for k0 in range(2, n_el, chunk):
             ks = np.arange(k0, min(k0 + chunk, n_el))
             sums.add(k0, *_disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs))
         beta_degree = None
     else:
-        s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * rule.nodes)
+        path = "general"
         table = _BetaTable(profile)
         for k in range(2, n_el):
-            blocks = _disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
-            _check_pairs_finite(blocks, k)
-            keep = ~(ext[: n_el - k] & ext[k:])[:, None, None]
-            sxx, sxy, syy = (part * keep for part in blocks)
+            blocks = np.stack(_disjoint_offset_general(ctx, mesh, k, rule, s_q, table), 1)
+            keep = ~(ext[: n_el - k] & ext[k:])
+            sxx, sxy, syy = _kept_finite(blocks, keep, "disjoint", k).transpose(1, 0, 2, 3)
             self_blocks = np.zeros((n_el, 2, 2))
             self_blocks[: n_el - k] += sxx
             self_blocks[k:] += syy
@@ -733,7 +709,7 @@ def assemble_stiffness(
         "n_weighted_mass": n,
         "c": c,
         "target_rate": target_rate,
-        "strategy": strategy,
+        "strategy": path,
         "beta_degree": beta_degree,
     }
     return AssembledSystem(mesh, ctx, a, m, a1, quad_meta)

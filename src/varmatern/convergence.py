@@ -203,7 +203,6 @@ def estimate_rate(
     n_min=4,
     n_max=64,
     norm_kind="mass_matrix",
-    strategy="auto",
 ):
     """Estimate the strong L2 rate from three consecutive levels.
 
@@ -222,7 +221,7 @@ def estimate_rate(
             systems.append(
                 assemble_stiffness(
                     mesh, ctx, n=n_override, c=quad_c, target_rate=target_rate,
-                    n_min=n_min, n_max=n_max, strategy=strategy,
+                    n_min=n_min, n_max=n_max,
                 )
             )
         except Exception as exc:

@@ -116,9 +116,6 @@ class KernelContext:
 
         return smoothness.beta(self.profile, x, y)
 
-    def nu(self, x, y):
-        return 0.5 + self.beta(x, y)
-
     def to_dict(self):
         return {
             "kappa": self.kappa,

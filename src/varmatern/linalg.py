@@ -58,17 +58,9 @@ def cholesky(mat):
     return c
 
 
-def solve_spd(a, b, refine=0):
-    """Solve a u = b for SPD a via Cholesky.
-
-    ``refine`` optional residual-correction sweeps; off by default (the
-    condition numbers at the shipped problem sizes do not need it).
-    """
-    lower = cholesky(a)
-    u = solve_with_factor(lower, b)
-    for _ in range(int(refine)):
-        u = u + solve_with_factor(lower, np.asarray(b, dtype=float) - a @ u)
-    return u
+def solve_spd(a, b):
+    """Solve a u = b for SPD a via Cholesky."""
+    return solve_with_factor(cholesky(a), b)
 
 
 def solve_with_factor(lower, b):

@@ -105,9 +105,6 @@ class Mesh1D:
             return int(out)
         return out
 
-    def element_nodes(self, e):
-        return e, e + 1
-
     def affine_map(self, e, reverse=False):
         """Map of element e; ``reverse=True`` puts the right endpoint at 0."""
         if not 0 <= e < self.n_elements:

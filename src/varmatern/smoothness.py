@@ -73,16 +73,6 @@ class SmoothnessProfile:
             f"s_upper={self.s_upper}, {inner})"
         )
 
-    @property
-    def is_elementwise_constant(self):
-        """True when s is constant on every mesh element away from x=0.
-
-        Constant profiles and the step profile (whose only breakpoint, 0,
-        is always a mesh node) qualify; assembly may then use the grouped
-        fast path.
-        """
-        return self.kind in ("constant", "step")
-
     def __call__(self, x):
         return evaluate(self, x)
 

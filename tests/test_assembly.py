@@ -195,25 +195,37 @@ def _assemble_brute(mesh, ctx, n):
     return assemble_weighted_mass(mesh, ctx, rule) + a2[sl, sl]
 
 
-@pytest.mark.parametrize("key,strategy", [
+@pytest.mark.parametrize("key,path", [
     ("const05", "grouped"),
-    ("const05", "general"),
     ("step", "grouped"),
     ("bump", "general"),
 ])
-def test_assembly_matches_brute_force(key, strategy):
+def test_assembly_matches_brute_force(key, path):
     mesh = build_uniform(1, 2, 2)  # 16 elements keeps the brute loop cheap
     ctx = _ctx(key)
-    system = assemble_stiffness(mesh, ctx, n=6, strategy=strategy)
+    system = assemble_stiffness(mesh, ctx, n=6)
+    assert system.quad_meta["strategy"] == path
     ref = _assemble_brute(mesh, ctx, 6)
     assert np.max(np.abs(system.a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_constant_order_cross_check_grouped_vs_general(build_system):
-    sys_g = build_system("const05", 2.5, 4, strategy="grouped")
-    sys_n = build_system("const05", 2.5, 4, strategy="general")
-    scale = np.max(np.abs(sys_g.a))
-    assert np.max(np.abs(sys_g.a - sys_n.a)) <= 1e-12 * scale
+@pytest.mark.parametrize("key", ["step", "bump", "ramp"])
+def test_assembled_stiffness_exactly_symmetric(build_system, key):
+    for level in (3, 4, 5, 6):
+        system = build_system(key, 2.5, level)
+        assert np.array_equal(system.a, system.a.T), level
+        assert np.array_equal(system.a1, system.a1.T), level
+
+
+def test_constant_tabulated_profile_takes_grouped_path():
+    mesh = build_uniform(3, 4, 4)
+    flat = assemble_stiffness(
+        mesh, KernelContext(2.5, 1.0, smoothness.tabulated([-4.0, 4.0], [0.5, 0.5]))
+    )
+    const = assemble_stiffness(mesh, _ctx("const05"))
+    assert flat.quad_meta["strategy"] == "grouped"
+    assert flat.quad_meta["beta_degree"] is None
+    assert np.array_equal(flat.a, const.a)
 
 
 def test_assembled_system_spd_and_symmetric(build_system):
@@ -266,30 +278,32 @@ def test_quadrature_order_robustness(build_system):
 def test_non_finite_block_names_pair(monkeypatch):
     import varmatern.assembly as asm
 
-    mesh = build_uniform(1, 2, 1)
-    ctx = _ctx("const05")
+    mesh = build_uniform(1, 2, 1)  # elements 0, 1, 6 and 7 are exterior
+    ctx = _ctx("bump")
 
     real = asm._phi_from_beta
 
     def poisoned(kappa, b, r):
         out = np.array(real(kappa, b, r), dtype=float, copy=True)
-        if out.ndim == 3 and out.shape[1] == out.shape[2]:  # disjoint grids
+        if np.shape(b)[1:] == (1, 1):  # the beta table's grids, one per offset
             out[0] = np.nan
         return out
 
     monkeypatch.setattr(asm, "_phi_from_beta", poisoned)
-    with pytest.raises(AssemblyError, match="element pair"):
-        assemble_stiffness(mesh, ctx, n=4, strategy="general")
+    # (0, 2) is the first kept pair of the first disjoint offset
+    with pytest.raises(AssemblyError, match=r"disjoint block for element pair \(0, 2\)"):
+        assemble_stiffness(mesh, ctx, n=4)
 
 
-@pytest.mark.parametrize("key", ["const05", "step"])
+@pytest.mark.parametrize("key", ["const05", "step", "bump"])
 def test_grouped_non_finite_block_names_pair(monkeypatch, key):
     import varmatern.assembly as asm
+    import varmatern.kernel as kernel
 
     mesh = build_uniform(3, 4, 2)  # elements 0-3 and 28-31 are exterior
     ctx = _ctx(key)
     unit = ctx.kappa * mesh.h
-    real = asm.bessel_k
+    real = kernel.bessel_k
 
     def poisoned(nu, z):
         out = np.array(real(nu, z), dtype=float, copy=True)
@@ -298,10 +312,12 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
         out[offset == 3] = np.nan
         return out
 
+    # the grouped path calls bessel_k itself, the beta table through the kernel
     monkeypatch.setattr(asm, "bessel_k", poisoned)
+    monkeypatch.setattr(kernel, "bessel_k", poisoned)
     # (0, 3) has offset 3 too, but both its elements are exterior
     with pytest.raises(AssemblyError, match=r"element pair \(1, 4\)"):
-        assemble_stiffness(mesh, ctx, n=4, strategy="grouped")
+        assemble_stiffness(mesh, ctx, n=4)
 
 
 def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
@@ -316,7 +332,7 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(asm, "bessel_k", counted)
     mesh = build_uniform(3, 4, 7)
-    system = assemble_stiffness(mesh, _ctx("const05"), strategy="grouped")
+    system = assemble_stiffness(mesh, _ctx("const05"))
     n_el = mesh.n_elements
     assert 0 < len(calls) < (n_el - 2) / 8
     n = system.quad_meta["n_disjoint"]
@@ -330,6 +346,30 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
 GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
 
 
+def _grouped_chunk_and_reference(ctx, mesh, rule, offset_blocks):
+    """_disjoint_chunk_grouped at 8 geometric offsets, and the same sums from
+    ``offset_blocks(k)``, the (sxx, sxy, syy) blocks of every pair of offset k."""
+    import varmatern.assembly as asm
+
+    n_el = mesh.n_elements
+    ext = ~mesh.element_interior
+    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
+    pairs = asm._GroupedPairs(mesh, s_q[:, 0])
+    # both ends of the offset range and geometric steps in between
+    ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
+    got = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs)
+    self_ref = np.zeros((n_el, 2, 2))
+    cross_ref = np.zeros(got[1].shape)
+    for j, k in enumerate(ks):
+        count = n_el - k
+        keep = ~(ext[:count] & ext[k:])[:, None, None]
+        sxx, sxy, syy = (part * keep for part in offset_blocks(k))
+        self_ref[:count] += sxx
+        self_ref[k:] += syy
+        cross_ref[:, :, :count, j] = sxy.transpose(1, 2, 0)
+    return got, (self_ref, cross_ref)
+
+
 @pytest.mark.parametrize("key, kappa", GROUPED_CASES,
                          ids=[f"{key}-{kappa}" for key, kappa in GROUPED_CASES])
 def test_grouped_chunk_blocks_match_direct(key, kappa):
@@ -340,29 +380,40 @@ def test_grouped_chunk_blocks_match_direct(key, kappa):
     for level in (3, 4, 5, 6, 7):
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
-        ext = ~mesh.element_interior
-        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        pairs = asm._GroupedPairs(mesh, smoothness.evaluate(ctx.profile, mids))
-        # both ends of the offset range and geometric steps in between
-        ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
-        self_blocks, cross = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs)
-        self_ref = np.zeros((n_el, 2, 2))
-        cross_ref = np.zeros(cross.shape)
-        for j, k in enumerate(ks):
-            count = n_el - k
-            blocks = asm._disjoint_blocks_direct(
-                ctx, mesh.h, mesh.nodes[:count], mesh.nodes[k:n_el], rule
+
+        def direct(k):
+            return asm._disjoint_blocks_direct(
+                ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
             )
-            keep = ~(ext[:count] & ext[k:])[:, None, None]
-            sxx, sxy, syy = (part * keep for part in blocks)
-            self_ref[:count] += sxx
-            self_ref[k:] += syy
-            cross_ref[:, :, :count, j] = sxy.transpose(1, 2, 0)
-        for got, ref in ((self_blocks, self_ref), (cross, cross_ref)):
-            err = np.max(np.abs(got - ref))
+
+        got, refs = _grouped_chunk_and_reference(ctx, mesh, rule, direct)
+        for part, ref in zip(got, refs):
+            err = np.max(np.abs(part - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
         # the one pair of the last offset has both elements exterior
-        assert not np.any(cross[..., -1])
+        assert not np.any(got[1][..., -1])
+
+
+def test_step_grouped_blocks_match_beta_table():
+    # the two disjoint-pair paths, compared directly on a profile both accept
+    import varmatern.assembly as asm
+
+    ctx = _ctx("step")
+    table = asm._BetaTable(ctx.profile)
+    rule = gauss_legendre_01(8)
+    for level in (3, 4, 5, 6):
+        mesh = build_uniform(3, 4, level)
+        s_q = smoothness.evaluate(
+            ctx.profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * rule.nodes
+        )
+
+        def tabulated(k):
+            return asm._disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
+
+        got, refs = _grouped_chunk_and_reference(ctx, mesh, rule, tabulated)
+        for part, ref in zip(got, refs):
+            err = np.max(np.abs(part - ref))
+            assert err <= 1e-10 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("key", ["const05", "step"])
@@ -371,22 +422,14 @@ def test_grouped_chunking_matches_brute_force(monkeypatch, key):
 
     mesh = build_uniform(3, 4, 2)  # 32 elements, 4 exterior at each end
     ctx = _ctx(key)
-    one_chunk = assemble_stiffness(mesh, ctx, n=6, strategy="grouped").a
+    one_chunk = assemble_stiffness(mesh, ctx, n=6).a
     # three offsets per chunk: ten chunks over the 30 offsets
     monkeypatch.setattr(asm, "_CHUNK_PAIRS", 3 * mesh.n_elements)
-    chunked = assemble_stiffness(mesh, ctx, n=6, strategy="grouped").a
+    chunked = assemble_stiffness(mesh, ctx, n=6).a
     ref = _assemble_brute(mesh, ctx, 6)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(chunked - one_chunk)) <= 1e-14 * scale
     assert np.max(np.abs(chunked - ref)) <= 1e-13 * scale
-
-
-def test_grouped_strategy_requires_elementwise_constant():
-    mesh = build_uniform(1, 2, 1)
-    with pytest.raises(ValueError):
-        assemble_stiffness(mesh, _ctx("bump"), n=4, strategy="grouped")
-    with pytest.raises(ValueError):
-        assemble_stiffness(mesh, _ctx("const05"), n=4, strategy="nosuch")
 
 
 def test_quad_metadata_recorded():
@@ -452,16 +495,6 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
                 assert np.all(err <= 1e-10 * scale), (level, k, np.max(err / scale))
 
 
-def test_beta_table_constant_profile_has_degree_zero():
-    mesh = build_uniform(3, 4, 3)
-    general = assemble_stiffness(mesh, _ctx("const05"), strategy="general")
-    grouped = assemble_stiffness(mesh, _ctx("const05"), strategy="grouped")
-    assert general.quad_meta["beta_degree"] == 0
-    assert grouped.quad_meta["beta_degree"] is None
-    scale = np.max(np.abs(grouped.a))
-    assert np.max(np.abs(general.a - grouped.a)) <= 1e-12 * scale
-
-
 def test_beta_degree_recorded_for_general_path():
     import varmatern.assembly as asm
 
@@ -488,4 +521,4 @@ def test_beta_table_order_outside_profile_bounds_raises():
     )
     ctx = KernelContext(2.5, 1.0, profile)
     with pytest.raises(AssemblyError, match="leaves the profile bounds"):
-        assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4, strategy="general")
+        assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)

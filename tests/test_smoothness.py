@@ -192,9 +192,3 @@ def test_profile_immutable():
     prof = constant(0.5)
     with pytest.raises(AttributeError):
         prof.s_lower = 0.1
-
-
-def test_elementwise_constant_flag():
-    assert smoothness.constant(0.4).is_elementwise_constant
-    assert smoothness.step(0.3, 0.6).is_elementwise_constant
-    assert not smoothness.gaussian_bump(0.35, 0.85, 0.9, 3.0).is_elementwise_constant
