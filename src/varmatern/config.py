@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 from . import smoothness
@@ -47,28 +48,43 @@ OUTPUT_FORMATS = ("csv", "vwm1")
 
 
 def _deep_update(base, extra, prefix=""):
+    """Merge ``extra`` (a config file or the nested flags) onto ``base``.
+
+    Blocks merge key by key. The profile block follows one rule for files
+    and flags: a block whose ``kind`` differs from the current one replaces
+    it, since kinds take different keys; otherwise its keys merge onto it,
+    and ``smoothness.from_dict`` checks them.
+    """
     for key, val in extra.items():
         path = f"{prefix}{key}"
         if key not in base:
+            while isinstance(val, dict) and val:  # name the dotted key as typed
+                sub, val = next(iter(val.items()))
+                path = f"{path}.{sub}"
             raise ConfigError(f"unknown config key '{path}'")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if path == "profile" and isinstance(val, dict):
+            kind = base[key]["kind"]
+            base[key] = {**base[key], **val} if val.get("kind", kind) == kind else dict(val)
+        elif isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key '{path}' must be a block of keys, got {val!r}")
             _deep_update(base[key], val, prefix=f"{path}.")
         else:
             base[key] = val
-    return base
 
 
-def _set_dotted(cfg, dotted, value):
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key '{dotted}'")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or (leaf not in node and parts[0] != "profile"):
-        raise ConfigError(f"unknown config key '{dotted}'")
-    node[leaf] = value
+def _nest(overrides):
+    """Dotted overrides as nested blocks: {"kernel.kappa": 2} -> {"kernel": {"kappa": 2}}."""
+    tree = {}
+    for dotted, value in overrides.items():
+        *parents, leaf = dotted.split(".")
+        node = tree
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"config key '{dotted}' lies inside a value that is not a block")
+        node[leaf] = copy.deepcopy(value)
+    return tree
 
 
 def _require(block, key, kind, path):
@@ -76,16 +92,15 @@ def _require(block, key, kind, path):
         raise ConfigError(f"missing config key '{path}.{key}'")
     val = block[key]
     try:
-        if kind is float:
+        if kind is str and isinstance(val, str):
+            return val
+        if kind is float and math.isfinite(float(val)):
             return float(val)
-        if kind is int:
-            ival = int(val)
-            if ival != float(val):
-                raise ValueError
-            return ival
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key '{path}.{key}' must be {kind.__name__}, got {val!r}")
-    return val
+        if kind is int and int(val) == float(val):
+            return int(val)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config key '{path}.{key}' must be {kind.__name__}, got {val!r}")
 
 
 def _order(block, key):
@@ -124,7 +139,7 @@ class RunConfig:
             raise ConfigError(f"config key 'kernel.mu' must be positive, got {mu}")
         try:
             self.profile = smoothness.from_dict(raw["profile"], default_r_int=self.r_int)
-        except (smoothness.ProfileError, KeyError) as exc:
+        except smoothness.ProfileError as exc:
             raise ConfigError(f"invalid 'profile' block: {exc}") from exc
         try:
             self.mesh = build_uniform(self.r_int, self.r_ext, self.level)
@@ -152,7 +167,7 @@ class RunConfig:
             raise ConfigError(f"config key 'sampling.m' must be >= 0, got {self.m}")
         self.seed = _require(samp, "seed", int, "sampling")
         out = raw["outputs"]
-        self.out_dir = Path(out.get("directory", "out"))
+        self.out_dir = Path(_require(out, "directory", str, "outputs"))
         self.formats = _list(out, "formats", str, "outputs")
         unknown = sorted(set(self.formats) - set(OUTPUT_FORMATS))
         if unknown:
@@ -169,7 +184,7 @@ class RunConfig:
                 f"config key 'convergence.levels' must hold three consecutive "
                 f"levels, got {self.levels}"
             )
-        self.norm_kind = conv.get("norm", "mass_matrix")
+        self.norm_kind = _require(conv, "norm", str, "convergence")
         if self.norm_kind not in NORM_KINDS:
             raise ConfigError(
                 f"config key 'convergence.norm' must be one of {list(NORM_KINDS)}, "
@@ -211,28 +226,18 @@ class RunConfig:
 
 
 def load_config(path=None, overrides=None):
-    """Merge defaults, an optional JSON file, and dotted-path overrides."""
+    """Merge defaults, an optional JSON file, and dotted-path overrides, the
+    file and then the overrides through the same merge."""
     cfg = default_config_dict()
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(path).read_bytes())
+        except OSError as exc:
+            raise ConfigError(f"config file not found or unreadable: {path} ({exc.strerror})")
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        if "profile" in data:
-            cfg["profile"] = data.pop("profile")  # profile blocks replace wholesale
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         _deep_update(cfg, data)
-    for dotted, value in (overrides or {}).items():
-        if dotted == "profile":
-            # A block with a new kind replaces wholesale; otherwise the
-            # fields merge onto the current profile block.
-            if isinstance(value, dict) and value.get("kind", cfg["profile"]["kind"]) != cfg["profile"]["kind"]:
-                cfg["profile"] = value
-            elif isinstance(value, dict):
-                cfg["profile"].update(value)
-            else:
-                raise ConfigError("'profile' override must be a mapping")
-        else:
-            _set_dotted(cfg, dotted, value)
+    _deep_update(cfg, _nest(overrides or {}))
     return RunConfig(cfg)

@@ -2,8 +2,9 @@
 
 One fine Gaussian vector drives every level: the fine load is b_f = L_f z,
 coarser loads are successive restrictions P^T b. The strong error between
-consecutive levels is measured in the fine-level mass norm (or the
-quadrature variant), and the rate estimate is log2(E_{l-1} / E_l).
+consecutive levels is measured in the fine-level mass norm, over D or (the
+"quadrature" norm) over the whole mesh, and the rate estimate is
+log2(E_{l-1} / E_l).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .assembly import assemble_stiffness
 from .kernel import KernelContext
 from .linalg import solve_with_factor
 from .mesh import build_uniform
-from .quadrature import gauss_legendre_01
 from .sampler import draw_noise
 
 __all__ = [
@@ -24,13 +24,12 @@ __all__ = [
     "coupled_loads",
     "level_error",
     "level_error_samples",
-    "level_error_quadrature",
+    "error_mass",
     "rate_from_systems",
     "estimate_rate",
 ]
 
-# Error norms rate_from_systems accepts: the M-norm of the nodal differences
-# (level_error_samples) or per-element Gauss quadrature (level_error_quadrature).
+# Error norms rate_from_systems accepts, over D or over the whole mesh (error_mass).
 NORM_KINDS = ("mass_matrix", "quadrature")
 
 
@@ -114,30 +113,19 @@ def level_error(fine_batch, coarse_batch, p, mass_fine):
     )
 
 
-def level_error_quadrature(fine_batch, coarse_batch, p, fine_mesh, n=2):
-    """Alternative norm: per-element Gauss quadrature of the squared error.
+def error_mass(system, norm_kind):
+    """Gram matrix of the error norm on the interior unknowns of ``system``.
 
-    Runs over every element of the fine mesh, so it also sees the hat tails
-    on the first exterior elements (the mass-norm variant integrates over D
-    only).
+    "mass_matrix" is M, which integrates over D. "quadrature" integrates
+    over the whole mesh, so the first exterior elements add the hat tails of
+    the nodes at +-r_int: 2h/3 at the two corners in place of h/3 (exact, as
+    the squared P1 error is a quadratic on each element).
     """
-    if fine_batch.shape[1] != coarse_batch.shape[1]:
-        raise ValueError(
-            f"sample count mismatch: {fine_batch.shape[1]} vs {coarse_batch.shape[1]}"
-        )
-    d = fine_batch - p @ coarse_batch
-    # nodal values of the error on all nodes (zero on the exterior ones)
-    full = np.zeros((fine_mesh.n_nodes, d.shape[1]))
-    full[fine_mesh.interior_slice] = d
-    rule = gauss_legendre_01(n)
-    left = full[:-1, :]
-    right = full[1:, :]
-    vals_sq = 0.0
-    for xq, wq in zip(rule.nodes, rule.weights):
-        vq = (1.0 - xq) * left + xq * right
-        vals_sq = vals_sq + wq * vq**2
-    per_sample = fine_mesh.h * np.sum(vals_sq, axis=0)
-    return float(np.sqrt(np.mean(per_sample)))
+    if norm_kind == "mass_matrix":
+        return system.m
+    full = system.m.copy()
+    full[[0, -1], [0, -1]] = 2.0 * system.mesh.h / 3.0
+    return full
 
 
 def rate_from_systems(systems, m, seed, norm_kind="mass_matrix", extra_config=None):
@@ -167,13 +155,10 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix", extra_config=No
     per_sample = {}
     for i in (0, 1):
         p = injection(meshes[i + 1], meshes[i])
-        if norm_kind == "mass_matrix":
-            samples = level_error_samples(sols[i], sols[i + 1], p, systems[i].m)
-            per_sample[levels[i]] = samples
-            e = float(np.sqrt(np.mean(samples**2)))
-        else:
-            e = level_error_quadrature(sols[i], sols[i + 1], p, meshes[i])
-        errors[levels[i]] = e
+        mass = error_mass(systems[i], norm_kind)
+        samples = level_error_samples(sols[i], sols[i + 1], p, mass)
+        per_sample[levels[i]] = samples
+        errors[levels[i]] = float(np.sqrt(np.mean(samples**2)))
     r_hat = float(np.log2(errors[levels[1]] / errors[levels[0]]))
     config = {
         "kernel": systems[0].ctx.to_dict(),

@@ -169,36 +169,70 @@ def tabulated(x, s):
 
 def tabulated_from_csv(path):
     """Load a tabulated profile from a two-column CSV (x, s) with a header row."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
+    try:
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ProfileError(f"tabulated profile file {path!r}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] < 2:
         raise ProfileError(f"{path}: expected two columns (x, s) with a header row")
     return tabulated(data[:, 0], data[:, 1])
 
 
+# Keys a config block of each kind may hold besides "kind": the ones
+# from_dict reads, plus the bounds to_dict() writes where they are derived
+# (accepted and not read, so that a config echo loads back).
+_BLOCK_KEYS = {
+    "constant": {"s", "s_lower", "s_upper"},
+    "step": {"s_lower", "s_upper"},
+    "gaussian_bump": {"s_lower", "s_upper", "sigma", "r_int"},
+    "oscillatory_ramp": {"a", "b", "omega", "r_int", "s_lower", "s_upper"},
+    "tabulated": {"path", "x", "s", "s_lower", "s_upper"},
+}
+
+
+def _floats(val):
+    return np.asarray(val, dtype=float)
+
+
 def from_dict(block, default_r_int=None):
-    """Build a profile from its JSON config block."""
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ProfileError("profile block must be a mapping with a 'kind' key")
-    kind = block["kind"]
-    r_int = block.get("r_int", default_r_int)
+    """Build a profile from its JSON config block.
+
+    Errors name the key, as ``profile.<key>``, that the kind needs and the
+    block lacks, that the kind does not take, or whose value is not a finite
+    number (a list of them for ``x`` and ``s`` of ``tabulated``).
+    """
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if kind not in _KINDS:
+        raise ProfileError(f"'profile.kind' must be one of {list(_KINDS)}, got {kind!r}")
+    unknown = sorted(set(block) - {"kind"} - _BLOCK_KEYS[kind])
+    if unknown:
+        raise ProfileError(f"key 'profile.{unknown[0]}' is not read by a {kind} profile")
+
+    def read(key, convert=float, default=None):
+        val = block.get(key, default)
+        if val is None:
+            raise ProfileError(f"missing key 'profile.{key}' for a {kind} profile")
+        try:
+            out = convert(val)
+        except (TypeError, ValueError):
+            out = np.nan
+        if not np.all(np.isfinite(out)):
+            raise ProfileError(f"profile key 'profile.{key}' has an invalid value {val!r}")
+        return out
+
     if kind == "constant":
-        return constant(block["s"])
+        return constant(read("s"))
     if kind == "step":
-        return step(block["s_lower"], block["s_upper"])
-    if kind == "gaussian_bump":
-        if r_int is None:
-            raise ProfileError("gaussian_bump profile needs r_int")
-        sigma = block.get("sigma", 0.3 * float(r_int))
-        return gaussian_bump(block["s_lower"], block["s_upper"], sigma, r_int)
-    if kind == "oscillatory_ramp":
-        if r_int is None:
-            raise ProfileError("oscillatory_ramp profile needs r_int")
-        return oscillatory_ramp(block["a"], block["b"], block["omega"], r_int)
+        return step(read("s_lower"), read("s_upper"))
     if kind == "tabulated":
         if "path" in block:
             return tabulated_from_csv(block["path"])
-        return tabulated(block["x"], block["s"])
-    raise ProfileError(f"unknown profile kind {kind!r}")
+        return tabulated(read("x", _floats), read("s", _floats))
+    r_int = read("r_int", default=default_r_int)
+    if kind == "gaussian_bump":
+        sigma = read("sigma", default=0.3 * r_int)
+        return gaussian_bump(read("s_lower"), read("s_upper"), sigma, r_int)
+    return oscillatory_ramp(read("a"), read("b"), read("omega"), r_int)
 
 
 def evaluate(profile, x):

@@ -223,10 +223,28 @@ LOAD_TIME_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv, key", LOAD_TIME_ERRORS, ids=[k for _, k in LOAD_TIME_ERRORS])
+# Malformed argvs; the common flags go first, so that these flags win.
+FRONT_END_ERRORS = {
+    "unknown-command": (["bogus"], "command"),
+    "dangling-flag": (["sample", "--level"], "--level"),
+    "levels-item": (["converge", "--levels", "5,x,3"], "convergence.levels"),
+    "slices-item": (["covariance", "--slices", "a"], "slices.x0"),
+    "domain-scalar": (["sample", "--domain", "3"], "'domain'"),
+    "sampling-scalar": (["sample", "--sampling", "5"], "'sampling'"),
+    "convergence-scalar": (["sample", "--convergence", "7"], "'convergence'"),
+    "out-not-string": (["sample", "--out", "5"], "outputs.directory"),
+    "profile-key-typo": (["matern", "--profile", "step", "--s-lower", "0.35",
+                          "--s-upper", "0.85", "--profile.sigmaa", "2"], "profile.sigmaa"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, key", LOAD_TIME_ERRORS + list(FRONT_END_ERRORS.values()),
+    ids=[k for _, k in LOAD_TIME_ERRORS] + list(FRONT_END_ERRORS),
+)
 def test_cli_invalid_config_fails_at_load(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
-    assert _run([*argv, "--level", "3", "--out", str(out)]) == 1
+    assert _run(["--level", "3", "--out", str(out), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert key in err
@@ -287,3 +305,58 @@ def test_cli_converge_honours_quadrature_order_bounds(tmp_path):
     assert max(orders[0].values()) > 4  # the bound below binds
     assert orders[2] == {"6": 4, "5": 4, "4": 4}
     assert orders[4] == {"6": 7, "5": 7, "4": 7}
+
+
+def test_cli_flags_before_command_and_help(tmp_path, capsys):
+    out = tmp_path / "pre"
+    assert _run(["--level", "3", "--out", str(out), "matern"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["domain"]["level"] == 3
+    for flag in ("--help", "-h"):
+        assert _run(["sample", flag]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: varmatern") and "--s-lower" in text
+
+
+def test_profile_rule_same_for_file_and_flags(tmp_path):
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps({"profile": {"kind": "step", "s_lower": 0.35,
+                                            "s_upper": 0.85}}))
+    # same kind: the flags merge onto the file's block
+    cfg = load_config(path, {"profile.s_lower": 0.4})
+    assert (cfg.profile.kind, cfg.profile.s_lower, cfg.profile.s_upper) == ("step", 0.4, 0.85)
+    # another kind replaces it, whatever the order of the flags
+    cfg = load_config(path, {"profile.s": 0.3, "profile.kind": "constant"})
+    assert cfg.profile.to_dict() == {"kind": "constant", "s_lower": 0.3,
+                                     "s_upper": 0.3, "s": 0.3}
+    # a file's block merges onto the defaults by the same rule
+    path.write_text(json.dumps({"profile": {"s": 0.3}}))
+    assert load_config(path).profile.params["s"] == 0.3
+    with pytest.raises(ConfigError, match="'profile.s_lower'"):
+        load_config(path, {"profile.kind": "step"})
+
+
+def test_manifest_echo_loads_back_as_config(tmp_path):
+    out = tmp_path / "echo"
+    assert _run(["matern", "--profile", "oscillatory_ramp", "--profile.a", "0.44075",
+                 "--profile.b", "0.7594", "--profile.omega", "0.15", "--level", "3",
+                 "--out", str(out)]) == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert load_config(path).echo() == echo
+
+
+def test_string_keys_type_checked():
+    with pytest.raises(ConfigError, match="outputs.directory"):
+        load_config(overrides={"outputs.directory": 5})
+    with pytest.raises(ConfigError, match="outputs.formats"):
+        load_config(overrides={"outputs.formats": [["csv"]]})
+    with pytest.raises(ConfigError, match="convergence.norm"):
+        load_config(overrides={"convergence.norm": ["quadrature"]})
+
+
+def test_non_finite_numbers_rejected():
+    for key, val in (("kernel.kappa", float("nan")), ("domain.level", float("inf")),
+                     ("sampling.m", float("-inf")), ("domain.r_int", float("inf"))):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides={key: val})

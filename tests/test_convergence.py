@@ -1,15 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from varmatern.convergence import (
     coupled_loads,
+    error_mass,
     estimate_rate,
     injection,
     level_error,
-    level_error_quadrature,
+    level_error_samples,
     rate_from_systems,
 )
+from varmatern.assembly import assemble_plain_mass
 from varmatern.mesh import build_uniform
+from varmatern.quadrature import gauss_legendre_01
 from varmatern.sampler import draw_noise
 
 from conftest import PROFILES
@@ -91,6 +96,42 @@ def test_quadrature_norm_close_to_mass_norm(build_system):
     for lev in (5, 4):
         ratio = rep_quad.errors[lev] / rep_mass.errors[lev]
         assert abs(ratio - 1.0) < 0.10
+
+
+def _gauss_error_norms(fine_batch, coarse_batch, p, fine_mesh):
+    """Per-sample L2 error over the whole fine mesh by two-point Gauss on each
+    element, the exterior nodal values being zero: the former quadrature norm."""
+    d = fine_batch - p @ coarse_batch
+    full = np.zeros((fine_mesh.n_nodes, d.shape[1]))
+    full[fine_mesh.interior_slice] = d
+    rule = gauss_legendre_01(2)
+    vals_sq = 0.0
+    for xq, wq in zip(rule.nodes, rule.weights):
+        vals_sq = vals_sq + wq * ((1.0 - xq) * full[:-1] + xq * full[1:]) ** 2
+    return np.sqrt(fine_mesh.h * np.sum(vals_sq, axis=0))
+
+
+@pytest.mark.parametrize("level", [3, 5, 7])
+def test_quadrature_norm_matches_gauss_loop(level, rng):
+    fine = build_uniform(3, 4, level)
+    coarse = build_uniform(3, 4, level - 1)
+    p = injection(coarse, fine)
+    system = SimpleNamespace(mesh=fine, m=assemble_plain_mass(fine))
+    u_f = rng.standard_normal((fine.interior_node_count, 6))
+    u_c = rng.standard_normal((coarse.interior_node_count, 6))
+    got = level_error_samples(u_f, u_c, p, error_mass(system, "quadrature"))
+    ref = _gauss_error_norms(u_f, u_c, p, fine)
+    assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+    # the mass-matrix norm leaves out the two exterior elements
+    assert error_mass(system, "mass_matrix") is system.m
+
+
+def test_quadrature_norm_reports_per_sample(build_system):
+    systems = [build_system("const05", 2.5, lev) for lev in (5, 4, 3)]
+    rep = rate_from_systems(systems, 50, seed=31, norm_kind="quadrature")
+    for lev in (5, 4):
+        assert rep.per_sample[lev].shape == (50,)
+        assert rep.errors[lev] == np.sqrt(np.mean(rep.per_sample[lev] ** 2))
 
 
 def test_estimate_rate_report_contents():

@@ -188,6 +188,43 @@ def test_from_dict_all_kinds(tmp_path):
         from_dict({"kind": "nosuch"})
 
 
+def test_from_dict_round_trips_every_kind(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,s\n-1,0.4\n0,0.7\n2,0.5\n")
+    shipped = [
+        constant(0.5),
+        step(0.35, 0.85),
+        gaussian_bump(0.35, 0.85, 0.9, 3.0),
+        oscillatory_ramp(0.44075, 0.7594, 0.15, 3.0),
+        tabulated([-1.0, 0.0, 2.0], [0.4, 0.7, 0.5]),
+        from_dict({"kind": "tabulated", "path": str(path)}),
+    ]
+    assert {p.kind for p in shipped} == set(smoothness._KINDS)
+    for prof in shipped:
+        back = from_dict(prof.to_dict())
+        assert back.to_dict() == prof.to_dict()
+
+
+@pytest.mark.parametrize("block, key", [
+    ({"kind": "step", "s_lower": 0.35}, "profile.s_upper"),
+    ({"kind": "oscillatory_ramp", "a": 0.4, "b": 0.6, "r_int": 3.0}, "profile.omega"),
+    ({"kind": "oscillatory_ramp", "a": 0.4, "b": 0.6, "omega": 0.1}, "profile.r_int"),
+    ({"kind": "tabulated", "s": [0.4, 0.5]}, "profile.x"),
+    ({"kind": "step", "s_lower": 0.35, "s_upper": 0.85, "sigmaa": 2}, "profile.sigmaa"),
+    ({"kind": "constant", "s": 0.5, "r_int": 3.0}, "profile.r_int"),
+    ({"kind": "constant", "s": None}, "profile.s"),
+    ({"kind": "constant", "s": "half"}, "profile.s"),
+    ({"kind": "gaussian_bump", "s_lower": 0.35, "s_upper": 0.85, "sigma": float("nan"),
+      "r_int": 3.0}, "profile.sigma"),
+    ({"kind": "tabulated", "x": [0, "a"], "s": [0.4, 0.5]}, "profile.x"),
+    ({"kind": "tabulated", "path": 5}, "tabulated profile file 5"),
+    ({"kind": "tabulated", "path": "/nonexistent/t.csv"}, "/nonexistent/t.csv"),
+])
+def test_from_dict_names_key(block, key):
+    with pytest.raises(ProfileError, match=key):
+        from_dict(block)
+
+
 def test_profile_immutable():
     prof = constant(0.5)
     with pytest.raises(AttributeError):

@@ -27,3 +27,26 @@ def test_benchmark_trace_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing
+
+
+def test_every_command_has_a_runner():
+    from varmatern import cli
+
+    assert set(cli._RUNNERS) == set(cli.COMMANDS)
+
+
+def test_main_dispatches_through_runner_table(tmp_path, monkeypatch):
+    # The benchmark times a run by replacing its entry in cli._RUNNERS; a main
+    # that called the runner directly would leave the timer measuring nothing.
+    from varmatern import cli
+    from varmatern.config import RunConfig
+
+    calls = []
+
+    def stub(cfg):
+        calls.append(cfg)
+        return 7
+
+    monkeypatch.setitem(cli._RUNNERS, "matern", stub)
+    assert cli.main(["matern", "--level", "3", "--out", str(tmp_path / "o")]) == 7
+    assert len(calls) == 1 and isinstance(calls[0], RunConfig)
