@@ -1,4 +1,4 @@
-"""Dense assembly of the variable-order nonlocal stiffness and mass matrices.
+"""Assembly of the dense variable-order stiffness and the tridiagonal mass matrices.
 
 The stiffness splits as A = A1 + A2: A1 is the kappa^{2 s(x)}-weighted mass
 over interior elements, A2 the nonlocal pair sum over all element pairs.
@@ -26,8 +26,9 @@ resolve the rest to BETA_TAIL_RTOL raises AssemblyError. Both paths hand
 their blocks to one accumulator (_DisjointSums): the element self blocks
 are summed into one (n_el, 2, 2) array that reaches the band once, and the
 cross blocks of offset k go onto the diagonals k - 1, k and k + 1. A2 is
-accumulated on its upper triangle only and mirrored when A is formed; A1's
-local blocks are built from their upper half, so A is exactly symmetric.
+accumulated on its upper triangle only and mirrored when A is formed; both
+off-diagonals of A1 take the upper entry of its local blocks, so A is
+exactly symmetric.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
+from scipy.linalg import cholesky_banded
 
 from . import smoothness
 from .kernel import _phi_from_beta, _prefactor_from_beta, bessel_k
@@ -89,10 +92,10 @@ class AssemblyError(RuntimeError):
 
 
 class AssembledSystem:
-    """Assembled dense system: stiffness A = A1 + A2 and plain mass M.
-
-    Both matrices live on the N interior unknowns (ascending coordinates).
-    Cholesky factors are computed lazily and cached.
+    """Assembled system: dense stiffness A = A1 + A2, with the plain mass M
+    and the weighted mass A1 as tridiagonal CSR arrays, all on the N interior
+    unknowns (ascending coordinates). The Cholesky factors, dense for A and
+    lower-bidiagonal CSR for M, are computed lazily and cached.
     """
 
     def __init__(self, mesh, ctx, a, m, a1, quad_meta):
@@ -118,7 +121,9 @@ class AssembledSystem:
     @property
     def mass_cholesky(self):
         if self._chol_m is None:
-            self._chol_m = cholesky(self.m)
+            bands = [self.m.diagonal(), np.append(self.m.diagonal(-1), 0.0)]
+            c = cholesky_banded(bands, lower=True)
+            self._chol_m = sparse.diags_array([c[1, :-1], c[0]], offsets=[-1, 0], format="csr")
         return self._chol_m
 
     def to_manifest(self):
@@ -137,20 +142,14 @@ def assemble_plain_mass(mesh):
     """
     n = mesh.interior_node_count
     h = mesh.h
-    m = np.zeros((n, n))
     diag = np.full(n, 2.0 * h / 3.0)
     diag[0] = diag[-1] = h / 3.0
-    np.fill_diagonal(m, diag)
     off = np.full(n - 1, h / 6.0)
-    m[np.arange(n - 1), np.arange(1, n)] = off
-    m[np.arange(1, n), np.arange(n - 1)] = off
-    return m
+    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
 def assemble_weighted_mass(mesh, ctx, rule):
     """A1: kappa^{2 s(x)}-weighted mass over interior elements, per-element Gauss."""
-    n = mesh.interior_node_count
-    lo = mesh.first_interior_node
     els = np.flatnonzero(mesh.element_interior)
     lefts = mesh.nodes[els]
     xq, wq = rule.nodes, rule.weights
@@ -158,16 +157,13 @@ def assemble_weighted_mass(mesh, ctx, rule):
     weight = ctx.kappa ** (2.0 * smoothness.evaluate(ctx.profile, pts))
     psi = np.stack([1.0 - xq, xq])
     local = mesh.h * np.einsum("eq,q,aq,bq->eab", weight, wq, psi, psi)
-    local[:, 1, 0] = local[:, 0, 1]  # the einsum's two halves differ in the last bit
-    a1 = np.zeros((n, n))
-    flat = a1.ravel()
-    first = int(els[0]) - lo
-    stride = n + 1
-    for da in range(2):
-        for db in range(2):
-            start = (first + da) * n + (first + db)
-            flat[start : start + els.size * stride : stride] += local[:, da, db]
-    return a1
+    # interior element j joins unknowns j and j + 1; both off-diagonals take
+    # the (0, 1) entries, as the einsum's (1, 0) entries differ in the last bit
+    diag = np.zeros(els.size + 1)
+    diag[:-1] += local[:, 0, 0]
+    diag[1:] += local[:, 1, 1]
+    off = local[:, 0, 1]
+    return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
 def _element_order_max(profile, mesh):
@@ -699,7 +695,7 @@ def assemble_stiffness(
     a[np.diag_indices_from(a)] *= 0.5
     del a2, flat, upper, sums
     a1 = assemble_weighted_mass(mesh, ctx, rule)
-    a += a1
+    a += a1.toarray()
     _check_finite(a, "stiffness")
     m = assemble_plain_mass(mesh)
     quad_meta = {

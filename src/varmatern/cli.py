@@ -112,8 +112,8 @@ def _cmd_assemble(cfg):
     out = cfg.out_dir
     outputs = [
         write_matrix(out / "stiffness.vwm1", system.a, side),
-        write_matrix(out / "mass.vwm1", system.m, side),
-        write_matrix(out / "weighted_mass.vwm1", system.a1, side),
+        write_matrix(out / "mass.vwm1", system.m.toarray(), side),
+        write_matrix(out / "weighted_mass.vwm1", system.a1.toarray(), side),
     ]
     _write_manifest(cfg, "assemble", outputs, timings, system=system.to_manifest())
     return 0

@@ -10,6 +10,7 @@ log2(E_{l-1} / E_l).
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .assembly import assemble_stiffness
 from .kernel import KernelContext
@@ -59,7 +60,7 @@ class RateReport:
 
 
 def injection(coarse, fine):
-    """Coarse-to-fine nodal interpolation matrix on the interior unknowns.
+    """Coarse-to-fine nodal interpolation on the interior unknowns, a CSR array.
 
     Coinciding nodes copy, fine midpoints average their coarse neighbours;
     coarse values beyond the unknowns follow the zero-extension convention.
@@ -69,16 +70,12 @@ def injection(coarse, fine):
         raise ValueError(
             f"incompatible meshes: fine level {fine.level} vs coarse {coarse.level}"
         )
-    xf = fine.interior_coords
-    xc = coarse.interior_coords
-    p = np.zeros((xf.size, xc.size))
-    # Even fine nodes coincide with coarse nodes, odd ones are midpoints.
-    p[np.arange(0, xf.size, 2), np.arange(xc.size)] = 1.0
-    mid = np.arange(1, xf.size, 2)
-    left = (mid - 1) // 2
-    p[mid, left] = 0.5
-    p[mid, left + 1] = 0.5
-    return p
+    # Even fine nodes 2i coincide with coarse node i, odd ones are midpoints.
+    i = np.arange(coarse.interior_node_count)
+    rows = np.concatenate([2 * i, 2 * i[:-1] + 1, 2 * i[1:] - 1])
+    cols = np.concatenate([i, i[:-1], i[1:]])
+    vals = np.concatenate([np.ones(i.size), np.full(2 * i.size - 2, 0.5)])
+    return sparse.csr_array((vals, (rows, cols)), shape=(fine.interior_node_count, i.size))
 
 
 def coupled_loads(fine_system, coarser_meshes, m, seed):

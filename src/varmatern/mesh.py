@@ -10,6 +10,8 @@ so comparisons against 0 and +-r_int are exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,11 @@ __all__ = [
     "hat_eval",
     "adjacent_pair_maps",
 ]
+
+
+# Largest all-node float64 array assembly may hold: the n_nodes x n_nodes
+# accumulator of the nonlocal part A2. 4 GiB admits level 11 at r_ext = 4.
+MAX_ASSEMBLY_BYTES = 4 * 2**30
 
 
 class MeshError(ValueError):
@@ -124,7 +131,9 @@ class Mesh1D:
 
 
 def build_uniform(r_int, r_ext, level):
-    """Uniform mesh with h = 2^-level; radii must be integer multiples of h."""
+    """Uniform mesh with h = 2^-level; radii must be integer multiples of h,
+    and the n_nodes x n_nodes float64 accumulator of assembly must fit in
+    MAX_ASSEMBLY_BYTES."""
     r_int = float(r_int)
     r_ext = float(r_ext)
     level = int(level)
@@ -132,6 +141,16 @@ def build_uniform(r_int, r_ext, level):
         raise MeshError(f"need r_ext > r_int > 0, got r_int={r_int}, r_ext={r_ext}")
     if level < 0:
         raise MeshError(f"level must be nonnegative, got {level}")
+    try:
+        n_nodes = 2.0 * math.ldexp(r_ext, level) + 1.0
+    except OverflowError:
+        n_nodes = math.inf
+    if 8.0 * n_nodes * n_nodes > MAX_ASSEMBLY_BYTES:
+        raise MeshError(
+            f"level={level} is too fine for r_ext={r_ext}: assembly would need an "
+            f"n_nodes x n_nodes float64 array of more than "
+            f"{MAX_ASSEMBLY_BYTES / 2**30:g} GiB"
+        )
     h = 2.0 ** (-level)
     for name, val in (("r_int", r_int), ("r_ext", r_ext)):
         ratio = val / h

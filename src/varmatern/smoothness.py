@@ -109,7 +109,7 @@ def gaussian_bump(s_lower, s_upper, sigma, r_int):
         raise ProfileError(
             f"gaussian bump needs s_lower < s_upper, got {s_lower} >= {s_upper}"
         )
-    if float(sigma) <= 0 or float(r_int) <= 0:
+    if not float(sigma) > 0 or not float(r_int) > 0:
         raise ProfileError(
             f"gaussian bump needs sigma > 0 and r_int > 0, got "
             f"sigma={sigma}, r_int={r_int}"
@@ -133,7 +133,7 @@ def oscillatory_ramp(a, b, omega, r_int):
     b = float(b)
     omega = float(omega)
     r = float(r_int)
-    if r <= 0:
+    if not r > 0:
         raise ProfileError(f"oscillatory ramp needs r_int > 0, got {r_int}")
     xs = np.linspace(-r, r, 40001)
     vals = a + (b - a) / (2 * r) * (xs + r) + omega * np.sin(4 * np.pi * (xs + r) / r)
@@ -158,8 +158,8 @@ def tabulated(x, s):
     s = np.asarray(s, dtype=float)
     if x.ndim != 1 or x.shape != s.shape or x.size < 2:
         raise ProfileError("tabulated profile needs two 1-d columns with >= 2 rows")
-    if np.any(np.diff(x) <= 0):
-        raise ProfileError("tabulated profile abscissae must be strictly increasing")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise ProfileError("tabulated profile abscissae must be finite and strictly increasing")
     if np.any(~np.isfinite(s)) or np.any(s <= 0) or np.any(s >= 1):
         raise ProfileError("tabulated profile values must lie in (0, 1)")
     return SmoothnessProfile(

@@ -2,12 +2,11 @@
 
 Each test prints a `[criterion N] PASS ...` line (visible with -s / -rA;
 the per-criterion verdicts also appear as the test outcomes under -v) and
-asserts the criterion at its stated tolerance. The full-scale convergence
-reproduction is opt-in via VARMATERN_FULL_SCALE=1.
+asserts the criterion at its stated tolerance, the full-scale convergence
+reproduction (levels 9/8/7, m = 1000) included.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -207,16 +206,15 @@ def test_criterion_07_convergence_rates_desk_scale(rate_systems):
     _report(7, ok, "; ".join(details))
 
 
-@pytest.mark.skipif(
-    not os.environ.get("VARMATERN_FULL_SCALE"),
-    reason="full-scale reproduction is opt-in (VARMATERN_FULL_SCALE=1)",
-)
-def test_criterion_07_full_scale_reproduction(build_system):
+def test_criterion_07_full_scale_reproduction():
+    # built here rather than in the session cache, so that each profile's
+    # three systems are freed once its rate is taken
     targets = {"const05": 0.51, "const03": 0.10, "step_high": 0.83}
     ok = True
     details = []
     for key, target in targets.items():
-        systems = [build_system(key, 2.5, lev) for lev in (9, 8, 7)]
+        ctx = KernelContext(2.5, 1.0, PROFILES[key]())
+        systems = [assemble_stiffness(build_uniform(3.0, 4.0, lev), ctx) for lev in (9, 8, 7)]
         report = rate_from_systems(systems, 1000, seed=814)
         good = abs(report.r_hat - target) <= 0.1
         ok = ok and good
@@ -237,14 +235,14 @@ def test_criterion_08_spd_and_coercivity(build_system):
             )
             try:
                 cholesky(system.a)
-                cholesky(system.m)
+                cholesky(system.m.toarray())
                 spd = True
             except Exception:
                 spd = False
             floor = min(1.0, kappa ** (2 * system.ctx.profile.s_lower))
             v = rng.standard_normal((system.n, 100))
             ratio = np.einsum("ik,ij,jk->k", v, system.a, v) / np.einsum(
-                "ik,ij,jk->k", v, system.m, v
+                "ik,ij,jk->k", v, system.m.toarray(), v
             )
             coercive = bool(np.all(ratio >= floor))
             ok = ok and sym and spd and coercive
@@ -260,7 +258,7 @@ def test_criterion_09_white_noise_statistics(build_system):
     m = 100_000
     b = draw_noise(system.mass_cholesky, m, seed=909)
     emp = b @ b.T / m
-    ref = system.m
+    ref = system.m.toarray()
     stderr = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref**2) / m)
     worst = float(np.max(np.abs(emp - ref) / stderr))
     _report(9, worst <= 5.0, f"max |emp - M| = {worst:.2f} standard errors <= 5")
@@ -269,7 +267,7 @@ def test_criterion_09_white_noise_statistics(build_system):
 # ---------------------------------------------------------------------------
 def test_criterion_10_eigenvalue_growth_trend(build_system):
     system = build_system("const05", 2.5, 6)
-    lam = scipy.linalg.eigh(system.a, system.m, eigvals_only=True)
+    lam = scipy.linalg.eigh(system.a, system.m.toarray(), eigvals_only=True)
     n = lam.size
     j = np.arange(1, n + 1)
     mid = slice(n // 4, 3 * n // 4)

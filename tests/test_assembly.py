@@ -31,7 +31,7 @@ def _ctx(key, kappa=2.5, mu=1.0):
 
 def test_plain_mass_entries():
     mesh = build_uniform(3, 4, 2)
-    m = assemble_plain_mass(mesh)
+    m = assemble_plain_mass(mesh).toarray()
     h = mesh.h
     n = mesh.interior_node_count
     assert m[5, 5] == pytest.approx(2 * h / 3)
@@ -45,14 +45,14 @@ def test_weighted_mass_reduces_to_plain_mass():
     mesh = build_uniform(3, 4, 3)
     rule = gauss_legendre_01(8)
     a1 = assemble_weighted_mass(mesh, _ctx("const05", kappa=1.0), rule)
-    assert np.allclose(a1, assemble_plain_mass(mesh), atol=1e-14)
+    assert np.allclose(a1.toarray(), assemble_plain_mass(mesh).toarray(), atol=1e-14)
 
 
 def test_weighted_mass_constant_scaling():
     mesh = build_uniform(3, 4, 3)
     rule = gauss_legendre_01(8)
     a1 = assemble_weighted_mass(mesh, _ctx("const05", kappa=4.0), rule)
-    assert np.allclose(a1, 4.0 * assemble_plain_mass(mesh), rtol=1e-13)
+    assert np.allclose(a1.toarray(), 4.0 * assemble_plain_mass(mesh).toarray(), rtol=1e-13)
 
 
 def test_weighted_mass_step_closed_form():
@@ -214,7 +214,7 @@ def test_assembled_stiffness_exactly_symmetric(build_system, key):
     for level in (3, 4, 5, 6):
         system = build_system(key, 2.5, level)
         assert np.array_equal(system.a, system.a.T), level
-        assert np.array_equal(system.a1, system.a1.T), level
+        assert np.array_equal(system.a1.toarray(), system.a1.T.toarray()), level
 
 
 def test_constant_tabulated_profile_takes_grouped_path():
@@ -232,14 +232,14 @@ def test_assembled_system_spd_and_symmetric(build_system):
     system = build_system("const05", 2.5, 4)
     assert np.max(np.abs(system.a - system.a.T)) <= 1e-12 * np.max(np.abs(system.a))
     cholesky(system.a)  # must not raise
-    cholesky(system.m)
+    cholesky(system.m.toarray())
     assert np.allclose(system.a @ np.zeros(system.n), 0.0)
 
 
 def test_a1_diagonal_nonnegative(build_system):
     system = build_system("step", 2.5, 4)
-    assert np.all(np.diag(system.a1) >= 0)
-    assert np.allclose(system.a1, system.a1.T, atol=1e-15)
+    assert np.all(system.a1.diagonal() >= 0)
+    assert np.allclose(system.a1.toarray(), system.a1.T.toarray(), atol=1e-15)
 
 
 def test_coercivity_floor(build_system, rng):
@@ -248,7 +248,7 @@ def test_coercivity_floor(build_system, rng):
         floor = min(1.0, kappa ** (2 * system.ctx.profile.s_lower))
         v = rng.standard_normal((system.n, 100))
         num = np.einsum("ik,ij,jk->k", v, system.a, v)
-        den = np.einsum("ik,ij,jk->k", v, system.m, v)
+        den = np.einsum("ik,ij,jk->k", v, system.m.toarray(), v)
         assert np.all(num >= floor * den)
 
 

@@ -1,0 +1,59 @@
+"""Property test of the assembled system: for every profile kind, kappa
+log-uniform in [1e-3, 1e2] and levels 3-5, the stiffness A is exactly
+symmetric, finite and positive definite, and meets criterion 8's coercivity
+floor against the mass M. A mirror-symmetric profile (constant, or the
+gaussian bump, which is centred at 0) gives A equal to its mirror image."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from varmatern import smoothness
+from varmatern.assembly import assemble_stiffness
+from varmatern.kernel import KernelContext
+from varmatern.linalg import cholesky
+from varmatern.mesh import build_uniform
+
+R_INT, R_EXT = 3.0, 4.0
+
+_ORDER = st.floats(0.001, 0.999)
+_BOUNDS = st.lists(_ORDER, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def _profiles(draw):
+    kind = draw(st.sampled_from(
+        ["constant", "step", "gaussian_bump", "oscillatory_ramp", "tabulated"]
+    ))
+    if kind == "constant":
+        return smoothness.constant(draw(_ORDER))
+    if kind == "step":
+        return smoothness.step(*draw(_BOUNDS))
+    if kind == "gaussian_bump":
+        return smoothness.gaussian_bump(*draw(_BOUNDS), draw(st.floats(0.1, 5.0)), R_INT)
+    if kind == "oscillatory_ramp":
+        # a, b in [0.3, 0.7] and |omega| <= 0.25 keep the ramp inside (0, 1)
+        a, b = draw(st.floats(0.3, 0.7)), draw(st.floats(0.3, 0.7))
+        return smoothness.oscillatory_ramp(a, b, draw(st.floats(-0.25, 0.25)), R_INT)
+    x = draw(st.lists(st.floats(-R_EXT, R_EXT), min_size=2, max_size=6, unique=True))
+    s = draw(st.lists(_ORDER, min_size=len(x), max_size=len(x)))
+    return smoothness.tabulated(sorted(x), s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_profiles(), st.floats(-3.0, 2.0), st.integers(3, 5))
+def test_assembled_system_invariants(profile, log_kappa, level):
+    kappa = 10.0**log_kappa
+    system = assemble_stiffness(
+        build_uniform(R_INT, R_EXT, level), KernelContext(kappa, 1.0, profile)
+    )
+    a = system.a
+    assert np.all(np.isfinite(a))
+    assert np.array_equal(a, a.T)
+    cholesky(a)  # raises unless positive definite
+    floor = min(1.0, kappa ** (2 * profile.s_lower))
+    v = np.random.default_rng(level).standard_normal((system.n, 20))
+    energy = np.einsum("ik,ik->k", v, a @ v)
+    assert np.all(energy >= floor * np.einsum("ik,ik->k", v, system.m @ v))
+    if profile.kind in ("constant", "gaussian_bump"):
+        assert np.max(np.abs(a - a[::-1, ::-1])) <= 1e-14 * np.max(np.abs(a))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from varmatern import cli, fileio
+from varmatern.assembly import assemble_weighted_mass
 from varmatern.config import ConfigError, default_config_dict, load_config
+from varmatern.quadrature import gauss_legendre_01
 
 
 # ------------------------------------------------------------------ config
@@ -147,6 +149,22 @@ def test_cli_covariance_slices(tmp_path):
     assert header == "y,C_x0_y"
 
 
+def test_cli_assemble_writes_dense_masses(tmp_path):
+    # M and A1 are held sparse; their .vwm1 files hold the dense matrices
+    out = tmp_path / "asm"
+    assert _run(["assemble", "--level", "3", "--out", str(out)]) == 0
+    cfg = load_config(overrides={"domain.level": 3})
+    h, n = cfg.mesh.h, cfg.mesh.interior_node_count
+    m_ref = (np.diag(np.full(n, 2 * h / 3)) + np.diag(np.full(n - 1, h / 6), 1)
+             + np.diag(np.full(n - 1, h / 6), -1))
+    m_ref[0, 0] = m_ref[-1, -1] = h / 3
+    assert np.array_equal(fileio.read_matrix(out / "mass.vwm1")[0], m_ref)
+    man = json.loads((out / "manifest.json").read_text())
+    rule = gauss_legendre_01(man["system"]["quadrature"]["n_weighted_mass"])
+    a1_ref = assemble_weighted_mass(cfg.mesh, cfg.ctx, rule).toarray()
+    assert np.array_equal(fileio.read_matrix(out / "weighted_mass.vwm1")[0], a1_ref)
+
+
 def test_cli_deterministic_rerun_bitwise(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -250,6 +268,20 @@ def test_cli_invalid_config_fails_at_load(tmp_path, capsys, argv, key):
     assert key in err
     assert "Traceback" not in err
     assert not out.exists()  # failed before any output or compute
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["matern", "--level", "2000"], "invalid 'domain' block: level=2000"),
+    (["assemble", "--level", "64"], "invalid 'domain' block: level=64"),
+    (["converge", "--levels", "64,63,62"], "invalid 'convergence.levels': level=64"),
+    (["converge", "--levels", "2000,1999,1998"], "invalid 'convergence.levels': level=2000"),
+])
+def test_level_over_cap_fails_at_load(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    assert _run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
 
 
 def test_domain_dependent_keys_checked_only_where_read(tmp_path):

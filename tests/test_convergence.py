@@ -23,7 +23,7 @@ from conftest import PROFILES
 def test_injection_structure():
     coarse = build_uniform(3, 4, 2)
     fine = build_uniform(3, 4, 3)
-    p = injection(coarse, fine)
+    p = injection(coarse, fine).toarray()
     assert p.shape == (fine.interior_node_count, coarse.interior_node_count)
     # coinciding nodes copy: each coarse column has a single 1 on even rows
     even = p[::2]
@@ -67,7 +67,7 @@ def test_coupled_loads_galerkin_mass(build_system):
     b_c = loads[1]
     emp = b_c @ b_c.T / m
     p = injection(coarse.mesh, fine.mesh)
-    ref = p.T @ fine.m @ p
+    ref = (p.T @ fine.m @ p).toarray()
     stderr = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref**2) / m)
     assert np.all(np.abs(emp - ref) <= 5 * stderr)
 

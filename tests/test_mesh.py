@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varmatern import mesh as mesh_module
 from varmatern.mesh import (
     MeshError,
     adjacent_pair_maps,
@@ -49,6 +50,20 @@ def test_build_validation_messages():
         build_uniform(4, 3, 1)
     with pytest.raises(MeshError):
         build_uniform(-1, 4, 1)
+
+
+def test_level_cap():
+    for level in (64, 2000):
+        with pytest.raises(MeshError, match=f"level={level} is too fine"):
+            build_uniform(3, 4, level)
+
+
+def test_level_cap_from_node_count(monkeypatch):
+    # r_ext = 4 gives 2 * 4 * 2^level + 1 nodes: 129 at level 4, 257 at level 5
+    monkeypatch.setattr(mesh_module, "MAX_ASSEMBLY_BYTES", 8 * 129**2)
+    assert build_uniform(3, 4, 4).n_nodes == 129
+    with pytest.raises(MeshError, match="level=5"):
+        build_uniform(3, 4, 5)
 
 
 def test_classify_pair():

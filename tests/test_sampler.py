@@ -26,7 +26,7 @@ def test_draw_noise_matches_mass(build_system):
     m = 20_000
     b = draw_noise(system.mass_cholesky, m, seed=7)
     emp = b @ b.T / m
-    ref = system.m
+    ref = system.m.toarray()
     stderr = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref**2) / m)
     assert np.all(np.abs(emp - ref) <= 5 * stderr)
 

@@ -145,6 +145,36 @@ def test_invalid_parameters_rejected_at_construction():
         tabulated([0.0, 1.0], [0.3, 1.2])
 
 
+# Valid arguments of every factory; each float in them is set to NaN in turn.
+_FACTORY_ARGS = [
+    (constant, (0.5,)),
+    (step, (0.35, 0.85)),
+    (gaussian_bump, (0.35, 0.85, 0.9, 3.0)),
+    (oscillatory_ramp, (0.44, 0.76, 0.15, 3.0)),
+    (tabulated, ([-1.0, 0.0, 1.0], [0.4, 0.5, 0.6])),
+]
+
+
+def _nan_cases():
+    for factory, args in _FACTORY_ARGS:
+        for i, arg in enumerate(args):
+            if np.ndim(arg) == 0:
+                yield pytest.param(factory, (*args[:i], np.nan, *args[i + 1:]),
+                                   id=f"{factory.__name__}-{i}")
+                continue
+            for j in range(len(arg)):
+                item = list(arg)
+                item[j] = np.nan
+                yield pytest.param(factory, (*args[:i], item, *args[i + 1:]),
+                                   id=f"{factory.__name__}-{i}-{j}")
+
+
+@pytest.mark.parametrize("factory, args", _nan_cases())
+def test_factories_reject_nan(factory, args):
+    with pytest.raises(ProfileError):
+        factory(*args)
+
+
 def test_eval_rejects_non_finite():
     with pytest.raises(ValueError):
         evaluate(constant(0.5), np.nan)
