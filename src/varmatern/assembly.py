@@ -10,20 +10,25 @@ Gauss.
 
 Disjoint pairs are batched by index offset k: on the uniform mesh every
 pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
-only the pair order beta varies. Tensor Gauss reads s only at the
-quadrature points of each element, so the path follows from those values.
-When s takes one value at the quadrature points of each element (the
-grouped path), the offsets are taken in chunks of about _CHUNK_PAIRS
-pairs: each kept pair is labelled by its beta, the kernel grid of every
-(offset, beta) a chunk needs comes from one bessel_k call, and one-hot pair
-weights turn the chunk's blocks into per-element and per-pair sums by
-matrix products. Otherwise (the general path) the kernel is tabulated per
-offset on the grid at the BETA_DEGREE + 1 Chebyshev points of
-[s_lower, s_upper] in beta and the Chebyshev series is summed by Clenshaw
-at each quadrature point. The table holds the kernel with its growth in
-nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that does not
-resolve the rest to BETA_TAIL_RTOL raises AssemblyError. Both paths hand
-their blocks to one accumulator (_DisjointSums): the element self blocks
+only the pair order beta varies. Their tensor-Gauss order falls with the
+offset, min(n, n_far(k)) with n_far from FAR_BREAKS and FAR_ORDERS, except
+where kappa h > 1, where every offset keeps n; the offsets go in bands of
+one order, and each band in chunks of consecutive offsets. Tensor Gauss
+reads s only at the quadrature points of each element, so the path follows
+from those values at the nodes of every order in use. When s takes one
+value at the quadrature points of each element (the grouped path), a chunk
+holds about _CHUNK_PAIRS pairs: each kept pair is labelled by its beta, the
+kernel grid of every (offset, beta) a chunk needs comes from one bessel_k
+call, and one-hot pair weights turn the chunk's blocks into per-element and
+per-pair sums by matrix products. Otherwise (the general path) a chunk holds
+about _CHUNK_POINTS quadrature points: the kernel is tabulated on the
+chunk's distance grids at the BETA_DEGREE + 1 Chebyshev points of
+[s_lower, s_upper] in beta and the Chebyshev series is summed by one
+Clenshaw pass at every quadrature point of the chunk's pairs. The table
+holds the kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu),
+divided out; a table that does not resolve the rest to BETA_TAIL_RTOL
+raises AssemblyError. Both paths hand their blocks to one accumulator
+(_DisjointSums): the element self blocks
 are summed into one (n_el, 2, 2) array that reaches the band once, and the
 cross blocks of offset k go onto the diagonals k - 1, k and k + 1. A2 is
 accumulated on its upper triangle only and mirrored when A is formed; both
@@ -79,9 +84,35 @@ BETA_DEGREE = 24
 # loses about z eps, 1.6e-13 at the z = 700 underflow cutoff).
 BETA_TAIL_RTOL = 1e-11
 
+# Tensor-Gauss order of the disjoint pairs by offset k: n_far(k) is
+# FAR_ORDERS[i] for FAR_BREAKS[i - 1] <= k < FAR_BREAKS[i] (10 for k = 2, 4
+# from k = 64 on). A pair at offset k is a scaled copy of the same pair at any
+# level, so its tensor-Gauss error does not depend on h and falls
+# geometrically in k. Each entry is the smallest order that keeps every block
+# at the band's first offset within DISJOINT_BLOCK_RTOL of itself against an
+# order-24 reference (gaussian bumps on [0.35, 0.85] and [0.01, 0.99], an
+# oscillatory ramp, kappa in {0.5, 2.5, 10}, levels 7 and 8; one order less
+# misses it by 3x or more). What the table cannot see is how much
+# exp(-kappa r) and s vary across one element: on coarser meshes the far
+# blocks lose more of themselves (up to 1e-10 at level 4 with kappa h = 0.16,
+# 3e-8 at kappa h = 0.63), but they are then too small to matter: A stayed
+# within 6e-15 of its max-norm of A with order n at every offset (five
+# profile kinds, levels 3 to 8, kappa from 0.001 to 100). Where kappa h > 1
+# every offset keeps the order n.
+FAR_BREAKS = (3, 6, 24, 64)
+FAR_ORDERS = (10, 8, 6, 5, 4)
+DISJOINT_BLOCK_RTOL = 1e-12
+
 # Pairs per chunk of offsets on the grouped disjoint-pair path: the chunk's
 # one-hot pair weights and cross blocks stay at a few MB at every level.
 _CHUNK_PAIRS = 2**17
+
+# Quadrature points per chunk of offsets on the general path (one offset
+# takes more when it alone has more): its pair orders, Clenshaw temporaries
+# and kernel values take 0.25 MB each. At level 6 the peak allocation of
+# assembly (6.15 MB) is then still that of the dense pair sums; 2**16 points
+# raised it to 6.33 MB.
+_CHUNK_POINTS = 2**15
 
 # Slack on the profile bounds for pair orders that rounding moved past them.
 _BETA_ROUNDING = 1e-14
@@ -323,16 +354,20 @@ def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
 
 
 def _blocks_from_kernel(g, h, rule):
-    """(sxx, sxy, syy) 2x2 blocks from kernel values g[p, a, b] at (x_a, y_b)."""
+    """2x2 blocks (sxx, sxy, syy) along axis 1, shape (P, 3, 2, 2), from
+    kernel values g[p, a, b] at (x_a, y_b): one matrix product of the P
+    kernel grids with the tensor-Gauss weights of the twelve entries."""
     xq, wq = rule.nodes, rule.weights
     psi = np.stack([1.0 - xq, xq])
-    col = np.einsum("pab,b->pa", g, wq)
-    row = np.einsum("pab,a->pb", g, wq)
-    sxx = h * h * np.einsum("pa,a,ia,ja->pij", col, wq, psi, psi)
-    syy = h * h * np.einsum("pb,b,ib,jb->pij", row, wq, psi, psi)
-    gw = g * wq[None, :, None] * wq[None, None, :]
-    sxy = -h * h * np.einsum("pab,ia,jb->pij", gw, psi, psi)
-    return sxx, sxy, syy
+    weights = np.stack(
+        [
+            np.einsum("a,b,ia,ja->abij", wq, wq, psi, psi),
+            -np.einsum("a,b,ia,jb->abij", wq, wq, psi, psi),
+            np.einsum("a,b,ib,jb->abij", wq, wq, psi, psi),
+        ],
+        axis=2,
+    ).reshape(rule.n * rule.n, 12)
+    return (h * h * (g.reshape(-1, rule.n * rule.n) @ weights)).reshape(-1, 3, 2, 2)
 
 
 def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
@@ -346,7 +381,7 @@ def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
     r = np.abs(x[:, :, None] - y[:, None, :])
     nu = 0.5 + b
     g = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
-    return _blocks_from_kernel(g, h, rule)
+    return tuple(_blocks_from_kernel(g, h, rule).transpose(1, 0, 2, 3))
 
 
 def pair_block_disjoint(mesh, ctx, e1, e2, n):
@@ -393,16 +428,17 @@ class _BetaTable:
         self.to_coef = 2.0 / (self.degree + 1) * np.cos(np.outer(j, theta))
         self.to_coef[0] *= 0.5
 
-    def coefficients(self, kappa, r, log_growth, k):
-        """Coefficients in t of F = phi / max(4, 2 kappa r)^nu on the grid r,
-        shape (degree + 1,) + r.shape; raises when unresolved.
+    def coefficients(self, kappa, r, log_growth, ks):
+        """Coefficients in t of F = phi / max(4, 2 kappa r)^nu on the grids
+        r (one per offset in ``ks``, shape (len(ks), m, m)), shape
+        (degree + 1,) + r.shape; raises when unresolved.
 
         ``log_growth`` is log max(4, 2 kappa r). phi grows like 4^nu where
         kappa r is small and like (2 kappa r)^nu where it is large; dividing
         that out leaves no growth in beta that depends on r or kappa, which
         is what lets one fixed degree resolve every r and kappa. Grid points
         where the kernel underflows to 0 count as resolved."""
-        b = self.nodes[:, None, None]
+        b = self.nodes.reshape((-1,) + (1,) * r.ndim)
         values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
         coef = np.tensordot(self.to_coef, values, axes=1)
         largest = np.max(np.abs(coef), axis=0)
@@ -412,17 +448,19 @@ class _BetaTable:
             worst = np.max(trailing[unresolved] / largest[unresolved])
             raise AssemblyError(
                 f"beta table of degree {self.degree} does not resolve the kernel "
-                f"at disjoint offset {k}: trailing Chebyshev coefficient "
-                f"{worst:.1e} of the largest"
+                f"at disjoint offset {ks[np.argwhere(unresolved)[0][0]]}: trailing "
+                f"Chebyshev coefficient {worst:.1e} of the largest"
             )
         return coef
 
-    def abscissae(self, b, k):
-        """t in [-1, 1] for the pair orders b; orders outside the bounds raise."""
-        if np.max(np.abs(b - self.mid)) > self.half + _BETA_ROUNDING:
+    def abscissae(self, b, ks):
+        """t in [-1, 1] for the pair orders b, shape (pairs, len(ks), m, m);
+        orders outside the bounds raise."""
+        outside = np.abs(b - self.mid) > self.half + _BETA_ROUNDING
+        if np.any(outside):
             raise AssemblyError(
                 f"pair order beta leaves the profile bounds [{self.lower}, "
-                f"{self.upper}] at disjoint offset {k}"
+                f"{self.upper}] at disjoint offset {ks[np.argwhere(outside)[0][1]]}"
             )
         return (b - self.mid) / self.half
 
@@ -441,19 +479,66 @@ def _clenshaw(coef, t):
     return coef[0] + t * b1 - b2
 
 
-def _disjoint_offset_general(ctx, mesh, k, rule, s_q, table):
-    """Blocks for offset k from the beta table on the offset's distance grid;
-    ``s_q`` holds s at the quadrature points of every element."""
-    count = mesh.n_elements - k
+def _disjoint_orders(n_el, n, kappa_h):
+    """Bands [k_first, k_last, order] of the disjoint offsets 2 ... n_el - 1
+    that share one tensor-Gauss order, min(n, n_far(k)); n for every offset
+    where kappa h > 1."""
+    ks = np.arange(2, n_el)
+    orders = np.minimum(n, np.take(FAR_ORDERS, np.searchsorted(FAR_BREAKS, ks, "right")))
+    if kappa_h > 1.0:
+        orders[:] = n
+    first = np.flatnonzero(np.diff(orders, prepend=0))
+    last = np.append(first[1:], ks.size) - 1
+    return [[int(ks[i]), int(ks[j]), int(orders[i])] for i, j in zip(first, last)]
+
+
+def _offset_chunks(bands, width):
+    """(ks, order) for the chunks each band is cut into: ascending runs of
+    its offsets, ``width(k0, order)`` of them from offset k0 on."""
+    for k_first, k_last, order in bands:
+        k0 = k_first
+        while k0 <= k_last:
+            k1 = min(k0 + width(k0, order), k_last + 1)
+            yield np.arange(k0, k1), order
+            k0 = k1
+
+
+def _disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table):
+    """Blocks for the consecutive offsets ``ks`` from the beta table on their
+    distance grids; ``s_q`` holds s at the nodes of ``rule`` in every element.
+
+    One coefficients call covers the chunk's grids and one Clenshaw pass its
+    pairs (i, i + ks[j]), i < n_el - ks[0]. Pairs that would run past the
+    mesh end take the pair order table.mid and are dropped with the pairs of
+    two exterior elements. Returns what _DisjointSums.add takes.
+    """
+    n_el = mesh.n_elements
     h = mesh.h
     xq = rule.nodes
-    r = h * (k + xq[None, :] - xq[:, None])
+    rows = n_el - int(ks[0])
+    r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
     log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
-    coef = table.coefficients(ctx.kappa, r, log_growth, k)
-    b = 0.5 * (s_q[:count, :, None] + s_q[k:, None, :])
-    f = _clenshaw(coef, table.abscissae(b, k))
+    coef = table.coefficients(ctx.kappa, r, log_growth, ks)
+    # s at the second element of each pair, (rows, len(ks), m)
+    padded = np.concatenate([s_q[ks[0]:], np.full((ks.size - 1, rule.n), table.mid)])
+    s_y = sliding_window_view(padded, ks.size, axis=0).transpose(0, 2, 1)
+    b = 0.5 * (s_q[:rows, None, :, None] + s_y[:, :, None, :])
+    f = _clenshaw(coef, table.abscissae(b, ks))
     g = f * np.exp((0.5 + b) * (log_growth - 2.0 * np.log(r)))
-    return _blocks_from_kernel(g, h, rule)
+    blocks = _blocks_from_kernel(g, h, rule)
+    second = np.arange(rows)[:, None] + ks
+    keep = second < n_el
+    second = np.minimum(second, n_el - 1)
+    ext = ~mesh.element_interior
+    keep &= ~(ext[:rows, None] & ext[second])
+    blocks = _kept_finite(blocks.reshape(rows, ks.size, 3, 2, 2), keep, "disjoint", ks)
+    sxx, sxy, syy = np.moveaxis(blocks, 2, 0)
+    # syy summed onto the second elements, entry by entry
+    self_blocks = np.stack(
+        [np.bincount(second.ravel(), entry, n_el) for entry in syy.reshape(-1, 4).T], axis=1
+    ).reshape(n_el, 2, 2)
+    self_blocks[:rows] += sxx.sum(axis=1)
+    return self_blocks, sxy.transpose(2, 3, 0, 1)
 
 
 class _GroupedPairs:
@@ -533,7 +618,7 @@ def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
         * bessel_k(nu, ctx.kappa * r)
         * r ** (-nu)
     )
-    parts = np.stack(_blocks_from_kernel(g, h, rule)).reshape(3, -1, 4)
+    parts = _blocks_from_kernel(g, h, rule).transpose(1, 0, 2, 3).reshape(3, -1, 4)
     finite = np.all(np.isfinite(parts), axis=(0, 2))
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])
@@ -590,13 +675,17 @@ class _DisjointSums:
 
 
 def _kept_finite(blocks, keep, what, gap):
-    """``blocks`` (pair index first) with the skipped pairs zeroed. Raises
-    naming the first kept pair (e, e + gap) whose block is not finite."""
-    blocks = np.where(keep.reshape(keep.shape + (1,) * (blocks.ndim - 1)), blocks, 0.0)
-    finite = np.isfinite(blocks.reshape(keep.size, -1)).all(axis=1)
+    """``blocks`` (leading axes those of ``keep``) with the skipped pairs
+    zeroed. Raises naming the first kept pair (e, e + gap) whose block is not
+    finite; a 2-d ``keep`` holds the pairs by first element and offset, and
+    ``gap`` the offsets."""
+    blocks = np.where(keep.reshape(keep.shape + (1,) * (blocks.ndim - keep.ndim)), blocks, 0.0)
+    finite = np.isfinite(blocks.reshape(keep.shape + (-1,))).all(axis=-1)
     if not np.all(finite):
-        e = int(np.argmin(finite))
-        raise AssemblyError(f"non-finite {what} block for element pair ({e}, {e + gap})")
+        e, *j = np.argwhere(~finite)[0]
+        raise AssemblyError(
+            f"non-finite {what} block for element pair ({e}, {e + np.asarray(gap)[tuple(j)]})"
+        )
     return blocks
 
 
@@ -615,17 +704,23 @@ def assemble_stiffness(
     ``n`` fixes the tensor-Gauss order for every pair class; when omitted it
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
-    The disjoint-pair path follows from s at the quadrature points of each
-    element. When s takes one value there in every element, the grouped
-    path batches the offsets in chunks of about _CHUNK_PAIRS pairs, one
-    bessel_k call per chunk; otherwise the general path interpolates the
-    kernel in beta from a per-offset Chebyshev table of degree BETA_DEGREE.
-    ``quad_meta`` records the path as "strategy" and the table degree as
-    "beta_degree" (None on the grouped path). Both paths scatter through
-    one accumulator that sums the element self blocks once and writes the
-    cross blocks onto the offsets' diagonals; A2 is summed on its upper
-    triangle and mirrored. Raises AssemblyError when a kept pair's block is
-    not finite or the beta table does not resolve the kernel.
+    Disjoint pairs at offset k take the order min(n, n_far(k)), which holds
+    each block to DISJOINT_BLOCK_RTOL of itself where kappa h is small;
+    where kappa h > 1 they keep n. The disjoint-pair path follows from s at
+    the quadrature points of each element, at the nodes of every order in
+    use. When s takes one value there in every element, the grouped path
+    takes each band of one order in chunks of about _CHUNK_PAIRS pairs, one
+    bessel_k call per chunk; otherwise the general path takes them in chunks
+    of about _CHUNK_POINTS quadrature points and interpolates the kernel in
+    beta from a Chebyshev table of degree BETA_DEGREE, one table and one
+    Clenshaw pass per chunk. ``quad_meta`` records the path as "strategy",
+    the table degree as "beta_degree" (None on the grouped path) and the
+    bands as "disjoint_orders", [[k_first, k_last, order], ...];
+    "n_disjoint" is n, the order of the nearest pairs. Both paths scatter
+    through one accumulator that sums the element self blocks once and
+    writes the cross blocks onto the offsets' diagonals; A2 is summed on its
+    upper triangle and mirrored. Raises AssemblyError when a kept pair's
+    block is not finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
     if n is None:
@@ -663,30 +758,41 @@ def assemble_stiffness(
         for db in range(da, 3):
             _band_add(flat, n_all, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs, offsets k = 2 ... n_el - 1; tensor Gauss reads s only
-    # at the quadrature points of each element
-    s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * rule.nodes)
-    sums = _DisjointSums(a2, n_el)
+    # disjoint pairs, offsets k = 2 ... n_el - 1, in bands of one order;
+    # tensor Gauss reads s only at the quadrature points of each element,
+    # here those of every order in use side by side
+    bands = _disjoint_orders(n_el, n, ctx.kappa * h)
+    orders = sorted({n, *(order for *_, order in bands)})
+    xq = np.concatenate([gauss_legendre_01(order).nodes for order in orders])
+    s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * xq)
     if np.all(s_q == s_q[:, :1]):
         path = "grouped"
         pairs = _GroupedPairs(mesh, s_q[:, 0])
-        chunk = max(1, _CHUNK_PAIRS // n_el)
-        for k0 in range(2, n_el, chunk):
-            ks = np.arange(k0, min(k0 + chunk, n_el))
-            sums.add(k0, *_disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs))
+
+        def chunk(ks, order):
+            return _disjoint_chunk_grouped(ctx, mesh, ks, gauss_legendre_01(order), pairs)
+
+        def width(k0, order):
+            return max(1, _CHUNK_PAIRS // n_el)
+
         beta_degree = None
     else:
         path = "general"
         table = _BetaTable(profile)
-        for k in range(2, n_el):
-            blocks = np.stack(_disjoint_offset_general(ctx, mesh, k, rule, s_q, table), 1)
-            keep = ~(ext[: n_el - k] & ext[k:])
-            sxx, sxy, syy = _kept_finite(blocks, keep, "disjoint", k).transpose(1, 0, 2, 3)
-            self_blocks = np.zeros((n_el, 2, 2))
-            self_blocks[: n_el - k] += sxx
-            self_blocks[k:] += syy
-            sums.add(k, self_blocks, sxy.transpose(1, 2, 0)[..., None])
+        s_by_order = dict(zip(orders, np.split(s_q, np.cumsum(orders)[:-1], axis=1)))
+
+        def chunk(ks, order):
+            return _disjoint_chunk_general(
+                ctx, mesh, ks, gauss_legendre_01(order), s_by_order[order], table
+            )
+
+        def width(k0, order):
+            return max(1, _CHUNK_POINTS // ((n_el - k0) * order * order))
+
         beta_degree = table.degree
+    sums = _DisjointSums(a2, n_el)
+    for ks, order in _offset_chunks(bands, width):
+        sums.add(int(ks[0]), *chunk(ks, order))
     sums.finish()
 
     sl = mesh.interior_slice
@@ -702,6 +808,7 @@ def assemble_stiffness(
         "n_identical": n,
         "n_adjacent": n,
         "n_disjoint": n,
+        "disjoint_orders": bands,
         "n_weighted_mass": n,
         "c": c,
         "target_rate": target_rate,

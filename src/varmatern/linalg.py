@@ -1,13 +1,15 @@
 """Dense symmetric linear algebra: Cholesky, SPD solves, inverse sandwiches.
 
 Thin wrappers over LAPACK (scipy) that pin down the residual contracts and
-error reporting the rest of the package relies on. All inputs are plain
-row-major float64 arrays; outputs are owned by the caller.
+error reporting the rest of the package relies on. Inputs are row-major
+float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
+by the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
@@ -30,7 +32,10 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def ensure_symmetric(mat, tol=1e-12, name="matrix"):
-    """Validate shape/finiteness/symmetry of a dense symmetric matrix."""
+    """Validate shape/finiteness/symmetry of a symmetric matrix; a
+    scipy.sparse one comes back dense."""
+    if sparse.issparse(mat):
+        mat = mat.toarray()
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")

@@ -84,7 +84,7 @@ def sample_fields(system, m, seed):
 
 def analytic_covariance(system):
     """Exact covariance of the discrete field: (1/mu^2) A^{-1} M A^{-T}."""
-    c = inv_triple_product(system.a, system.m.toarray()) / system.ctx.mu**2
+    c = inv_triple_product(system.a, system.m) / system.ctx.mu**2
     return CovarianceResult(
         "analytic", c, system.mesh.interior_coords, system.to_manifest()
     )

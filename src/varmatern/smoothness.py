@@ -226,7 +226,12 @@ def from_dict(block, default_r_int=None):
         return step(read("s_lower"), read("s_upper"))
     if kind == "tabulated":
         if "path" in block:
-            return tabulated_from_csv(block["path"])
+            path = block["path"]
+            if not isinstance(path, str):
+                raise ProfileError(
+                    f"tabulated profile file {path!r}: key 'profile.path' must be a string"
+                )
+            return tabulated_from_csv(path)
         return tabulated(read("x", _floats), read("s", _floats))
     r_int = read("r_int", default=default_r_int)
     if kind == "gaussian_bump":

@@ -285,7 +285,7 @@ def test_non_finite_block_names_pair(monkeypatch):
 
     def poisoned(kappa, b, r):
         out = np.array(real(kappa, b, r), dtype=float, copy=True)
-        if np.shape(b)[1:] == (1, 1):  # the beta table's grids, one per offset
+        if np.shape(b)[1:] == (1, 1, 1):  # the beta table's orders, one per chunk
             out[0] = np.nan
         return out
 
@@ -307,8 +307,9 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
 
     def poisoned(nu, z):
         out = np.array(real(nu, z), dtype=float, copy=True)
-        # the mean of kappa r_ab = kappa h (k + x_b - x_a) over a grid is kappa h k
-        offset = np.rint(np.mean(z, axis=(-2, -1)) / unit)
+        # the mean of kappa r_ab = kappa h (k + x_b - x_a) over a grid is kappa h k;
+        # the beta table's orders broadcast against its grids
+        offset = np.rint(np.mean(np.broadcast_to(z, out.shape), axis=(-2, -1)) / unit)
         out[offset == 3] = np.nan
         return out
 
@@ -340,26 +341,24 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     ext = ~mesh.element_interior
     needed = sum(np.any(~(ext[: n_el - k] & ext[k:])) for k in range(2, n_el))
     assert sum(shape[0] for shape in calls) == needed
-    assert all(shape[1:] == (n, n) for shape in calls)
+    # each chunk's grids take the order of its band
+    bands = system.quad_meta["disjoint_orders"]
+    chunks = asm._offset_chunks(bands, lambda k0, order: max(1, asm._CHUNK_PAIRS // n_el))
+    assert [shape[1:] for shape in calls] == [(order, order) for _, order in chunks]
+    assert bands[0][2] == n
 
 
 GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
 
 
-def _grouped_chunk_and_reference(ctx, mesh, rule, offset_blocks):
-    """_disjoint_chunk_grouped at 8 geometric offsets, and the same sums from
-    ``offset_blocks(k)``, the (sxx, sxy, syy) blocks of every pair of offset k."""
-    import varmatern.assembly as asm
-
+def _chunk_reference(mesh, ks, offset_blocks):
+    """What a chunk of the offsets ``ks`` hands to _DisjointSums.add, summed
+    from ``offset_blocks(k)``, the (sxx, sxy, syy) blocks of every pair of
+    offset k; pairs of two exterior elements are dropped."""
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
-    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-    pairs = asm._GroupedPairs(mesh, s_q[:, 0])
-    # both ends of the offset range and geometric steps in between
-    ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
-    got = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs)
     self_ref = np.zeros((n_el, 2, 2))
-    cross_ref = np.zeros(got[1].shape)
+    cross_ref = np.zeros((2, 2, n_el - ks[0], ks.size))
     for j, k in enumerate(ks):
         count = n_el - k
         keep = ~(ext[:count] & ext[k:])[:, None, None]
@@ -367,7 +366,20 @@ def _grouped_chunk_and_reference(ctx, mesh, rule, offset_blocks):
         self_ref[:count] += sxx
         self_ref[k:] += syy
         cross_ref[:, :, :count, j] = sxy.transpose(1, 2, 0)
-    return got, (self_ref, cross_ref)
+    return self_ref, cross_ref
+
+
+def _grouped_chunk_and_reference(ctx, mesh, rule, offset_sums):
+    """_disjoint_chunk_grouped at 8 geometric offsets, and ``offset_sums(ks)``,
+    the same sums by another route."""
+    import varmatern.assembly as asm
+
+    n_el = mesh.n_elements
+    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
+    pairs = asm._GroupedPairs(mesh, s_q[:, 0])
+    # both ends of the offset range and geometric steps in between
+    ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
+    return asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs), offset_sums(ks)
 
 
 @pytest.mark.parametrize("key, kappa", GROUPED_CASES,
@@ -386,7 +398,9 @@ def test_grouped_chunk_blocks_match_direct(key, kappa):
                 ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
             )
 
-        got, refs = _grouped_chunk_and_reference(ctx, mesh, rule, direct)
+        got, refs = _grouped_chunk_and_reference(
+            ctx, mesh, rule, lambda ks: _chunk_reference(mesh, ks, direct)
+        )
         for part, ref in zip(got, refs):
             err = np.max(np.abs(part - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
@@ -407,8 +421,17 @@ def test_step_grouped_blocks_match_beta_table():
             ctx.profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * rule.nodes
         )
 
-        def tabulated(k):
-            return asm._disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
+        n_el = mesh.n_elements
+
+        def tabulated(ks):
+            # the general path's chunk, one offset at a time
+            self_sum = np.zeros((n_el, 2, 2))
+            cross = np.zeros((2, 2, n_el - ks[0], ks.size))
+            for j, k in enumerate(ks):
+                part = asm._disjoint_chunk_general(ctx, mesh, ks[j : j + 1], rule, s_q, table)
+                self_sum += part[0]
+                cross[:, :, : n_el - k, j] = part[1][..., 0]
+            return self_sum, cross
 
         got, refs = _grouped_chunk_and_reference(ctx, mesh, rule, tabulated)
         for part, ref in zip(got, refs):
@@ -432,13 +455,35 @@ def test_grouped_chunking_matches_brute_force(monkeypatch, key):
     assert np.max(np.abs(chunked - ref)) <= 1e-13 * scale
 
 
+def test_general_chunking_matches_one_chunk(monkeypatch):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, 4)  # 128 elements: bands of 1, 3, 18, 40 and 64 offsets
+    ctx = _ctx("bump")
+    monkeypatch.setattr(asm, "_CHUNK_POINTS", 2**40)
+    one_chunk = assemble_stiffness(mesh, ctx, n=10)
+    assert one_chunk.quad_meta["strategy"] == "general"
+    # one to a few offsets per chunk
+    monkeypatch.setattr(asm, "_CHUNK_POINTS", 3 * mesh.n_elements * 16)
+    chunked = assemble_stiffness(mesh, ctx, n=10).a
+    scale = np.max(np.abs(one_chunk.a))
+    assert np.max(np.abs(chunked - one_chunk.a)) <= 1e-14 * scale
+
+
 def test_quad_metadata_recorded():
     mesh = build_uniform(3, 4, 3)
-    system = assemble_stiffness(mesh, _ctx("const05"), c=1.0)
-    meta = system.quad_meta
-    assert meta["n_disjoint"] == meta["n_adjacent"] == meta["n_identical"]
-    assert meta["c"] == 1.0
-    assert meta["strategy"] == "grouped"
+    for key, path in (("const05", "grouped"), ("bump", "general")):
+        system = assemble_stiffness(mesh, _ctx(key), c=1.0)
+        meta = system.quad_meta
+        assert meta["n_disjoint"] == meta["n_adjacent"] == meta["n_identical"]
+        assert meta["c"] == 1.0
+        assert meta["strategy"] == path
+        # the order bands cover the offsets 2 ... n_el - 1 in turn, none above n
+        bands = meta["disjoint_orders"]
+        assert bands[0][0] == 2 and bands[-1][1] == mesh.n_elements - 1
+        assert all(nxt[0] == prev[1] + 1 for prev, nxt in zip(bands, bands[1:]))
+        assert all(first <= last and order <= meta["n_disjoint"]
+                   for first, last, order in bands)
 
 
 # ------------------------------------------------------ general-path beta table
@@ -483,16 +528,58 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
         s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-        # both ends of the offset range and geometric steps in between
-        for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
-            tab = asm._disjoint_offset_general(ctx, mesh, k, rule, s_q, table)
-            ref = asm._disjoint_blocks_direct(
+
+        def direct(k):
+            return asm._disjoint_blocks_direct(
                 ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
             )
+
+        # both ends of the offset range and geometric steps in between, each
+        # a one-offset chunk; self blocks per element, cross blocks per pair
+        for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
+            ks = np.array([k])
+            tab = asm._disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table)
+            ref = _chunk_reference(mesh, ks, direct)
             for part_tab, part_ref in zip(tab, ref):
-                scale = np.max(np.abs(part_ref), axis=(1, 2))
-                err = np.max(np.abs(part_tab - part_ref), axis=(1, 2))
+                axes = (1, 2) if part_ref.ndim == 3 else (0, 1)
+                scale = np.max(np.abs(part_ref), axis=axes)
+                err = np.max(np.abs(part_tab - part_ref), axis=axes)
                 assert np.all(err <= 1e-10 * scale), (level, k, np.max(err / scale))
+
+
+FAR_ORDER_CASES = [(key, kappa) for key in ("gaussian_bump", "bump_01")
+                   for kappa in (0.5, 2.5, 10.0)]
+
+
+@pytest.mark.parametrize("key, kappa", FAR_ORDER_CASES,
+                         ids=[f"{key}-{kappa}" for key, kappa in FAR_ORDER_CASES])
+def test_far_orders_hold_block_tolerance(key, kappa):
+    # each band's order at its first and last offset against an order-24
+    # reference; one order less per band fails this test
+    import varmatern.assembly as asm
+
+    ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
+    ref_rule = gauss_legendre_01(24)
+    for level in (7, 8):
+        mesh = build_uniform(3, 4, level)
+        n_el = mesh.n_elements
+        bands = asm._disjoint_orders(n_el, ref_rule.n, kappa * mesh.h)
+        assert [order for *_, order in bands] == list(asm.FAR_ORDERS)
+        for first, last, order in bands:
+            for k in (first, last):
+                # 65 pairs spread over the offset's first elements
+                e = np.unique(np.linspace(0, n_el - 1 - k, 65).astype(int))
+                lefts = (mesh.nodes[e], mesh.nodes[e + k])
+                got, ref = (
+                    np.stack(asm._disjoint_blocks_direct(ctx, mesh.h, *lefts, rule), 1)
+                    for rule in (gauss_legendre_01(order), ref_rule)
+                )
+                err = np.max(np.abs(got - ref), axis=(1, 2, 3))
+                worst = np.max(err / np.max(np.abs(ref), axis=(1, 2, 3)))
+                assert worst <= asm.DISJOINT_BLOCK_RTOL, (level, k, order, worst)
+    # where kappa h > 1 every offset keeps the order n
+    assert asm._disjoint_orders(64, 7, 1.25) == [[2, 63, 7]]
+    assert asm._disjoint_orders(64, 7, 1.0)[1:] == [[6, 23, 6], [24, 63, 5]]
 
 
 def test_beta_degree_recorded_for_general_path():

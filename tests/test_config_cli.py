@@ -253,6 +253,8 @@ FRONT_END_ERRORS = {
     "out-not-string": (["sample", "--out", "5"], "outputs.directory"),
     "profile-key-typo": (["matern", "--profile", "step", "--s-lower", "0.35",
                           "--s-upper", "0.85", "--profile.sigmaa", "2"], "profile.sigmaa"),
+    "profile-path-list": (["matern", "--profile", "tabulated",
+                           "--profile.path", '["x,s", "0,0.5", "1,0.6"]'], "profile.path"),
 }
 
 

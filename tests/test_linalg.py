@@ -86,3 +86,12 @@ def test_triple_product_symmetry_and_psd(rng):
     assert np.max(np.abs(c - c.T)) <= 1e-10 * np.max(np.abs(c))
     eigs = np.linalg.eigvalsh(c)
     assert eigs.min() >= -1e-10 * np.max(np.abs(c))
+
+
+def test_sparse_mass_accepted(build_system):
+    # the system holds M as a sparse array; the dense wrappers densify it
+    system = build_system("const05", 2.5, 3)
+    dense = system.m.toarray()
+    assert np.array_equal(cholesky(system.m), cholesky(dense))
+    assert np.array_equal(inv_triple_product(system.a, system.m),
+                          inv_triple_product(system.a, dense))

@@ -249,6 +249,8 @@ def test_from_dict_round_trips_every_kind(tmp_path):
     ({"kind": "tabulated", "x": [0, "a"], "s": [0.4, 0.5]}, "profile.x"),
     ({"kind": "tabulated", "path": 5}, "tabulated profile file 5"),
     ({"kind": "tabulated", "path": "/nonexistent/t.csv"}, "/nonexistent/t.csv"),
+    # a list would be read as the lines of a file
+    ({"kind": "tabulated", "path": ["x,s", "0,0.5", "1,0.6"]}, "profile.path"),
 ])
 def test_from_dict_names_key(block, key):
     with pytest.raises(ProfileError, match=key):
