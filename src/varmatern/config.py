@@ -203,6 +203,10 @@ class RunConfig:
                     f"D = [{-self.r_int}, {self.r_int}]"
                 )
         if command == "converge":
+            if self.m < 1:
+                raise ConfigError(
+                    f"config key 'sampling.m' must be >= 1 for converge, got {self.m}"
+                )
             for lev in self.levels:
                 try:
                     build_uniform(self.r_int, self.r_ext, lev)

@@ -37,7 +37,7 @@ def write_matrix(path, matrix, sidecar):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, matrix.shape[0]))
-        fh.write(matrix.tobytes())
+        matrix.tofile(fh)
     write_json(path.with_name(path.name + ".json"), sidecar)
     return path
 
@@ -49,7 +49,10 @@ def read_matrix(path):
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, n = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated header")
+        version, n = struct.unpack("<II", header)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")

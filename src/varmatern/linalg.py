@@ -1,9 +1,10 @@
-"""Dense symmetric linear algebra: Cholesky, SPD solves, inverse sandwiches.
+"""Dense symmetric linear algebra: Cholesky, solves with a factor, inverse sandwiches.
 
 Thin wrappers over LAPACK (scipy) that pin down the residual contracts and
 error reporting the rest of the package relies on. Inputs are row-major
 float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
-by the caller.
+by the caller. Nothing here caches a factor: the solves and the sandwich take
+the factors the caller holds (``AssembledSystem`` for A and M).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "ensure_symmetric",
     "cholesky",
-    "solve_spd",
     "solve_with_factor",
     "inv_triple_product",
 ]
@@ -31,30 +30,24 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         super().__init__(f"matrix is not positive definite (leading minor {index})")
 
 
-def ensure_symmetric(mat, tol=1e-12, name="matrix"):
-    """Validate shape/finiteness/symmetry of a symmetric matrix; a
-    scipy.sparse one comes back dense."""
+def cholesky(mat):
+    """Lower-triangular factor L with L L^T = mat.
+
+    mat must be square, finite and symmetric within 1e-12 relative (else
+    ValueError); a scipy.sparse one is densified. Reconstruction satisfies
+    ||L L^T - mat||_max <= 1e-10 ||mat||_max for SPD input; a nonpositive
+    pivot raises NotPositiveDefiniteError with the failing index.
+    """
     if sparse.issparse(mat):
         mat = mat.toarray()
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     scale = np.max(np.abs(mat))
-    if scale > 0 and np.max(np.abs(mat - mat.T)) > tol * scale:
-        raise ValueError(f"{name} is not symmetric within {tol:g} relative")
-    return mat
-
-
-def cholesky(mat):
-    """Lower-triangular factor L with L L^T = mat.
-
-    Reconstruction satisfies ||L L^T - mat||_max <= 1e-10 ||mat||_max for
-    SPD input; a nonpositive pivot raises NotPositiveDefiniteError with the
-    failing index.
-    """
-    mat = ensure_symmetric(mat)
+    if scale > 0 and np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric within 1e-12 relative")
     c, info = dpotrf(mat, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(info)
@@ -63,24 +56,22 @@ def cholesky(mat):
     return c
 
 
-def solve_spd(a, b):
-    """Solve a u = b for SPD a via Cholesky."""
-    return solve_with_factor(cholesky(a), b)
-
-
 def solve_with_factor(lower, b):
     """Solve using a precomputed lower Cholesky factor."""
     return cho_solve((lower, True), np.asarray(b, dtype=float))
 
 
-def inv_triple_product(a, m):
-    """C = A^{-1} M A^{-T} via triangular solve sweeps against M's columns.
+def inv_triple_product(lower, mass_lower):
+    """C = A^{-1} M A^{-1} from the lower Cholesky factors of A and M.
 
-    Returned matrix is symmetrized; for SPD A and symmetric PSD M it is
-    symmetric positive semidefinite up to roundoff.
+    C = Y Y^T with Y = A^{-1} L_M: two triangular sweeps against the columns
+    of L_M and one symmetric product (numpy forms y @ y.T by one BLAS syrk
+    and mirrors it), so C is exactly symmetric and positive semidefinite by
+    construction. mass_lower may be dense or scipy.sparse.
     """
-    m = ensure_symmetric(m, name="M")
-    lower = cholesky(a)
-    x = cho_solve((lower, True), m)  # A^{-1} M
-    c = cho_solve((lower, True), x.T)  # A^{-1} (A^{-1} M)^T = A^{-1} M A^{-T}
-    return 0.5 * (c + c.T)
+    if sparse.issparse(mass_lower):
+        mass_lower = mass_lower.toarray(order="F")
+    else:
+        mass_lower = np.array(mass_lower, dtype=float, order="F")
+    y = cho_solve((lower, True), mass_lower, overwrite_b=True)  # Y overwrites our copy
+    return y @ y.T

@@ -54,13 +54,13 @@ def quadrature_order(h, s_upper, s_lower=None, c=1.0, target_rate=None,
                      n_min=4, n_max=MAX_ORDER):
     """Tensor-Gauss order keeping the quadrature error below the FE error.
 
-    n = ceil(c * log(1/h) * (r + 2 s_upper)), clamped to [n_min, n_max].
-    When no target rate r is given it defaults to the expected strong rate
-    max(2 s_lower - 1/2, 0) (requires s_lower).
+    n = ceil(c * log(1/h) * (r + 2 s_upper)), clamped to [n_min, n_max]
+    (n_min at h = 1, level 0). When no target rate r is given it defaults to
+    the expected strong rate max(2 s_lower - 1/2, 0) (requires s_lower).
     """
     h = float(h)
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"mesh size must lie in (0, 1), got h={h}")
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"mesh size must lie in (0, 1], got h={h}")
     if target_rate is None:
         if s_lower is None:
             raise ValueError("quadrature_order needs target_rate or s_lower")

@@ -83,8 +83,9 @@ def sample_fields(system, m, seed):
 
 
 def analytic_covariance(system):
-    """Exact covariance of the discrete field: (1/mu^2) A^{-1} M A^{-T}."""
-    c = inv_triple_product(system.a, system.m) / system.ctx.mu**2
+    """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, from the cached factors."""
+    c = inv_triple_product(system.stiffness_cholesky, system.mass_cholesky)
+    c /= system.ctx.mu**2
     return CovarianceResult(
         "analytic", c, system.mesh.interior_coords, system.to_manifest()
     )

@@ -97,6 +97,15 @@ def test_matrix_roundtrip(tmp_path, rng):
         fileio.read_matrix(path)
 
 
+@pytest.mark.parametrize("length", [5, 11])
+def test_read_matrix_truncated_header(tmp_path, length):
+    path = tmp_path / "m.vwm1"
+    fileio.write_matrix(path, np.eye(2), {})
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(ValueError, match=f"{path.name}: truncated header"):
+        fileio.read_matrix(path)
+
+
 def test_csv_full_precision_roundtrip(tmp_path):
     vals = np.array([math.pi, 1.0 / 3.0, 1e-300, 12345.678901234567])
     path = tmp_path / "c.csv"
@@ -238,6 +247,7 @@ LOAD_TIME_ERRORS = [
     (["converge", "--levels", "4,3"], "convergence.levels"),
     (["assemble", "--quadrature.n_override", "99"], "quadrature.n_override"),
     (["covariance", "--outputs.formats", '["xml"]'], "outputs.formats"),
+    (["converge", "--m", "0"], "sampling.m"),
 ]
 
 
@@ -295,6 +305,18 @@ def test_domain_dependent_keys_checked_only_where_read(tmp_path):
     half = ["--domain.r_int", "0.5", "--domain.r_ext", "1", "--levels", "2,1,0"]
     assert _run(["matern", *half, "--slices", "0", "--out", str(tmp_path / "m")]) == 0
     assert _run(["converge", *half, "--out", str(tmp_path / "v")]) == 1
+
+
+def test_cli_level_zero_runs(tmp_path):
+    # level 0 has h = 1; its quadrature order is n_min
+    out = tmp_path / "s"
+    assert _run(["sample", "--level", "0", "--m", "2", "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["system"]["quadrature"]["n_disjoint"] == 4
+    out = tmp_path / "v"
+    assert _run(["converge", "--levels", "2,1,0", "--m", "3", "--out", str(out)]) == 0
+    report = json.loads((out / "rate_report.json").read_text())
+    assert math.isfinite(report["r_hat"])
 
 
 def test_cli_thread_settings_are_gone(tmp_path, capsys):

@@ -7,7 +7,7 @@ from varmatern.linalg import (
     NotPositiveDefiniteError,
     cholesky,
     inv_triple_product,
-    solve_spd,
+    solve_with_factor,
 )
 
 
@@ -49,9 +49,9 @@ def test_cholesky_failure_reports_index():
 
 def test_solve_identity_and_zero():
     b = np.arange(5.0)
-    assert np.array_equal(solve_spd(np.eye(5), b), b)
+    assert np.array_equal(solve_with_factor(cholesky(np.eye(5)), b), b)
     a = _p1_mass(5, 1.0)
-    assert np.array_equal(solve_spd(a, np.zeros(5)), np.zeros(5))
+    assert np.array_equal(solve_with_factor(cholesky(a), np.zeros(5)), np.zeros(5))
 
 
 def test_solve_residual_bound(rng):
@@ -59,19 +59,20 @@ def test_solve_residual_bound(rng):
     q = rng.standard_normal((n, n))
     a = q @ q.T + n * np.eye(n)
     b = rng.standard_normal(n)
-    u = solve_spd(a, b)
+    u = solve_with_factor(cholesky(a), b)
     resid = np.linalg.norm(a @ u - b)
     bound = 1e-9 * (np.linalg.norm(a) * np.linalg.norm(u) + np.linalg.norm(b))
     assert resid <= bound
 
 
 def test_triple_product_identity_cases(rng):
+    # the arguments are the lower Cholesky factors of A and M
     m = _p1_mass(6, 0.5)
-    assert np.allclose(inv_triple_product(np.eye(6), m), m, atol=1e-14)
+    assert np.allclose(inv_triple_product(np.eye(6), cholesky(m)), m, atol=1e-14)
     n = 20
     q = rng.standard_normal((n, n))
     a = q @ q.T + n * np.eye(n)
-    c = inv_triple_product(a, np.eye(n))
+    c = inv_triple_product(cholesky(a), np.eye(n))
     # C = A^{-2}: verify by reconstruction A C A = I
     assert np.max(np.abs(a @ c @ a - np.eye(n))) <= 1e-8
 
@@ -82,16 +83,17 @@ def test_triple_product_symmetry_and_psd(rng):
     a = q @ q.T + n * np.eye(n)
     w = rng.standard_normal((n, n))
     m = w @ w.T / n
-    c = inv_triple_product(a, m)
-    assert np.max(np.abs(c - c.T)) <= 1e-10 * np.max(np.abs(c))
+    c = inv_triple_product(cholesky(a), cholesky(m))
+    assert np.array_equal(c, c.T)
     eigs = np.linalg.eigvalsh(c)
     assert eigs.min() >= -1e-10 * np.max(np.abs(c))
 
 
 def test_sparse_mass_accepted(build_system):
-    # the system holds M as a sparse array; the dense wrappers densify it
+    # the system holds M and its factor as sparse arrays; the wrappers densify them
     system = build_system("const05", 2.5, 3)
     dense = system.m.toarray()
     assert np.array_equal(cholesky(system.m), cholesky(dense))
-    assert np.array_equal(inv_triple_product(system.a, system.m),
-                          inv_triple_product(system.a, dense))
+    lower = system.stiffness_cholesky
+    assert np.array_equal(inv_triple_product(lower, system.mass_cholesky),
+                          inv_triple_product(lower, system.mass_cholesky.toarray()))

@@ -57,6 +57,15 @@ def test_quadrature_order_clamps():
     assert quadrature_order(1e-30, 0.85, c=1.0, target_rate=2.0) == 64
 
 
+def test_quadrature_order_level_zero_mesh():
+    # h = 1 makes log(1/h) = 0, so the order is n_min
+    assert quadrature_order(1.0, 0.85, c=1.0, target_rate=0.5) == 4
+    assert quadrature_order(1.0, 0.85, 0.35, n_min=7) == 7
+    for h in (0.0, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match="mesh size"):
+            quadrature_order(h, 0.85, target_rate=0.5)
+
+
 def test_quadrature_order_increment_per_level():
     inc_ref = math.log(2.0) * (0.5 + 2 * 0.85)
     prev = quadrature_order(2.0**-6, 0.85, c=1.0, target_rate=0.5, n_min=1)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from varmatern import assembly, linalg, smoothness
+from varmatern.kernel import KernelContext
+from varmatern.mesh import build_uniform
 from varmatern.sampler import (
     analytic_covariance,
     covariance_slice,
@@ -65,6 +68,32 @@ def test_analytic_covariance_basic_properties(build_system):
     assert np.max(np.abs(cov.matrix - cov.matrix.T)) <= 1e-12 * np.max(cov.matrix)
     eigs = np.linalg.eigvalsh(cov.matrix)
     assert eigs.min() >= -1e-10 * np.max(np.abs(cov.matrix))
+
+
+def test_stiffness_factored_once_per_system(monkeypatch):
+    # samples and the analytic covariance share the system's cached factor of A
+    calls = []
+    for module in (assembly, linalg):
+        def counted(mat, _factor=module.cholesky):
+            calls.append(mat.shape)
+            return _factor(mat)
+        monkeypatch.setattr(module, "cholesky", counted)
+    ctx = KernelContext(2.5, 1.0, smoothness.step(0.35, 0.85))
+    system = assembly.assemble_stiffness(build_uniform(3.0, 4.0, 3), ctx)
+    sample_fields(system, 4, seed=1)
+    analytic_covariance(system)
+    assert calls == [(system.n, system.n)]
+
+
+@pytest.mark.parametrize("profile", ["step", "bump"])
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_analytic_covariance_symmetric_and_matches_dense(build_system, profile, level):
+    system = build_system(profile, 2.5, level)
+    c = analytic_covariance(system).matrix
+    assert np.array_equal(c, c.T)
+    a = system.a
+    ref = np.linalg.solve(a, np.linalg.solve(a, system.m.toarray()).T) / system.ctx.mu**2
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_analytic_covariance_mu_scaling(build_system):

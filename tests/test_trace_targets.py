@@ -10,16 +10,30 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _trace_targets():
+def _spans():
     # loaded from its file: the benchmark is not an installed package
     spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TARGETS
+    return spans
+
+
+def _recorded(monkeypatch, module, attr):
+    """Replace module.attr by a wrapper that keeps (args, kwargs, result) per call."""
+    calls = []
+    func = getattr(module, attr)
+
+    def record(*args, **kwargs):
+        result = func(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, attr, record)
+    return calls
 
 
 def test_benchmark_trace_targets_resolve():
-    targets = _trace_targets()
+    targets = _spans().TARGETS
     assert targets
     missing = [
         f"{module}.{attr}"
@@ -50,3 +64,26 @@ def test_main_dispatches_through_runner_table(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "matern", stub)
     assert cli.main(["matern", "--level", "3", "--out", str(tmp_path / "o")]) == 7
     assert len(calls) == 1 and isinstance(calls[0], RunConfig)
+
+
+def test_benchmark_work_counters_read_real_arguments(monkeypatch):
+    # Three counters read argument names and shapes; a change there leaves the
+    # benchmark running with wrong work counts, so they are fed real calls here.
+    from varmatern import convergence, sampler, smoothness
+
+    spans = _spans()
+    assembled = _recorded(monkeypatch, convergence, "assemble_stiffness")
+    products = _recorded(monkeypatch, sampler, "inv_triple_product")
+    norms = _recorded(monkeypatch, convergence, "level_error_samples")
+    m = 5
+    convergence.estimate_rate(smoothness.step(0.35, 0.85), 2.5, 1.0, 3.0, 4.0,
+                              [3, 2, 1], m, seed=1)
+    system = assembled[0][2]
+    assert system.mesh.level == 3
+    sampler.analytic_covariance(system)
+    n = system.n
+    order = system.quad_meta["n_disjoint"]
+    assert type(order) is int
+    assert spans._system_counts(*assembled[0])["order"] == order
+    assert spans._triple_product_flops(*products[0]) == {"flops": 4.0 * n**3}
+    assert spans._error_norm_bytes(*norms[0]) == {"bytes": n * n * 8 * m}
