@@ -6,7 +6,11 @@ Vertex-sharing and identical pairs are integrated with the singularity-
 resolving changes of variables (Duffy map plus power substitutions whose
 exponent uses the pair-local upper order bound, which coincides with the
 global bound for constant-order profiles); disjoint pairs use plain tensor
-Gauss.
+Gauss. The anchor of an identical pair and the shared vertex of a
+vertex-sharing pair enter their transformed integrands only through beta,
+so each integrand is keyed by its s_up and its beta grids: the distinct keys
+are evaluated once and their values scattered back to every pair, which on
+a piecewise-constant profile leaves a handful of integrands per level.
 
 Disjoint pairs are batched by index offset k: on the uniform mesh every
 pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
@@ -197,8 +201,9 @@ def assemble_weighted_mass(mesh, ctx, rule):
     return sparse.diags_array([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
-def _element_order_max(profile, mesh):
-    """Per-element maximum of s, sampled densely (includes the endpoints).
+def _element_order_max(profile, h, lefts):
+    """Maximum of s over each element [left, left + h], sampled densely
+    (includes the endpoints); ``lefts`` holds the elements' left endpoints.
 
     Drives the pair-local upper bound used in the singularity-resolving
     substitutions. The substitution is exact for any admissible exponent;
@@ -208,48 +213,71 @@ def _element_order_max(profile, mesh):
     for constant-order profiles).
     """
     samples = np.linspace(0.0, 1.0, 33)
-    pts = mesh.nodes[: mesh.n_elements, None] + mesh.h * samples[None, :]
-    s_vals = smoothness.evaluate(profile, pts)
+    s_vals = smoothness.evaluate(profile, lefts[:, None] + h * samples[None, :])
     return np.max(s_vals, axis=1)
 
 
-def _identical_common(ctx, h, rule, s_up, anchor_coords, sign=1.0):
-    """Transformed identical-pair integrand (one triangle half), summed.
+def _distinct_rows(s_up, *grids):
+    """The near-field integrands to evaluate: the index of the first row of
+    each distinct key [s_up, grids ...] along the leading axis, and for every
+    row the index of its key among those."""
+    keys = np.column_stack([s_up.ravel(), *(g.reshape(s_up.size, -1) for g in grids)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
-    Returns the quadrature value of the scalar part for each element (the
-    basis-difference product contributes only signs q_a q_b = +-1). beta
-    and the regularized factor are symmetric, so the other triangle half
-    (xhat = xi eta, yhat = xi) agrees bitwise and callers double this one.
-    ``sign`` picks the endpoint the refinement anchors to (+1: reference
-    origin at the left endpoint, -1: at the right endpoint); both
-    parameterizations are exact, and assembly averages them so that
-    mirror-symmetric profiles produce mirror-symmetric matrices.
-    anchor_coords and the upper bounds s_up both have shape (E,).
+
+def _identical_common(ctx, h, rule, s_up, ends):
+    """Transformed identical-pair integrands, summed per element.
+
+    Returns the quadrature value of the scalar part for each element
+    [ends[e], ends[e + 1]] (the basis-difference product contributes only
+    signs q_a q_b = +-1), and the number of distinct integrands evaluated.
+    The refinement is anchored at either endpoint (reference origin at the
+    left endpoint, then at the right one); both parameterizations are
+    exact, and averaging them keeps the matrices of mirror-symmetric
+    profiles mirror-symmetric. beta and the regularized factor are
+    symmetric, so the two triangle halves agree bitwise: one half doubled at
+    each anchor, averaged, is the sum of the two one-half values. The
+    anchors enter only through beta, so the key [s_up, beta at both
+    anchors] sets an element's integrand, and each distinct key is
+    evaluated once. s_up has shape (E,), ends (E + 1,).
     """
     zeta = rule.nodes
     t = rule.nodes
     s_up = s_up[:, None, None]
     xi = zeta[None, :, None] ** (1.0 / (3.0 - 2.0 * s_up))  # (E, n, 1)
     one_m_eta = t[None, None, :] ** (1.0 / (2.0 - 2.0 * s_up))  # (E, 1, n)
-    x = anchor_coords[:, None, None] + sign * h * xi + 0.0 * one_m_eta
-    y = anchor_coords[:, None, None] + sign * h * xi * (1.0 - one_m_eta)
-    b = smoothness.beta(ctx.profile, x, y)
+    betas = [
+        smoothness.beta(
+            ctx.profile,
+            anchor + sign * h * xi + 0.0 * one_m_eta,
+            anchor + sign * h * xi * (1.0 - one_m_eta),
+        )
+        for anchor, sign in ((ends[:-1, None, None], 1.0), (ends[1:, None, None], -1.0))
+    ]
+    first, inverse = _distinct_rows(s_up, *betas)
+    s_up, xi, one_m_eta = s_up[first], xi[first], one_m_eta[first]
     r = h * xi * one_m_eta  # product form: no cancellation
-    ph = _phi_from_beta(ctx.kappa, b, r)
     log_h = np.log(h)
     log_zeta = np.log(zeta)[None, :, None]
     log_t = np.log(t)[None, None, :]
-    common = (
-        1.0
-        / ((2.0 - 2.0 * s_up) * (3.0 - 2.0 * s_up))
-        * np.exp(
-            (1.0 - 2.0 * b) * log_h
-            + (2.0 * s_up - 2.0 * b) / (3.0 - 2.0 * s_up) * log_zeta
-            + (2.0 * s_up - 2.0 * b) / (2.0 - 2.0 * s_up) * log_t
+
+    def summed(b):
+        ph = _phi_from_beta(ctx.kappa, b, r)
+        common = (
+            1.0
+            / ((2.0 - 2.0 * s_up) * (3.0 - 2.0 * s_up))
+            * np.exp(
+                (1.0 - 2.0 * b) * log_h
+                + (2.0 * s_up - 2.0 * b) / (3.0 - 2.0 * s_up) * log_zeta
+                + (2.0 * s_up - 2.0 * b) / (2.0 - 2.0 * s_up) * log_t
+            )
+            * ph
         )
-        * ph
-    )
-    return np.einsum("i,j,eij->e", rule.weights, rule.weights, common)
+        return np.einsum("i,j,eij->e", rule.weights, rule.weights, common)
+
+    left, right = (summed(beta[first]) for beta in betas)
+    return (left + right)[inverse], first.size
 
 
 def _identical_q_signs(mesh, e):
@@ -273,11 +301,10 @@ def pair_block_identical(mesh, ctx, e, n):
     of the constant function is zero.
     """
     rule = gauss_legendre_01(n)
-    s_up = _element_order_max(ctx.profile, mesh)[e : e + 1]
-    left = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e : e + 1], 1.0)
-    right = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e + 1 : e + 2], -1.0)
+    s_up = _element_order_max(ctx.profile, mesh.h, mesh.nodes[e : e + 1])
+    vals, _ = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e : e + 2])
     q = _identical_q_signs(mesh, e)
-    block = np.outer(q, q) * float(left[0] + right[0])
+    block = np.outer(q, q) * float(vals[0])
     return block, (e, e + 1)
 
 
@@ -300,26 +327,36 @@ def _adjacent_delta_coeffs(mesh, e_left):
 
 
 def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
-    """3x3 blocks of vertex-sharing pairs; shared_coords and s_up are (P,)."""
+    """3x3 blocks of vertex-sharing pairs, and the number of distinct
+    integrands evaluated; shared_coords and s_up are (P,).
+
+    The shared vertex enters only through beta, so a pair's integrand is set
+    by its key [s_up, beta on both triangle halves], and each distinct key
+    is evaluated once.
+    """
     zeta = rule.nodes
     eta = rule.nodes
     w = rule.weights
     s_up = s_up[:, None, None]
     xi = zeta[None, :, None] ** (1.0 / (3.0 - 2.0 * s_up))  # (P, n, 1)
-    log_h = np.log(h)
-    log_zeta = np.log(zeta)[None, :, None]
-    r = h * xi * (1.0 + eta[None, None, :])  # same for both halves
     p_half1 = alpha[:, None] + delta[:, None] * eta[None, :]  # p_a(eta), half 1
     p_half2 = alpha[:, None] * eta[None, :] + delta[:, None]  # half 2
-    blocks = np.zeros((shared_coords.size, 3, 3))
-    for p_fac, swap in ((p_half1, False), (p_half2, True)):
+    betas = []
+    for swap in (False, True):
         x_scale = xi + 0.0 * eta[None, None, :]
         y_scale = xi * eta[None, None, :]
         if swap:
             x_scale, y_scale = y_scale, x_scale
         x = shared_coords[:, None, None] - h * x_scale
         y = shared_coords[:, None, None] + h * y_scale
-        b = smoothness.beta(ctx.profile, x, y)
+        betas.append(smoothness.beta(ctx.profile, x, y))
+    first, inverse = _distinct_rows(s_up, *betas)
+    s_up, xi = s_up[first], xi[first]
+    log_h = np.log(h)
+    log_zeta = np.log(zeta)[None, :, None]
+    r = h * xi * (1.0 + eta[None, None, :])  # same for both halves
+    blocks = np.zeros((first.size, 3, 3))
+    for b, p_fac in zip((beta[first] for beta in betas), (p_half1, p_half2)):
         ph = _phi_from_beta(ctx.kappa, b, r)
         common = (
             1.0
@@ -333,7 +370,7 @@ def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
         )
         s_eta = np.einsum("i,pij->pj", w, common)
         blocks += np.einsum("pj,j,aj,bj->pab", s_eta, w, p_fac, p_fac)
-    return blocks
+    return blocks[inverse], first.size
 
 
 def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
@@ -345,11 +382,12 @@ def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
     if classify_pair(mesh, e_left, e_right) != "vertex_sharing":
         raise AssemblyError(f"elements ({e_left}, {e_right}) do not share a vertex")
     rule = gauss_legendre_01(n)
-    el_max = _element_order_max(ctx.profile, mesh)
-    s_up = np.array([0.5 * (el_max[e_left] + el_max[e_right])])
+    el_max = _element_order_max(ctx.profile, mesh.h, mesh.nodes[[e_left, e_right]])
+    s_up = np.array([0.5 * (el_max[0] + el_max[1])])
     alpha, delta = _adjacent_delta_coeffs(mesh, e_left)
     shared = np.array([mesh.nodes[e_left + 1]])
-    block = _adjacent_blocks(ctx, mesh.h, rule, s_up, shared, alpha, delta)[0]
+    blocks, _ = _adjacent_blocks(ctx, mesh.h, rule, s_up, shared, alpha, delta)
+    block = blocks[0]
     return block, (e_left, e_left + 1, e_left + 2)
 
 
@@ -716,7 +754,11 @@ def assemble_stiffness(
     Clenshaw pass per chunk. ``quad_meta`` records the path as "strategy",
     the table degree as "beta_degree" (None on the grouped path) and the
     bands as "disjoint_orders", [[k_first, k_last, order], ...];
-    "n_disjoint" is n, the order of the nearest pairs. Both paths scatter
+    "n_disjoint" is n, the order of the nearest pairs. The identical and
+    vertex-sharing pairs evaluate each distinct integrand once; their counts
+    are "near_field_keys", {"identical": ..., "vertex_sharing": ...}. The
+    blocks are checked after they reach every pair, so a failure names the
+    first kept pair. Both disjoint paths scatter
     through one accumulator that sums the element self blocks once and
     writes the cross blocks onto the offsets' diagonals; A2 is summed on its
     upper triangle and mirrored. Raises AssemblyError when a kept pair's
@@ -732,18 +774,14 @@ def assemble_stiffness(
     n_all = mesh.n_nodes
     n_el = mesh.n_elements
     h = mesh.h
-    el_max = _element_order_max(profile, mesh)
+    el_max = _element_order_max(profile, h, mesh.nodes[:n_el])
     ext = ~mesh.element_interior
     # upper triangle only; mirrored into A below
     a2 = np.zeros((n_all, n_all))
     flat = a2.ravel()
 
-    # identical pairs: the two triangle halves coincide bitwise (beta and
-    # the regularized factor are symmetric), so each anchor needs one half
-    # doubled; the two anchors are averaged for mirror symmetry
-    vals = _identical_common(
-        ctx, h, rule, el_max, mesh.nodes[:n_el], 1.0
-    ) + _identical_common(ctx, h, rule, el_max, mesh.nodes[1 : n_el + 1], -1.0)
+    # identical pairs: one value per element, both anchors averaged
+    vals, identical_keys = _identical_common(ctx, h, rule, el_max, mesh.nodes[: n_el + 1])
     vals = _kept_finite(vals, ~ext, "identical", 0)
     q = _identical_q_signs(mesh, 0)
     for da, db in ((0, 0), (0, 1), (1, 1)):
@@ -752,7 +790,9 @@ def assemble_stiffness(
     # vertex-sharing pairs
     alpha, delta = _adjacent_delta_coeffs(mesh, 0)
     s_up_adj = 0.5 * (el_max[:-1] + el_max[1:])
-    adj = _adjacent_blocks(ctx, h, rule, s_up_adj, mesh.nodes[1:n_el], alpha, delta)
+    adj, adjacent_keys = _adjacent_blocks(
+        ctx, h, rule, s_up_adj, mesh.nodes[1:n_el], alpha, delta
+    )
     adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing", 1)
     for da in range(3):
         for db in range(da, 3):
@@ -814,5 +854,6 @@ def assemble_stiffness(
         "target_rate": target_rate,
         "strategy": path,
         "beta_degree": beta_degree,
+        "near_field_keys": {"identical": identical_keys, "vertex_sharing": adjacent_keys},
     }
     return AssembledSystem(mesh, ctx, a, m, a1, quad_meta)

@@ -484,6 +484,114 @@ def test_quad_metadata_recorded():
         assert all(nxt[0] == prev[1] + 1 for prev, nxt in zip(bands, bands[1:]))
         assert all(first <= last and order <= meta["n_disjoint"]
                    for first, last, order in bands)
+    # one near-field integrand per element order on the constant profile;
+    # on the bump every interior element has its own, and the exterior
+    # elements, where s = s_lower, share one
+    n_int = int(np.count_nonzero(mesh.element_interior))
+    keys = {"const05": (1, 1), "bump": (n_int + 1, n_int + 2)}
+    for key, (identical, vertex_sharing) in keys.items():
+        meta = assemble_stiffness(mesh, _ctx(key), c=1.0).quad_meta
+        assert meta["near_field_keys"] == {
+            "identical": identical, "vertex_sharing": vertex_sharing
+        }
+
+
+# ------------------------------------------------------- near-field keys
+
+NEAR_FIELD_PROFILES = {
+    "const05": PROFILES["const05"],
+    "step": PROFILES["step"],
+    "tabulated_const": lambda: smoothness.tabulated([-4.0, 4.0], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize("key", list(NEAR_FIELD_PROFILES))
+def test_near_field_keys_match_row_by_row(key, level):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, level)
+    ctx = KernelContext(2.5, 1.0, NEAR_FIELD_PROFILES[key]())
+    rule = gauss_legendre_01(7)
+    h, n_el, nodes = mesh.h, mesh.n_elements, mesh.nodes
+    el_max = asm._element_order_max(ctx.profile, h, nodes[:n_el])
+    vals, _ = asm._identical_common(ctx, h, rule, el_max, nodes[: n_el + 1])
+    rows = [asm._identical_common(ctx, h, rule, el_max[e : e + 1], nodes[e : e + 2])[0]
+            for e in range(n_el)]
+    assert np.array_equal(vals, np.concatenate(rows))
+    alpha, delta = _adjacent_delta_coeffs(mesh, 0)
+    s_up = 0.5 * (el_max[:-1] + el_max[1:])
+    blocks, _ = asm._adjacent_blocks(ctx, h, rule, s_up, nodes[1:n_el], alpha, delta)
+    rows = [asm._adjacent_blocks(ctx, h, rule, s_up[p : p + 1], nodes[p + 1 : p + 2],
+                                 alpha, delta)[0] for p in range(n_el - 1)]
+    assert np.array_equal(blocks, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("key, rows", [("const05", [1, 1, 1, 1]), ("step", [2, 2, 3, 3])])
+def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
+    import varmatern.assembly as asm
+
+    seen = []
+    real = asm._phi_from_beta
+
+    def counted(kappa, b, r):
+        seen.append(np.shape(b)[0])
+        return real(kappa, b, r)
+
+    monkeypatch.setattr(asm, "_phi_from_beta", counted)
+    system = assemble_stiffness(build_uniform(3, 4, 6), _ctx(key))
+    # the grouped disjoint path calls bessel_k itself: these are the two
+    # anchors of the identical pairs, then the two halves of the
+    # vertex-sharing pairs, one row per distinct integrand each
+    assert system.quad_meta["strategy"] == "grouped"
+    assert seen == rows
+    assert system.quad_meta["near_field_keys"] == {
+        "identical": rows[0], "vertex_sharing": rows[2]
+    }
+
+
+@pytest.mark.parametrize("what, vertex_sharing, pair", [
+    ("identical", False, (4, 4)),
+    ("vertex-sharing", True, (3, 4)),
+])
+def test_near_field_non_finite_block_names_kept_pair(monkeypatch, what, vertex_sharing, pair):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(1, 2, 2)  # elements 0-3 and 12-15 are exterior
+    ctx = _ctx("step")
+    h = mesh.h
+    real = asm._phi_from_beta
+
+    def poisoned(kappa, b, r):
+        out = np.array(real(kappa, b, r), dtype=float, copy=True)
+        # vertex-sharing grids reach r = 2 h xi, identical ones stay below h
+        if (np.max(r) > h) == vertex_sharing:
+            # the key of the elements left of the step, first met at element 0
+            out[np.all(b == 0.35, axis=(1, 2))] = np.nan
+        return out
+
+    monkeypatch.setattr(asm, "_phi_from_beta", poisoned)
+    with pytest.raises(AssemblyError, match=rf"non-finite {what} block for element pair "
+                                            rf"\({pair[0]}, {pair[1]}\)"):
+        assemble_stiffness(mesh, ctx, n=4)
+
+
+def test_single_pair_blocks_read_only_their_elements(monkeypatch):
+    seen = []
+    real = smoothness.evaluate
+
+    def counted(profile, x):
+        seen.append(np.size(x))
+        return real(profile, x)
+
+    monkeypatch.setattr(smoothness, "evaluate", counted)
+    mesh = build_uniform(3, 4, 4)
+    ctx = _ctx("step")
+    pair_block_identical(mesh, ctx, 60, 6)
+    pair_block_adjacent(mesh, ctx, 60, 61, 6)
+    # 33 profile samples for each element the block needs (the order-6
+    # near-field grids hold 36 points), none for the rest of the mesh
+    assert max(seen) == 2 * 33
 
 
 # ------------------------------------------------------ general-path beta table
