@@ -8,9 +8,9 @@ exponent uses the pair-local upper order bound, which coincides with the
 global bound for constant-order profiles); disjoint pairs use plain tensor
 Gauss. The anchor of an identical pair and the shared vertex of a
 vertex-sharing pair enter their transformed integrands only through beta,
-so each integrand is keyed by its s_up and its beta grids: the distinct keys
-are evaluated once and their values scattered back to every pair, which on
-a piecewise-constant profile leaves a handful of integrands per level.
+so each integrand is keyed by its s_up and its beta grids: each run of equal
+keys along the mesh is evaluated once and scattered back to its pairs, which
+on a piecewise-constant profile leaves a handful of integrands per level.
 
 Disjoint pairs are batched by index offset k: on the uniform mesh every
 pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
@@ -21,10 +21,10 @@ one order, and each band in chunks of consecutive offsets. Tensor Gauss
 reads s only at the quadrature points of each element, so the path follows
 from those values at the nodes of every order in use. When s takes one
 value at the quadrature points of each element (the grouped path), a chunk
-holds about _CHUNK_PAIRS pairs: each kept pair is labelled by its beta, the
-kernel grid of every (offset, beta) a chunk needs comes from one bessel_k
-call, and one-hot pair weights turn the chunk's blocks into per-element and
-per-pair sums by matrix products. Otherwise (the general path) a chunk holds
+holds about _CHUNK_PAIRS pairs: the kernel grid of every (offset, beta) a
+chunk needs comes from one bessel_k call, and one-hot weights of the kept
+pairs by beta turn the chunk's blocks into per-element and per-pair sums by
+matrix products. Otherwise (the general path) a chunk holds
 about _CHUNK_POINTS quadrature points: the kernel is tabulated on the
 chunk's distance grids at the BETA_DEGREE + 1 Chebyshev points of
 [s_lower, s_upper] in beta and the Chebyshev series is summed by one
@@ -218,12 +218,15 @@ def _element_order_max(profile, h, lefts):
 
 
 def _distinct_rows(s_up, *grids):
-    """The near-field integrands to evaluate: the index of the first row of
-    each distinct key [s_up, grids ...] along the leading axis, and for every
-    row the index of its key among those."""
-    keys = np.column_stack([s_up.ravel(), *(g.reshape(s_up.size, -1) for g in grids)])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    """The near-field integrands to evaluate: the first row of each run of
+    equal keys [s_up, grids ...] along the leading axis, and for every row
+    the index of its run. Equal keys that are not next to each other start
+    a run each."""
+    new = np.arange(s_up.size) == 0
+    for key in (s_up, *grids):
+        key = key.reshape(s_up.size, -1)
+        new[1:] |= np.any(key[1:] != key[:-1], axis=1)
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _identical_common(ctx, h, rule, s_up, ends):
@@ -231,7 +234,7 @@ def _identical_common(ctx, h, rule, s_up, ends):
 
     Returns the quadrature value of the scalar part for each element
     [ends[e], ends[e + 1]] (the basis-difference product contributes only
-    signs q_a q_b = +-1), and the number of distinct integrands evaluated.
+    signs q_a q_b = +-1), and the number of integrands evaluated.
     The refinement is anchored at either endpoint (reference origin at the
     left endpoint, then at the right one); both parameterizations are
     exact, and averaging them keeps the matrices of mirror-symmetric
@@ -239,7 +242,7 @@ def _identical_common(ctx, h, rule, s_up, ends):
     symmetric, so the two triangle halves agree bitwise: one half doubled at
     each anchor, averaged, is the sum of the two one-half values. The
     anchors enter only through beta, so the key [s_up, beta at both
-    anchors] sets an element's integrand, and each distinct key is
+    anchors] sets an element's integrand, and each run of equal keys is
     evaluated once. s_up has shape (E,), ends (E + 1,).
     """
     zeta = rule.nodes
@@ -327,12 +330,12 @@ def _adjacent_delta_coeffs(mesh, e_left):
 
 
 def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
-    """3x3 blocks of vertex-sharing pairs, and the number of distinct
-    integrands evaluated; shared_coords and s_up are (P,).
+    """3x3 blocks of vertex-sharing pairs, and the number of integrands
+    evaluated; shared_coords and s_up are (P,).
 
     The shared vertex enters only through beta, so a pair's integrand is set
-    by its key [s_up, beta on both triangle halves], and each distinct key
-    is evaluated once.
+    by its key [s_up, beta on both triangle halves], and each run of equal
+    keys is evaluated once.
     """
     zeta = rule.nodes
     eta = rule.nodes
@@ -579,51 +582,43 @@ def _disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table):
     return self_blocks, sxy.transpose(2, 3, 0, 1)
 
 
-class _GroupedPairs:
-    """Pair-order labels of the disjoint pairs when s is constant per element.
+def _shifted(values, fill):
+    """Views (ahead, behind) of ``values`` shifted by every offset: row k of
+    ahead holds values[e + k] and row k of behind values[e - k] at column e,
+    ``fill`` past either end."""
+    pad = np.full(values.size, fill)
+    ahead = sliding_window_view(np.concatenate([values, pad]), values.size)
+    behind = sliding_window_view(np.concatenate([pad, values]), values.size)[::-1]
+    return ahead, behind
 
-    Each element has a state: the index of its order among the distinct
-    element orders, plus their count when the element is exterior. A table
-    maps the states of a pair to the index of its order beta among the
-    distinct pair orders ``betas`` (ascending), or to -1 when both elements
-    are exterior (the pair is skipped) or one lies past the mesh end (the
-    padding state). States and table use the smallest integer types that
-    hold them, which keeps the per-chunk lookups cheap.
+
+class _GroupedPairs:
+    """One-hot pair-order weights of the disjoint pairs when s is constant
+    per element (its value there is ``s_el``).
+
+    A pair's order is 0.5 (s_e + s_f), read off sliding windows of the
+    element orders and compared with the distinct pair orders ``betas``
+    (ascending). Past either mesh end the windows hold NaN, and a pair of
+    two exterior elements takes NaN too, so neither matches any order.
     """
 
     def __init__(self, mesh, s_el):
-        orders, el_label = np.unique(s_el, return_inverse=True)
-        betas, pair_label = np.unique(
-            0.5 * (orders[:, None] + orders[None, :]), return_inverse=True
-        )
-        n_ord = orders.size
-        pad = 2 * n_ord
-        s = np.arange(pad) % n_ord
-        table = np.full((pad + 1, pad + 1), -1, dtype=np.min_scalar_type(-betas.size))
-        table[:pad, :pad] = pair_label.reshape(n_ord, n_ord)[s[:, None], s]
-        table[n_ord:pad, n_ord:pad] = -1
-        code = np.min_scalar_type(table.size)
-        state = (el_label + n_ord * ~mesh.element_interior).astype(code)
-        fill = np.full(state.size, pad, dtype=code)
-        self.betas = betas
-        self._table = table.ravel()
-        # a pair's table index is (pad + 1) * state of its first element
-        # plus state of its second; row k of _ahead holds the state of
-        # element e + k and row k of _behind the scaled state of e - k
-        self._first = (pad + 1) * state
-        self._second = state
-        self._ahead = sliding_window_view(np.concatenate([state, fill]), state.size)
-        self._behind = sliding_window_view(
-            np.concatenate([(pad + 1) * fill, self._first]), state.size
-        )[::-1]
+        orders = np.unique(s_el)
+        self.betas = np.unique(0.5 * (orders[:, None] + orders[None, :]))
+        self._s = s_el
+        self._ext = ~mesh.element_interior
+        self._windows = list(zip(_shifted(s_el, np.nan), _shifted(self._ext, False)))
 
-    def labels(self, ks):
-        """Pair-order indices of the pairs (e, e + k) and of the pairs
-        (e - k, e), shape (len(ks), n_el) each, -1 where there is no pair."""
-        return (
-            np.take(self._table, self._first + self._ahead[ks]),
-            np.take(self._table, self._behind[ks] + self._second),
-        )
+    def weights(self, ks):
+        """One-hot weights (len(betas), len(ks), n_el) of the pairs (e, e + k)
+        and of the pairs (e - k, e) by their order; zero where the pair is
+        skipped or does not exist."""
+        out = []
+        for s_other, ext_other in self._windows:
+            beta = 0.5 * (self._s + s_other[ks])
+            beta[self._ext & ext_other[ks]] = np.nan
+            out.append((beta == self.betas[:, None, None]).astype(float))
+        return out
 
 
 def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
@@ -643,9 +638,7 @@ def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
     xq = rule.nodes
     n_beta = pairs.betas.size
     # (n_beta, len(ks), n_el): pairs by first element (x) and by second (y)
-    wx, wy = (
-        (lab == np.arange(n_beta)[:, None, None]).astype(float) for lab in pairs.labels(ks)
-    )
+    wx, wy = pairs.weights(ks)
     bb, kk = np.nonzero(wx.any(axis=2))
     beta = pairs.betas[bb]
     nu = 0.5 + beta[:, None, None]
@@ -755,14 +748,14 @@ def assemble_stiffness(
     the table degree as "beta_degree" (None on the grouped path) and the
     bands as "disjoint_orders", [[k_first, k_last, order], ...];
     "n_disjoint" is n, the order of the nearest pairs. The identical and
-    vertex-sharing pairs evaluate each distinct integrand once; their counts
-    are "near_field_keys", {"identical": ..., "vertex_sharing": ...}. The
-    blocks are checked after they reach every pair, so a failure names the
-    first kept pair. Both disjoint paths scatter
-    through one accumulator that sums the element self blocks once and
-    writes the cross blocks onto the offsets' diagonals; A2 is summed on its
-    upper triangle and mirrored. Raises AssemblyError when a kept pair's
-    block is not finite or the beta table does not resolve the kernel.
+    vertex-sharing pairs evaluate each run of equal integrands once; the
+    run counts are "near_field_keys", {"identical": ..., "vertex_sharing":
+    ...}. The blocks are checked after they reach every pair, so a failure
+    names the first kept pair. Both disjoint paths scatter through one
+    accumulator that sums the element self blocks once and writes the cross
+    blocks onto the offsets' diagonals; A2 is summed on its upper triangle
+    and mirrored. Raises AssemblyError when a kept pair's block is not
+    finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
     if n is None:

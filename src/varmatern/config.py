@@ -91,12 +91,13 @@ def _require(block, key, kind, path):
     if key not in block or block[key] is None:
         raise ConfigError(f"missing config key '{path}.{key}'")
     val = block[key]
+    number = not isinstance(val, bool)  # JSON true / false pass float() and int()
     try:
         if kind is str and isinstance(val, str):
             return val
-        if kind is float and math.isfinite(float(val)):
+        if kind is float and number and math.isfinite(float(val)):
             return float(val)
-        if kind is int and int(val) == float(val):
+        if kind is int and number and int(val) == float(val):
             return int(val)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -55,9 +55,10 @@ def read_matrix(path):
         version, n = struct.unpack("<II", header)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        # before reading: the header's N may claim more than the file holds
+        if path.stat().st_size < 12 + 8 * n * n:
+            raise ValueError(f"{path}: truncated payload")
         data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"{path}: truncated payload")
     sidecar_path = path.with_name(path.name + ".json")
     sidecar = None
     if sidecar_path.exists():

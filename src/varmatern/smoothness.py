@@ -212,8 +212,10 @@ def from_dict(block, default_r_int=None):
         val = block.get(key, default)
         if val is None:
             raise ProfileError(f"missing key 'profile.{key}' for a {kind} profile")
+        items = val if isinstance(val, list) else [val]
         try:
-            out = convert(val)
+            # JSON true / false would pass as 1 / 0
+            out = np.nan if any(isinstance(v, bool) for v in items) else convert(val)
         except (TypeError, ValueError):
             out = np.nan
         if not np.all(np.isfinite(out)):

@@ -348,6 +348,33 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     assert bands[0][2] == n
 
 
+@pytest.mark.parametrize("key", ["const05", "step"])
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_grouped_weights_match_pair_loop(key, level):
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, level)
+    n_el = mesh.n_elements
+    ext = ~mesh.element_interior
+    s_el = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el] + 0.5 * mesh.h)
+    pairs = asm._GroupedPairs(mesh, s_el)
+    # every offset: the last ones pair exterior elements and run past the mesh end
+    ks = np.arange(2, n_el)
+    wx, wy = pairs.weights(ks)
+    ref_x, ref_y = np.zeros_like(wx), np.zeros_like(wy)
+    for j, k in enumerate(ks):
+        for e in range(n_el - k):
+            if ext[e] and ext[e + k]:
+                continue
+            b = int(np.flatnonzero(pairs.betas == 0.5 * (s_el[e] + s_el[e + k]))[0])
+            ref_x[b, j, e] = ref_y[b, j, e + k] = 1.0
+    assert np.array_equal(wx, ref_x)
+    assert np.array_equal(wy, ref_y)
+    # each existing pair has one order, and the pairs of two exterior elements none
+    kept = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in ks)
+    assert wx.sum() == wy.sum() == kept
+
+
 GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
 
 
@@ -486,9 +513,9 @@ def test_quad_metadata_recorded():
                    for first, last, order in bands)
     # one near-field integrand per element order on the constant profile;
     # on the bump every interior element has its own, and the exterior
-    # elements, where s = s_lower, share one
+    # elements on either side, where s = s_lower, share one per side
     n_int = int(np.count_nonzero(mesh.element_interior))
-    keys = {"const05": (1, 1), "bump": (n_int + 1, n_int + 2)}
+    keys = {"const05": (1, 1), "bump": (n_int + 2, n_int + 3)}
     for key, (identical, vertex_sharing) in keys.items():
         meta = assemble_stiffness(mesh, _ctx(key), c=1.0).quad_meta
         assert meta["near_field_keys"] == {
@@ -502,6 +529,12 @@ NEAR_FIELD_PROFILES = {
     "const05": PROFILES["const05"],
     "step": PROFILES["step"],
     "tabulated_const": lambda: smoothness.tabulated([-4.0, 4.0], [0.5, 0.5]),
+    # two equal flat parts apart, so equal keys that are not next to each
+    # other; the lopsided peak on the node 0 gives both its elements the
+    # same s_up but not the same beta grids
+    "tabulated_flats": lambda: smoothness.tabulated([-4.0, -1.0, 0.0, 2.0, 4.0],
+                                                    [0.5, 0.5, 0.7, 0.5, 0.5]),
+    "bump": PROFILES["bump"],
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ def test_read_matrix_truncated_header(tmp_path, length):
     fileio.write_matrix(path, np.eye(2), {})
     path.write_bytes(path.read_bytes()[:length])
     with pytest.raises(ValueError, match=f"{path.name}: truncated header"):
+        fileio.read_matrix(path)
+
+
+@pytest.mark.parametrize("n", [100_000, 4_000_000_000])
+def test_read_matrix_header_larger_than_file(tmp_path, n):
+    # a 28-byte file whose header claims an N x N payload it does not hold
+    path = tmp_path / "m.vwm1"
+    path.write_bytes(fileio.MAGIC + struct.pack("<II", fileio.VERSION, n) + bytes(16))
+    with pytest.raises(ValueError, match=f"{path.name}: truncated payload"):
         fileio.read_matrix(path)
 
 
@@ -265,6 +275,12 @@ FRONT_END_ERRORS = {
                           "--s-upper", "0.85", "--profile.sigmaa", "2"], "profile.sigmaa"),
     "profile-path-list": (["matern", "--profile", "tabulated",
                            "--profile.path", '["x,s", "0,0.5", "1,0.6"]'], "profile.path"),
+    # JSON true / false are no numbers
+    "kappa-boolean": (["matern", "--kappa", "true"], "'kernel.kappa'"),
+    "level-boolean": (["matern", "--level", "true"], "'domain.level'"),
+    "m-boolean": (["sample", "--m", "false"], "'sampling.m'"),
+    "sigma-boolean": (["matern", "--profile", "gaussian_bump", "--s-lower", "0.35",
+                       "--s-upper", "0.85", "--profile.sigma", "true"], "'profile.sigma'"),
 }
 
 
