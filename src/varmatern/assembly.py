@@ -6,38 +6,56 @@ Vertex-sharing and identical pairs are integrated with the singularity-
 resolving changes of variables (Duffy map plus power substitutions whose
 exponent uses the pair-local upper order bound, which coincides with the
 global bound for constant-order profiles); disjoint pairs use plain tensor
-Gauss. The anchor of an identical pair and the shared vertex of a
+Gauss in the near band and Chebyshev interpolants on cells in the far
+field. The anchor of an identical pair and the shared vertex of a
 vertex-sharing pair enter their transformed integrands only through beta,
 so each integrand is keyed by its s_up and its beta grids: each run of equal
-keys along the mesh is evaluated once and scattered back to its pairs, which
-on a piecewise-constant profile leaves a handful of integrands per level.
+keys along the mesh is evaluated once, a few hundred rows at a time, and
+scattered back to its pairs, which on a piecewise-constant profile leaves a
+handful of integrands per level.
 
-Disjoint pairs are batched by index offset k: on the uniform mesh every
-pair of one offset shares the distance grid r_ab = h (k + x_b - x_a), and
-only the pair order beta varies. Their tensor-Gauss order falls with the
-offset, min(n, n_far(k)) with n_far from FAR_BREAKS and FAR_ORDERS, except
-where kappa h > 1, where every offset keeps n; the offsets go in bands of
-one order, and each band in chunks of consecutive offsets. Tensor Gauss
-reads s only at the quadrature points of each element, so the path follows
-from those values at the nodes of every order in use. When s takes one
-value at the quadrature points of each element (the grouped path), a chunk
-holds about _CHUNK_PAIRS pairs: the kernel grid of every (offset, beta) a
-chunk needs comes from one bessel_k call, and one-hot weights of the kept
-pairs by beta turn the chunk's blocks into per-element and per-pair sums by
-matrix products. Otherwise (the general path) a chunk holds
-about _CHUNK_POINTS quadrature points: the kernel is tabulated on the
-chunk's distance grids at the BETA_DEGREE + 1 Chebyshev points of
-[s_lower, s_upper] in beta and the Chebyshev series is summed by one
-Clenshaw pass at every quadrature point of the chunk's pairs. The table
-holds the kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu),
-divided out; a table that does not resolve the rest to BETA_TAIL_RTOL
-raises AssemblyError. Both paths hand their blocks to one accumulator
-(_DisjointSums): the element self blocks
+Far field: the elements group into cells of CELL_SIZE. Away from x = y the
+kernel g = phi r^(-1 - 2 beta) is analytic on a pair of cells wherever s is,
+so a cell pair CELL_SEPARATION or more cells apart takes g from its
+interpolant on CELL_ORDER x CELL_ORDER Chebyshev points (the degenerate-
+kernel step of hierarchical matrices, on one level: Boerm, Grasedyck &
+Hackbusch, Hierarchical Matrices, 2003, ch. 2-3). On the uniform mesh the
+moments of the interpolant's Lagrange functions against the hats are the
+same in every cell, so the pair adds -h^2 W G W^T to the cross entries of
+A2 and its self blocks come from G mu; the pairs of one cell offset are
+done together, and their blocks never all held at once. A cell that
+straddles +-r_int or holds a breakpoint of s inside, a pair whose
+interpolant's Chebyshev tail is not negligible (_FarCells), and every pair
+closer than the cell separation keep the element path below.
+
+Element path: disjoint pairs are batched by index offset k: on the uniform
+mesh every pair of one offset shares the distance grid r_ab = h (k + x_b -
+x_a), and only the pair order beta varies. Their tensor-Gauss order falls
+with the offset, min(n, n_far(k)) with n_far from FAR_BREAKS and
+FAR_ORDERS, except where kappa h > 1, where every offset keeps n; the
+offsets go in bands of one order, and each band, less the offsets the far
+field covers, in chunks, each holding only the first elements with a pair
+left to it. Tensor Gauss reads s only at the quadrature points of each
+element, so the path follows from those values at the nodes of every order
+in use. When s takes one value at the quadrature points of each element
+(the grouped path), a chunk holds about _CHUNK_PAIRS pairs: the kernel grid
+of every (offset, beta) a chunk needs comes from one bessel_k call, and each
+pair reads its block by the index of its order. Otherwise (the general path)
+a chunk holds about _CHUNK_POINTS quadrature points: the kernel is tabulated
+on the chunk's distance grids at the BETA_DEGREE + 1 Chebyshev points of
+[s_lower, s_upper] in beta and the Chebyshev series, chopped after the
+degree that the chunk needs, is summed by one Clenshaw pass at every
+quadrature point of the chunk's pairs. The table holds the kernel with its
+growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that
+does not resolve the rest to BETA_TAIL_RTOL raises AssemblyError. Both paths
+hand their blocks to one accumulator (_DisjointSums): the element self blocks
 are summed into one (n_el, 2, 2) array that reaches the band once, and the
-cross blocks of offset k go onto the diagonals k - 1, k and k + 1. A2 is
-accumulated on its upper triangle only and mirrored when A is formed; both
-off-diagonals of A1 take the upper entry of its local blocks, so A is
-exactly symmetric.
+cross blocks of offset k go onto the diagonals k - 1, k and k + 1.
+
+A is summed in place over the N unknowns: entries of exterior nodes are
+dropped as they arrive, A2 is accumulated on its upper triangle and then
+mirrored, and A1 is added by its three diagonals, both off-diagonals taking
+the upper entry of its local blocks, so A is exactly symmetric.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -56,7 +74,7 @@ never frozen per element.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.linalg import cholesky_banded
 
@@ -107,9 +125,36 @@ FAR_BREAKS = (3, 6, 24, 64)
 FAR_ORDERS = (10, 8, 6, 5, 4)
 DISJOINT_BLOCK_RTOL = 1e-12
 
+# The series of the beta table is summed only up to the lowest degree past
+# which its coefficients add up to at most this share of the smallest
+# tabulated value, at every point of the chunk's grids (after Aurentz &
+# Trefethen, "Chopping a Chebyshev series", ACM TOMS 43(4), 2017), so the
+# chopped sum stays within it of the full one. Measured against the share
+# of the largest coefficient instead, the chopped sum missed the full one by
+# up to 1.4e-12 of itself, where the kernel falls steeply in beta.
+BETA_CHOP_RTOL = 1e-13
+
+# The far field: cells of CELL_SIZE elements, a pair of cells CELL_SEPARATION
+# or more cells apart interpolated on CELL_ORDER Chebyshev points per cell.
+# Against order-24 direct blocks (gaussian bumps on [0.35, 0.85] and [0.01,
+# 0.99], the oscillatory ramp, kappa in {0.5, 2.5, 10}, levels 7 and 8) the
+# element-pair blocks of cell pairs 3 and 4 apart stay within 2.9e-13 of
+# themselves at order 16; order 14 gives 1.5e-11 and order 12 1.1e-9, and
+# cells 2 apart give 2.9e-10 at order 16 and 2.9e-13 only at order 20.
+# Where kappa CELL_SIZE h is large, or s changes fast across a cell, a
+# fixed order does not suffice: a cell pair whose last two Chebyshev
+# coefficients in either variable exceed CELL_TAIL_RTOL of its smallest
+# kernel value keeps the element path. That estimate ran 50 to 1500 times
+# above the block error over the same profiles, kappa in {0.5, 10, 50}
+# and levels 4 to 8 (bumps as narrow as sigma = 0.1 too).
+CELL_SIZE = 16
+CELL_ORDER = 16
+CELL_SEPARATION = 3
+CELL_TAIL_RTOL = 1e-11
+
 # Pairs per chunk of offsets on the grouped disjoint-pair path: the chunk's
-# one-hot pair weights and cross blocks stay at a few MB at every level.
-_CHUNK_PAIRS = 2**17
+# blocks, one per pair, stay at about 3 MB.
+_CHUNK_PAIRS = 2**15
 
 # Quadrature points per chunk of offsets on the general path (one offset
 # takes more when it alone has more): its pair orders, Clenshaw temporaries
@@ -117,6 +162,11 @@ _CHUNK_PAIRS = 2**17
 # assembly (6.15 MB) is then still that of the dense pair sums; 2**16 points
 # raised it to 6.33 MB.
 _CHUNK_POINTS = 2**15
+
+# Rows (elements or vertex-sharing pairs) per pass of the near-field
+# integrands: their temporaries stay near 2 MB at order 12, well under the
+# bytes of A from level 6 on.
+_NEAR_ROWS = 256
 
 # Slack on the profile bounds for pair orders that rounding moved past them.
 _BETA_ROUNDING = 1e-14
@@ -217,16 +267,22 @@ def _element_order_max(profile, h, lefts):
     return np.max(s_vals, axis=1)
 
 
-def _distinct_rows(s_up, *grids):
-    """The near-field integrands to evaluate: the first row of each run of
-    equal keys [s_up, grids ...] along the leading axis, and for every row
-    the index of its run. Equal keys that are not next to each other start
-    a run each."""
-    new = np.arange(s_up.size) == 0
-    for key in (s_up, *grids):
-        key = key.reshape(s_up.size, -1)
+def _distinct_rows(*keys):
+    """The integrands to evaluate: the first row of each run of equal keys
+    along the leading axis, and for every row the index of its run. Equal
+    keys that are not next to each other start a run each."""
+    rows = len(keys[0])
+    new = np.arange(rows) == 0
+    for key in keys:
+        key = key.reshape(rows, -1)
         new[1:] |= np.any(key[1:] != key[:-1], axis=1)
     return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _by_rows(fn, count):
+    """fn(rows) for slices of _NEAR_ROWS consecutive rows of range(count),
+    concatenated along the leading axis."""
+    return np.concatenate([fn(slice(i, i + _NEAR_ROWS)) for i in range(0, count, _NEAR_ROWS)])
 
 
 def _identical_common(ctx, h, rule, s_up, ends):
@@ -251,10 +307,13 @@ def _identical_common(ctx, h, rule, s_up, ends):
     xi = zeta[None, :, None] ** (1.0 / (3.0 - 2.0 * s_up))  # (E, n, 1)
     one_m_eta = t[None, None, :] ** (1.0 / (2.0 - 2.0 * s_up))  # (E, 1, n)
     betas = [
-        smoothness.beta(
-            ctx.profile,
-            anchor + sign * h * xi + 0.0 * one_m_eta,
-            anchor + sign * h * xi * (1.0 - one_m_eta),
+        _by_rows(
+            lambda e: smoothness.beta(
+                ctx.profile,
+                anchor[e] + sign * h * xi[e] + 0.0 * one_m_eta[e],
+                anchor[e] + sign * h * xi[e] * (1.0 - one_m_eta[e]),
+            ),
+            s_up.size,
         )
         for anchor, sign in ((ends[:-1, None, None], 1.0), (ends[1:, None, None], -1.0))
     ]
@@ -265,21 +324,22 @@ def _identical_common(ctx, h, rule, s_up, ends):
     log_zeta = np.log(zeta)[None, :, None]
     log_t = np.log(t)[None, None, :]
 
-    def summed(b):
-        ph = _phi_from_beta(ctx.kappa, b, r)
+    def summed(b, e):
+        ph = _phi_from_beta(ctx.kappa, b, r[e])
+        s = s_up[e]
         common = (
             1.0
-            / ((2.0 - 2.0 * s_up) * (3.0 - 2.0 * s_up))
+            / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
             * np.exp(
                 (1.0 - 2.0 * b) * log_h
-                + (2.0 * s_up - 2.0 * b) / (3.0 - 2.0 * s_up) * log_zeta
-                + (2.0 * s_up - 2.0 * b) / (2.0 - 2.0 * s_up) * log_t
+                + (2.0 * s - 2.0 * b) / (3.0 - 2.0 * s) * log_zeta
+                + (2.0 * s - 2.0 * b) / (2.0 - 2.0 * s) * log_t
             )
             * ph
         )
         return np.einsum("i,j,eij->e", rule.weights, rule.weights, common)
 
-    left, right = (summed(beta[first]) for beta in betas)
+    left, right = (_by_rows(lambda e: summed(beta[first[e]], e), first.size) for beta in betas)
     return (left + right)[inverse], first.size
 
 
@@ -344,36 +404,42 @@ def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
     xi = zeta[None, :, None] ** (1.0 / (3.0 - 2.0 * s_up))  # (P, n, 1)
     p_half1 = alpha[:, None] + delta[:, None] * eta[None, :]  # p_a(eta), half 1
     p_half2 = alpha[:, None] * eta[None, :] + delta[:, None]  # half 2
-    betas = []
-    for swap in (False, True):
-        x_scale = xi + 0.0 * eta[None, None, :]
-        y_scale = xi * eta[None, None, :]
+
+    def beta_half(p, swap):
+        x_scale = xi[p] + 0.0 * eta[None, None, :]
+        y_scale = xi[p] * eta[None, None, :]
         if swap:
             x_scale, y_scale = y_scale, x_scale
-        x = shared_coords[:, None, None] - h * x_scale
-        y = shared_coords[:, None, None] + h * y_scale
-        betas.append(smoothness.beta(ctx.profile, x, y))
+        shared = shared_coords[p, None, None]
+        return smoothness.beta(ctx.profile, shared - h * x_scale, shared + h * y_scale)
+
+    betas = [_by_rows(lambda p: beta_half(p, swap), s_up.size) for swap in (False, True)]
     first, inverse = _distinct_rows(s_up, *betas)
     s_up, xi = s_up[first], xi[first]
     log_h = np.log(h)
     log_zeta = np.log(zeta)[None, :, None]
-    r = h * xi * (1.0 + eta[None, None, :])  # same for both halves
-    blocks = np.zeros((first.size, 3, 3))
-    for b, p_fac in zip((beta[first] for beta in betas), (p_half1, p_half2)):
-        ph = _phi_from_beta(ctx.kappa, b, r)
-        common = (
-            1.0
-            / (3.0 - 2.0 * s_up)
-            * np.exp(
-                (1.0 - 2.0 * b) * log_h
-                + (2.0 * (s_up - b) / (3.0 - 2.0 * s_up)) * log_zeta
+
+    def blocks_of(p):
+        s = s_up[p]
+        r = h * xi[p] * (1.0 + eta[None, None, :])  # same for both halves
+        blocks = np.zeros((r.shape[0], 3, 3))
+        for b, p_fac in zip((beta[first[p]] for beta in betas), (p_half1, p_half2)):
+            ph = _phi_from_beta(ctx.kappa, b, r)
+            common = (
+                1.0
+                / (3.0 - 2.0 * s)
+                * np.exp(
+                    (1.0 - 2.0 * b) * log_h
+                    + (2.0 * (s - b) / (3.0 - 2.0 * s)) * log_zeta
+                )
+                * (1.0 + eta[None, None, :]) ** (-(1.0 + 2.0 * b))
+                * ph
             )
-            * (1.0 + eta[None, None, :]) ** (-(1.0 + 2.0 * b))
-            * ph
-        )
-        s_eta = np.einsum("i,pij->pj", w, common)
-        blocks += np.einsum("pj,j,aj,bj->pab", s_eta, w, p_fac, p_fac)
-    return blocks[inverse], first.size
+            s_eta = np.einsum("i,pij->pj", w, common)
+            blocks += np.einsum("pj,j,aj,bj->pab", s_eta, w, p_fac, p_fac)
+        return blocks
+
+    return _by_rows(blocks_of, first.size)[inverse], first.size
 
 
 def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
@@ -442,15 +508,30 @@ def pair_block_disjoint(mesh, ctx, e1, e2, n):
     return block, (e1, e1 + 1, e2, e2 + 1)
 
 
-def _band_add(flat, n_all, dr, dc, vec):
-    stride = n_all + 1
-    start = dr * n_all + dc
-    flat[start : start + vec.size * stride : stride] += vec
+def _band_add(a, first, dr, dc, vec):
+    """A[e + dr - first, e + dc - first] += vec[e] for every e that lands in
+    A (dc >= dr); ``first`` is the mesh node of A's first row and column."""
+    n = a.shape[0]
+    e0 = max(first - dr, 0)
+    e1 = min(vec.size, n + first - dc)
+    if e1 > e0:
+        start = (e0 + dr - first) * (n + 1) + dc - dr
+        a.ravel()[start : start + (e1 - e0) * (n + 1) : n + 1] += vec[e0:e1]
 
 
 def _check_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise AssemblyError(f"non-finite entries while assembling {what}")
+
+
+def _chebyshev(count):
+    """The ``count`` Chebyshev points of the first kind on [-1, 1] and the map
+    from values there to the coefficients of their interpolant."""
+    j = np.arange(count)
+    theta = np.pi * (j + 0.5) / count
+    to_coef = 2.0 / count * np.cos(np.outer(j, theta))
+    to_coef[0] *= 0.5
+    return np.cos(theta), to_coef
 
 
 class _BetaTable:
@@ -461,24 +542,24 @@ class _BetaTable:
         self.lower = profile.s_lower
         self.upper = profile.s_upper
         self.degree = BETA_DEGREE
-        j = np.arange(self.degree + 1)
-        theta = np.pi * (j + 0.5) / (self.degree + 1)
         self.mid = 0.5 * (self.lower + self.upper)
         self.half = 0.5 * (self.upper - self.lower)
-        self.nodes = self.mid + self.half * np.cos(theta)
-        self.to_coef = 2.0 / (self.degree + 1) * np.cos(np.outer(j, theta))
-        self.to_coef[0] *= 0.5
+        tau, self.to_coef = _chebyshev(self.degree + 1)
+        self.nodes = self.mid + self.half * tau
 
     def coefficients(self, kappa, r, log_growth, ks):
         """Coefficients in t of F = phi / max(4, 2 kappa r)^nu on the grids
         r (one per offset in ``ks``, shape (len(ks), m, m)), shape
-        (degree + 1,) + r.shape; raises when unresolved.
+        (chop + 1,) + r.shape; raises when unresolved.
 
         ``log_growth`` is log max(4, 2 kappa r). phi grows like 4^nu where
         kappa r is small and like (2 kappa r)^nu where it is large; dividing
         that out leaves no growth in beta that depends on r or kappa, which
         is what lets one fixed degree resolve every r and kappa. Grid points
-        where the kernel underflows to 0 count as resolved."""
+        where the kernel underflows to 0 count as resolved. The series is
+        chopped after the lowest degree past which the coefficients add up
+        to at most BETA_CHOP_RTOL of the smallest tabulated value, at every
+        grid point."""
         b = self.nodes.reshape((-1,) + (1,) * r.ndim)
         values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
         coef = np.tensordot(self.to_coef, values, axes=1)
@@ -492,7 +573,11 @@ class _BetaTable:
                 f"at disjoint offset {ks[np.argwhere(unresolved)[0][0]]}: trailing "
                 f"Chebyshev coefficient {worst:.1e} of the largest"
             )
-        return coef
+        # dropped[j]: what the terms past degree j add up to at most
+        dropped = np.cumsum(np.abs(coef[:0:-1]), axis=0)[::-1]
+        too_much = dropped > BETA_CHOP_RTOL * np.min(np.abs(values), axis=0)
+        too_much = np.flatnonzero(np.any(too_much.reshape(self.degree, -1), axis=1))
+        return coef[: too_much[-1] + 2 if too_much.size else 1]
 
     def abscissae(self, b, ks):
         """t in [-1, 1] for the pair orders b, shape (pairs, len(ks), m, m);
@@ -533,113 +618,115 @@ def _disjoint_orders(n_el, n, kappa_h):
     return [[int(ks[i]), int(ks[j]), int(orders[i])] for i, j in zip(first, last)]
 
 
-def _offset_chunks(bands, width):
-    """(ks, order) for the chunks each band is cut into: ascending runs of
-    its offsets, ``width(k0, order)`` of them from offset k0 on."""
+def _offset_chunks(bands, width, needed):
+    """(ks, order) for the chunks each band is cut into: its offsets k with
+    ``needed[k]``, ascending, ``width(k0, order)`` of them from offset k0 on."""
     for k_first, k_last, order in bands:
-        k0 = k_first
-        while k0 <= k_last:
-            k1 = min(k0 + width(k0, order), k_last + 1)
-            yield np.arange(k0, k1), order
-            k0 = k1
+        ks = k_first + np.flatnonzero(needed[k_first : k_last + 1])
+        while ks.size:
+            step = width(int(ks[0]), order)
+            yield ks[:step], order
+            ks = ks[step:]
 
 
-def _disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table):
-    """Blocks for the consecutive offsets ``ks`` from the beta table on their
-    distance grids; ``s_q`` holds s at the nodes of ``rule`` in every element.
-
-    One coefficients call covers the chunk's grids and one Clenshaw pass its
-    pairs (i, i + ks[j]), i < n_el - ks[0]. Pairs that would run past the
-    mesh end take the pair order table.mid and are dropped with the pairs of
-    two exterior elements. Returns what _DisjointSums.add takes.
-    """
+def _kept_pairs(mesh, ks, covered=None):
+    """The pairs (e, e + k), k in the ascending ``ks``, left to the element
+    path: those that exist, are not both exterior and, where ``covered``
+    (first, second) is given, are not in the far field. Returns the first
+    elements with such a pair, ``rows``, and which of their pairs are kept,
+    shape (len(rows), len(ks))."""
     n_el = mesh.n_elements
-    h = mesh.h
-    xq = rule.nodes
-    rows = n_el - int(ks[0])
-    r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
-    log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
-    coef = table.coefficients(ctx.kappa, r, log_growth, ks)
-    # s at the second element of each pair, (rows, len(ks), m)
-    padded = np.concatenate([s_q[ks[0]:], np.full((ks.size - 1, rule.n), table.mid)])
-    s_y = sliding_window_view(padded, ks.size, axis=0).transpose(0, 2, 1)
-    b = 0.5 * (s_q[:rows, None, :, None] + s_y[:, :, None, :])
-    f = _clenshaw(coef, table.abscissae(b, ks))
-    g = f * np.exp((0.5 + b) * (log_growth - 2.0 * np.log(r)))
-    blocks = _blocks_from_kernel(g, h, rule)
-    second = np.arange(rows)[:, None] + ks
+    first = np.arange(n_el - int(ks[0]))[:, None]
+    second = first + ks
     keep = second < n_el
     second = np.minimum(second, n_el - 1)
     ext = ~mesh.element_interior
-    keep &= ~(ext[:rows, None] & ext[second])
-    blocks = _kept_finite(blocks.reshape(rows, ks.size, 3, 2, 2), keep, "disjoint", ks)
+    keep &= ~(ext[first] & ext[second])
+    if covered is not None:
+        keep &= ~covered(first, second)
+    rows = np.flatnonzero(np.any(keep, axis=1))
+    return rows, keep[rows]
+
+
+def _pair_sums(mesh, ks, rows, keep, blocks):
+    """What _DisjointSums.add takes, from the blocks (len(rows), len(ks), 3,
+    2, 2) of the pairs (rows[i], rows[i] + ks[j]): the self-block sums (n_el,
+    2, 2), sxx on the first and syy on the second element of each kept pair,
+    and the cross blocks (2, 2, n_el - ks[0], len(ks)) by first element,
+    zero where a pair is not kept. Raises naming the first kept pair whose
+    block is not finite."""
+    n_el = mesh.n_elements
+    second = rows[:, None] + ks
+    blocks = _kept_finite(blocks, keep, "disjoint", rows[:, None], second)
     sxx, sxy, syy = np.moveaxis(blocks, 2, 0)
-    # syy summed onto the second elements, entry by entry
     self_blocks = np.stack(
-        [np.bincount(second.ravel(), entry, n_el) for entry in syy.reshape(-1, 4).T], axis=1
+        [np.bincount(np.minimum(second, n_el - 1).ravel(), entry, n_el)
+         for entry in syy.reshape(-1, 4).T],
+        axis=1,
+        dtype=float,
     ).reshape(n_el, 2, 2)
-    self_blocks[:rows] += sxx.sum(axis=1)
-    return self_blocks, sxy.transpose(2, 3, 0, 1)
+    self_blocks[rows] += sxx.sum(axis=1)
+    cross = np.zeros((2, 2, n_el - int(ks[0]), ks.size))
+    cross[:, :, rows] = sxy.transpose(2, 3, 0, 1)
+    return self_blocks, cross
 
 
-def _shifted(values, fill):
-    """Views (ahead, behind) of ``values`` shifted by every offset: row k of
-    ahead holds values[e + k] and row k of behind values[e - k] at column e,
-    ``fill`` past either end."""
-    pad = np.full(values.size, fill)
-    ahead = sliding_window_view(np.concatenate([values, pad]), values.size)
-    behind = sliding_window_view(np.concatenate([pad, values]), values.size)[::-1]
-    return ahead, behind
+def _disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table, rows, keep):
+    """Blocks for the offsets ``ks`` (ascending) from the beta table on their
+    distance grids; ``s_q`` holds s at the nodes of ``rule`` in every
+    element, and ``rows``, ``keep`` the pairs to add (_kept_pairs).
+
+    One coefficients call covers the chunk's grids and one Clenshaw pass the
+    pairs (rows[i], rows[i] + ks[j]); a pair past the mesh end reads the
+    last element and is dropped. Returns what _DisjointSums.add takes.
+    """
+    h = mesh.h
+    xq = rule.nodes
+    r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
+    log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
+    coef = table.coefficients(ctx.kappa, r, log_growth, ks)
+    s_y = s_q[np.minimum(rows[:, None] + ks, mesh.n_elements - 1)]
+    b = 0.5 * (s_q[rows, None, :, None] + s_y[:, :, None, :])
+    f = _clenshaw(coef, table.abscissae(b, ks))
+    g = f * np.exp((0.5 + b) * (log_growth - 2.0 * np.log(r)))
+    blocks = _blocks_from_kernel(g, h, rule).reshape(rows.size, ks.size, 3, 2, 2)
+    return _pair_sums(mesh, ks, rows, keep, blocks)
 
 
 class _GroupedPairs:
-    """One-hot pair-order weights of the disjoint pairs when s is constant
-    per element (its value there is ``s_el``).
+    """Pair orders of the disjoint pairs when s is constant per element (its
+    value there is ``s_el``): a pair's order 0.5 (s_e + s_f) is one of the
+    distinct ``betas`` (ascending)."""
 
-    A pair's order is 0.5 (s_e + s_f), read off sliding windows of the
-    element orders and compared with the distinct pair orders ``betas``
-    (ascending). Past either mesh end the windows hold NaN, and a pair of
-    two exterior elements takes NaN too, so neither matches any order.
-    """
-
-    def __init__(self, mesh, s_el):
+    def __init__(self, s_el):
         orders = np.unique(s_el)
         self.betas = np.unique(0.5 * (orders[:, None] + orders[None, :]))
         self._s = s_el
-        self._ext = ~mesh.element_interior
-        self._windows = list(zip(_shifted(s_el, np.nan), _shifted(self._ext, False)))
 
-    def weights(self, ks):
-        """One-hot weights (len(betas), len(ks), n_el) of the pairs (e, e + k)
-        and of the pairs (e - k, e) by their order; zero where the pair is
-        skipped or does not exist."""
-        out = []
-        for s_other, ext_other in self._windows:
-            beta = 0.5 * (self._s + s_other[ks])
-            beta[self._ext & ext_other[ks]] = np.nan
-            out.append((beta == self.betas[:, None, None]).astype(float))
-        return out
+    def indices(self, rows, ks):
+        """Index into ``betas`` of the order of each pair (rows[i], rows[i] +
+        ks[j]), shape (len(rows), len(ks)); a pair past the mesh end reads
+        the last element."""
+        second = np.minimum(rows[:, None] + ks, self._s.size - 1)
+        return np.searchsorted(self.betas, 0.5 * (self._s[rows, None] + self._s[second]))
 
 
-def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
-    """Blocks for the offsets ``ks`` (ascending) when s is constant per element.
+def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs, rows, keep):
+    """Blocks for the offsets ``ks`` (ascending) when s is constant per
+    element; ``pairs`` is the _GroupedPairs of the profile, and ``rows``,
+    ``keep`` the pairs to add (_kept_pairs).
 
-    The kernel grid of each (offset, beta) that a kept pair needs comes from
+    The kernel grid of each (beta, offset) that a kept pair needs comes from
     one bessel_k call, and all their blocks from one _blocks_from_kernel
-    call. One-hot weights of the pairs by (beta, offset) then sum the self
-    blocks per element and spread the cross blocks over the pairs, both by
-    matrix products. ``pairs`` is the _GroupedPairs of the profile. Returns
-    what _DisjointSums.add takes: the self-block sums (n_el, 2, 2) and the
-    cross blocks (2, 2, n_el - ks[0], len(ks)) of the pairs (i, i + ks[j]),
-    zero where a pair is skipped or does not exist.
+    call; each pair then reads its block by its order's index. Returns what
+    _DisjointSums.add takes.
     """
-    n_el = mesh.n_elements
     h = mesh.h
     xq = rule.nodes
-    n_beta = pairs.betas.size
-    # (n_beta, len(ks), n_el): pairs by first element (x) and by second (y)
-    wx, wy = pairs.weights(ks)
-    bb, kk = np.nonzero(wx.any(axis=2))
+    index = pairs.indices(rows, ks)
+    used = np.zeros((pairs.betas.size, ks.size), dtype=bool)
+    used[index[keep], np.nonzero(keep)[1]] = True
+    bb, kk = np.nonzero(used)
     beta = pairs.betas[bb]
     nu = 0.5 + beta[:, None, None]
     # distance grid depends only on the offset: r_ab = h * (k + y_b - x_a)
@@ -649,74 +736,206 @@ def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs):
         * bessel_k(nu, ctx.kappa * r)
         * r ** (-nu)
     )
-    parts = _blocks_from_kernel(g, h, rule).transpose(1, 0, 2, 3).reshape(3, -1, 4)
-    finite = np.all(np.isfinite(parts), axis=(0, 2))
-    if not np.all(finite):
-        bad = int(np.flatnonzero(~finite)[0])
-        e1 = int(np.argmax(wx[bb[bad], kk[bad]]))
-        raise AssemblyError(
-            f"non-finite disjoint block for element pair ({e1}, {e1 + int(ks[kk[bad]])})"
-        )
-    dense = np.zeros((3, n_beta * ks.size, 4))
-    dense[:, bb * ks.size + kk] = parts
-    sxx, sxy, syy = dense
-    self_blocks = wx.reshape(-1, n_el).T @ sxx + wy.reshape(-1, n_el).T @ syy
-    rows = n_el - int(ks[0])
-    cross = np.einsum(
-        "bki,bkf->fik", wx[:, :, :rows], sxy.reshape(n_beta, ks.size, 4), optimize=True
-    )
-    return self_blocks.reshape(n_el, 2, 2), cross.reshape(2, 2, rows, ks.size)
+    table = np.zeros((pairs.betas.size, ks.size, 3, 2, 2))
+    table[bb, kk] = _blocks_from_kernel(g, h, rule)
+    return _pair_sums(mesh, ks, rows, keep, table[index, np.arange(ks.size)])
 
 
 class _DisjointSums:
-    """Disjoint-pair blocks summed onto the upper triangle of A2.
+    """Disjoint-pair blocks summed onto the upper triangle of A2, held in A
+    over the N unknowns (mesh nodes ``first`` ... ``first`` + N - 1); entries
+    of exterior nodes are dropped.
 
     The self blocks (sxx on the first element of a pair, syy on the second)
-    collect in one (n_el, 2, 2) array that reaches the band of A2 once, in
-    finish(); the cross blocks sxy of offset k go onto the diagonals k - 1,
-    k and k + 1. Every block enters with factor 2: each unordered pair is
+    collect in one (n_el, 2, 2) array that reaches the band of A once, in
+    finish(); the cross blocks of offset k go onto the diagonals k - 1, k
+    and k + 1. Every block enters with factor 2: each unordered pair is
     computed once and the ordered double sum visits it twice.
     """
 
-    def __init__(self, a2, n_el):
-        self.a2 = a2
-        self.self_blocks = np.zeros((n_el, 2, 2))
+    def __init__(self, a, mesh):
+        self.a = a
+        self.first = mesh.first_interior_node
+        self.self_blocks = np.zeros((mesh.n_elements, 2, 2))
 
-    def add(self, k0, self_blocks, cross):
+    def add(self, ks, self_blocks, cross):
         """Add self-block sums (n_el, 2, 2) and the cross blocks
-        cross[:, :, i, j] of the pairs (i, i + k0 + j)."""
+        cross[:, :, i, j] of the pairs (i, i + ks[j])."""
         self.self_blocks += self_blocks
-        rows, nk = cross.shape[2:]
-        n_all = self.a2.shape[0]
-        # window[i, d] = A2[i, i + k0 - 1 + d]: the rows of the diagonals
-        # k0 - 1 ... k0 + nk. Entries past the last column wrap into the
-        # strict lower triangle; only pairs past the mesh end, all zero, do.
-        start = k0 - 1
-        window = self.a2.ravel()[start : start + (rows + 1) * (n_all + 1)]
-        window = window.reshape(rows + 1, n_all + 1)
-        window[:-1, 1 : nk + 1] += 2.0 * cross[0, 0]
-        window[:-1, 2 : nk + 2] += 2.0 * cross[0, 1]
-        window[1:, :nk] += 2.0 * cross[1, 0]
-        window[1:, 1 : nk + 1] += 2.0 * cross[1, 1]
+        for j, k in enumerate(ks):
+            for da, db in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                _band_add(self.a, self.first, da, k + db, 2.0 * cross[da, db, :, j])
 
     def finish(self):
-        flat = self.a2.ravel()
         for da, db in ((0, 0), (0, 1), (1, 1)):
-            _band_add(flat, self.a2.shape[0], da, db, 2.0 * self.self_blocks[:, da, db])
+            _band_add(self.a, self.first, da, db, 2.0 * self.self_blocks[:, da, db])
 
 
-def _kept_finite(blocks, keep, what, gap):
-    """``blocks`` (leading axes those of ``keep``) with the skipped pairs
-    zeroed. Raises naming the first kept pair (e, e + gap) whose block is not
-    finite; a 2-d ``keep`` holds the pairs by first element and offset, and
-    ``gap`` the offsets."""
-    blocks = np.where(keep.reshape(keep.shape + (1,) * (blocks.ndim - keep.ndim)), blocks, 0.0)
-    finite = np.isfinite(blocks.reshape(keep.shape + (-1,))).all(axis=-1)
-    if not np.all(finite):
-        e, *j = np.argwhere(~finite)[0]
-        raise AssemblyError(
-            f"non-finite {what} block for element pair ({e}, {e + np.asarray(gap)[tuple(j)]})"
+class _FarCells:
+    """The far field on cells of CELL_SIZE consecutive elements (the last
+    n_el mod CELL_SIZE elements form none).
+
+    A cell pair CELL_SEPARATION or more cells apart takes the kernel from its
+    interpolant on the tensor grid of CELL_ORDER Chebyshev points in each
+    cell. The interpolant's Lagrange functions have the same moments on the
+    k-th element of every cell, so the pair's blocks are matrix products of
+    its kernel grid G with moments computed once: the node-by-node cross
+    block -h^2 W G W^T, and the self blocks of its first and second cell
+    from G mu and G^T mu, mu the cell integrals. The cell pairs of one cell
+    offset share one distance grid; each distinct beta grid among them is
+    evaluated once, directly on the grouped path (one grid per offset and
+    pair of orders on a piecewise-constant profile) and from the beta
+    ``table`` on the offset's distance grid on the general path. A pair joins the far field only if both cells are
+    regular (all interior or all exterior, with no breakpoint of s inside),
+    they are not both exterior, and the last two Chebyshev coefficients of
+    its grid in either variable stay within CELL_TAIL_RTOL of its smallest
+    kernel value; every other pair keeps the element path.
+    """
+
+    def __init__(self, mesh, profile, table=None):
+        size, p = CELL_SIZE, CELL_ORDER
+        self.mesh = mesh
+        self.table = table
+        self.count = n = mesh.n_elements // size
+        tau, self.to_coef = _chebyshev(p)
+        self.t = 0.5 * (1.0 + tau)  # the nodes in cell lengths
+        lefts = mesh.nodes[: n * size : size]
+        rights = mesh.nodes[size : (n + 1) * size : size]
+        self.s = smoothness.evaluate(profile, lefts[:, None] + (rights - lefts)[:, None] * self.t)
+        ext = ~mesh.element_interior[: n * size].reshape(n, size)
+        self.exterior = np.all(ext, axis=1)
+        breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
+        broken = np.searchsorted(breaks, rights) > np.searchsorted(breaks, lefts, "right")
+        self.regular = (self.exterior | ~np.any(ext, axis=1)) & ~broken
+        # moments on the elements of one cell: Gauss of this order is exact
+        # for psi_a psi_b L_i, of degree p + 1
+        rule = gauss_legendre_01(p // 2 + 1)
+        u = 2.0 * (np.arange(size)[:, None] + rule.nodes) / size - 1.0
+        lagrange = np.cos(np.arccos(u)[..., None] * np.arange(p)) @ self.to_coef
+        psi = np.stack([1.0 - rule.nodes, rule.nodes])
+        self.m1 = np.einsum("q,aq,jqi->jai", rule.weights, psi, lagrange)
+        self.m2 = np.einsum("q,aq,bq,jqi->jabi", rule.weights, psi, psi, lagrange)
+        self.mu = self.m1.sum(axis=(0, 1))
+        self.w = np.zeros((size + 1, p))
+        self.w[:-1] += self.m1[:, 0]
+        self.w[1:] += self.m1[:, 1]
+        # (cell of the first element, cell of the second) in the far field;
+        # the last index stands for the elements past the last cell
+        self.far = np.zeros((n + 1, n + 1), dtype=bool)
+        self.cell_of = np.minimum(np.arange(mesh.n_elements) // size, n)
+
+    def covered(self, first, second):
+        """Whether the element pairs (first, second) are in the far field."""
+        return self.far[self.cell_of[first], self.cell_of[second]]
+
+    def needed(self):
+        """Per offset k = 0 ... n_el - 1, whether some pair (e, e + k) may
+        lie outside the far field: the pairs of offset k lie in cell pairs
+        k // CELL_SIZE and k // CELL_SIZE + 1 cells apart."""
+        n_el = self.mesh.n_elements
+        ext = self.exterior
+        if self.count * CELL_SIZE < n_el:
+            ext = np.append(ext, np.all(~self.mesh.element_interior[self.count * CELL_SIZE :]))
+        m = ext.size
+        open_ = np.zeros(m + 1, dtype=bool)
+        for d in range(m):
+            c = np.arange(m - d)
+            open_[d] = np.any(~self.far[c, c + d] & ~(ext[c] & ext[c + d]))
+        k = np.arange(n_el)
+        q = k // CELL_SIZE
+        return open_[q] | ((k % CELL_SIZE > 0) & open_[q + 1])
+
+    def grids(self, ctx, d, c):
+        """Kernel grids g[i, j] at (x_i, y_j) of the cell pairs (c, c + d),
+        each distinct one once, and for every pair the index of its grid and
+        whether its interpolant resolves the kernel."""
+        h = self.mesh.h
+        beta = 0.5 * (self.s[c, :, None] + self.s[c + d, None, :])
+        key, inverse = _distinct_rows(beta)
+        beta = beta[key]
+        r = h * CELL_SIZE * (d + self.t[None, :] - self.t[:, None])
+        if self.table is None:
+            g = _phi_from_beta(ctx.kappa, beta, r) * r ** (-1.0 - 2.0 * beta)
+        else:
+            # errors name the element offset of the cell offset
+            ks = np.array([d * CELL_SIZE])
+            log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
+            coef = self.table.coefficients(ctx.kappa, r[None], log_growth[None], ks)[:, 0]
+            f = _clenshaw(coef, self.table.abscissae(beta[:, None], ks)[:, 0])
+            g = f * np.exp((0.5 + beta) * (log_growth - 2.0 * np.log(r)))
+        coef = self.to_coef @ g @ self.to_coef.T
+        tail = np.maximum(np.max(np.abs(coef[:, -2:]), axis=(1, 2)),
+                          np.max(np.abs(coef[:, :, -2:]), axis=(1, 2)))
+        return g, inverse, (tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2)))[inverse]
+
+    def add(self, ctx, sums):
+        """Add the far field to ``sums`` and mark its cell pairs in ``far``;
+        returns the number of cell pairs it holds."""
+        size, n = CELL_SIZE, self.count
+        h = self.mesh.h
+        v = np.zeros((n, CELL_ORDER))
+        for d in range(CELL_SEPARATION, n):
+            c = np.arange(n - d)
+            c = c[self.regular[c] & self.regular[c + d] & ~(self.exterior[c] & self.exterior[c + d])]
+            if not c.size:
+                continue
+            g, inverse, resolved = self.grids(ctx, d, c)
+            c, inverse = c[resolved], inverse[resolved]
+            self.far[c, c + d] = True
+            v[c] += (g @ self.mu)[inverse]
+            v[c + d] += (self.mu @ g)[inverse]
+            cross = (-2.0 * h * h) * (self.w @ g @ self.w.T)[inverse]
+            _add_cell_blocks(sums.a, c * size - sums.first, (c + d) * size - sums.first, size, cross)
+        sums.self_blocks[: n * size] += (
+            h * h * np.einsum("jabi,ci->cjab", self.m2, v).reshape(-1, 2, 2)
         )
+        return int(np.count_nonzero(self.far))
+
+
+def _add_cell_blocks(a, rows, cols, size, blocks):
+    """a[rows[i] + u, cols[i] + w] += blocks[i, u, w] where the index lies in
+    a. ``rows`` ascends in multiples of ``size`` and ``cols`` - ``rows`` is
+    constant, so blocks ``size`` apart overlap in one row and one column,
+    and each half of them, taken in turn, in none."""
+    n = a.shape[0]
+    inside = (rows >= 0) & (cols + size < n)
+    for i in np.flatnonzero(~inside & (rows + size >= 0) & (cols < n)):
+        r0, c0 = max(rows[i], 0), max(cols[i], 0)
+        r1, c1 = min(rows[i] + size + 1, n), min(cols[i] + size + 1, n)
+        a[r0:r1, c0:c1] += blocks[i, r0 - rows[i] : r1 - rows[i], c0 - cols[i] : c1 - cols[i]]
+    if np.any(inside):
+        rows, cols, blocks = rows[inside], cols[inside], blocks[inside]
+        steps = (rows - rows[0]) // size
+        dense = np.zeros((steps[-1] + 1,) + blocks.shape[1:])
+        dense[steps] = blocks
+        corner = a[rows[0] :, cols[0] :]
+        view = as_strided(
+            corner, dense.shape, (size * (corner.strides[0] + corner.strides[1]),) + corner.strides
+        )
+        view[0::2] += dense[0::2]
+        view[1::2] += dense[1::2]
+
+
+def _mirror_upper(a, rows=256):
+    """Copy the upper triangle of a onto its lower one, a block of rows at a
+    time."""
+    for i0 in range(0, a.shape[0], rows):
+        i1 = min(i0 + rows, a.shape[0])
+        a[i0:i1, :i0] = a[:i0, i0:i1].T
+        block = a[i0:i1, i0:i1]
+        block[np.tril_indices(i1 - i0, -1)] = block.T[np.tril_indices(i1 - i0, -1)]
+
+
+def _kept_finite(blocks, keep, what, first, second):
+    """``blocks`` (leading axes those of ``keep``) with the skipped pairs
+    zeroed. Raises naming the first kept pair whose block is not finite;
+    ``first`` and ``second`` broadcast to the elements of the pairs."""
+    blocks = np.where(keep.reshape(keep.shape + (1,) * (blocks.ndim - keep.ndim)), blocks, 0.0)
+    finite = np.isfinite(blocks).all(axis=tuple(range(keep.ndim, blocks.ndim)))
+    if not np.all(finite):
+        at = tuple(np.argwhere(~finite)[0])
+        e, f = (np.broadcast_to(x, keep.shape)[at] for x in (first, second))
+        raise AssemblyError(f"non-finite {what} block for element pair ({e}, {f})")
     return blocks
 
 
@@ -735,26 +954,40 @@ def assemble_stiffness(
     ``n`` fixes the tensor-Gauss order for every pair class; when omitted it
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
-    Disjoint pairs at offset k take the order min(n, n_far(k)), which holds
-    each block to DISJOINT_BLOCK_RTOL of itself where kappa h is small;
-    where kappa h > 1 they keep n. The disjoint-pair path follows from s at
-    the quadrature points of each element, at the nodes of every order in
-    use. When s takes one value there in every element, the grouped path
-    takes each band of one order in chunks of about _CHUNK_PAIRS pairs, one
-    bessel_k call per chunk; otherwise the general path takes them in chunks
-    of about _CHUNK_POINTS quadrature points and interpolates the kernel in
-    beta from a Chebyshev table of degree BETA_DEGREE, one table and one
-    Clenshaw pass per chunk. ``quad_meta`` records the path as "strategy",
-    the table degree as "beta_degree" (None on the grouped path) and the
-    bands as "disjoint_orders", [[k_first, k_last, order], ...];
-    "n_disjoint" is n, the order of the nearest pairs. The identical and
-    vertex-sharing pairs evaluate each run of equal integrands once; the
-    run counts are "near_field_keys", {"identical": ..., "vertex_sharing":
-    ...}. The blocks are checked after they reach every pair, so a failure
-    names the first kept pair. Both disjoint paths scatter through one
-    accumulator that sums the element self blocks once and writes the cross
-    blocks onto the offsets' diagonals; A2 is summed on its upper triangle
-    and mirrored. Raises AssemblyError when a kept pair's block is not
+
+    The disjoint pairs split into the far field and the near band. The far
+    field holds the pairs of cells of CELL_SIZE elements CELL_SEPARATION or
+    more cells apart, where both cells are all interior or all exterior,
+    hold no breakpoint of s inside and the kernel's interpolant on
+    CELL_ORDER Chebyshev points per cell resolves it; each such cell pair
+    adds its cross block and self blocks by matrix products with moments
+    shared by every cell. Every other disjoint pair (the near band, and the
+    pairs of cells that fail a condition) takes tensor Gauss of order
+    min(n, n_far(k)) at offset k, which holds each block to
+    DISJOINT_BLOCK_RTOL of itself where kappa h is small; where kappa h > 1
+    they keep n. The element path follows from s at the quadrature points of
+    each element, at the nodes of every order in use. When s takes one value
+    there in every element, the grouped path takes each band of one order in
+    chunks of about _CHUNK_PAIRS pairs, one bessel_k call per chunk, and the
+    far cells evaluate each distinct grid directly; otherwise the general
+    path takes them in chunks of about _CHUNK_POINTS quadrature points and
+    interpolates the kernel in beta from a Chebyshev table of degree
+    BETA_DEGREE, chopped where its tail is negligible, one table and one
+    Clenshaw pass per chunk, and so do the far cells, one table per cell
+    offset.
+
+    ``quad_meta`` records the path as "strategy", the table degree as
+    "beta_degree" (None on the grouped path), the bands as
+    "disjoint_orders", [[k_first, k_last, order], ...], and the far field as
+    "far_cells", {"cell_size", "order", "separation", "cell_pairs": the
+    cell pairs interpolated, "element_pairs": the disjoint element pairs
+    left to the element path}; "n_disjoint" is n, the order of the nearest
+    pairs. The identical and vertex-sharing pairs evaluate each run of equal
+    integrands once; the run counts are "near_field_keys", {"identical":
+    ..., "vertex_sharing": ...}. The blocks are checked after they reach
+    every pair, so a failure names the first kept pair. A is summed on its
+    upper triangle, over the N unknowns only, mirrored, and A1 added by its
+    three diagonals. Raises AssemblyError when a kept pair's block is not
     finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
@@ -764,21 +997,21 @@ def assemble_stiffness(
     n = int(n)
     rule = gauss_legendre_01(n)
 
-    n_all = mesh.n_nodes
     n_el = mesh.n_elements
     h = mesh.h
+    first = mesh.first_interior_node
     el_max = _element_order_max(profile, h, mesh.nodes[:n_el])
     ext = ~mesh.element_interior
-    # upper triangle only; mirrored into A below
-    a2 = np.zeros((n_all, n_all))
-    flat = a2.ravel()
+    elements = np.arange(n_el)
+    # A2 on its upper triangle and over the unknowns only; mirrored below
+    a = np.zeros((mesh.interior_node_count,) * 2)
 
     # identical pairs: one value per element, both anchors averaged
     vals, identical_keys = _identical_common(ctx, h, rule, el_max, mesh.nodes[: n_el + 1])
-    vals = _kept_finite(vals, ~ext, "identical", 0)
+    vals = _kept_finite(vals, ~ext, "identical", elements, elements)
     q = _identical_q_signs(mesh, 0)
     for da, db in ((0, 0), (0, 1), (1, 1)):
-        _band_add(flat, n_all, da, db, q[da] * q[db] * vals)
+        _band_add(a, first, da, db, q[da] * q[db] * vals)
 
     # vertex-sharing pairs
     alpha, delta = _adjacent_delta_coeffs(mesh, 0)
@@ -786,24 +1019,28 @@ def assemble_stiffness(
     adj, adjacent_keys = _adjacent_blocks(
         ctx, h, rule, s_up_adj, mesh.nodes[1:n_el], alpha, delta
     )
-    adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing", 1)
+    adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing",
+                       elements[:-1], elements[1:])
     for da in range(3):
         for db in range(da, 3):
-            _band_add(flat, n_all, da, db, 2.0 * adj[:, da, db])
+            _band_add(a, first, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs, offsets k = 2 ... n_el - 1, in bands of one order;
-    # tensor Gauss reads s only at the quadrature points of each element,
-    # here those of every order in use side by side
+    # disjoint pairs: the far field on cells, then the element path over the
+    # offsets k = 2 ... n_el - 1 in bands of one order, for the pairs the
+    # cells leave; tensor Gauss reads s only at the quadrature points of
+    # each element, here those of every order in use side by side
     bands = _disjoint_orders(n_el, n, ctx.kappa * h)
     orders = sorted({n, *(order for *_, order in bands)})
     xq = np.concatenate([gauss_legendre_01(order).nodes for order in orders])
     s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * xq)
     if np.all(s_q == s_q[:, :1]):
         path = "grouped"
-        pairs = _GroupedPairs(mesh, s_q[:, 0])
+        pairs = _GroupedPairs(s_q[:, 0])
 
-        def chunk(ks, order):
-            return _disjoint_chunk_grouped(ctx, mesh, ks, gauss_legendre_01(order), pairs)
+        def chunk(ks, order, rows, keep):
+            return _disjoint_chunk_grouped(
+                ctx, mesh, ks, gauss_legendre_01(order), pairs, rows, keep
+            )
 
         def width(k0, order):
             return max(1, _CHUNK_PAIRS // n_el)
@@ -814,27 +1051,34 @@ def assemble_stiffness(
         table = _BetaTable(profile)
         s_by_order = dict(zip(orders, np.split(s_q, np.cumsum(orders)[:-1], axis=1)))
 
-        def chunk(ks, order):
+        def chunk(ks, order, rows, keep):
             return _disjoint_chunk_general(
-                ctx, mesh, ks, gauss_legendre_01(order), s_by_order[order], table
+                ctx, mesh, ks, gauss_legendre_01(order), s_by_order[order], table, rows, keep
             )
 
         def width(k0, order):
             return max(1, _CHUNK_POINTS // ((n_el - k0) * order * order))
 
         beta_degree = table.degree
-    sums = _DisjointSums(a2, n_el)
-    for ks, order in _offset_chunks(bands, width):
-        sums.add(int(ks[0]), *chunk(ks, order))
+    sums = _DisjointSums(a, mesh)
+    cells = _FarCells(mesh, profile, None if path == "grouped" else table)
+    cell_pairs = cells.add(ctx, sums)
+    element_pairs = 0
+    for ks, order in _offset_chunks(bands, width, cells.needed()):
+        rows, keep = _kept_pairs(mesh, ks, cells.covered)
+        if rows.size:
+            sums.add(ks, *chunk(ks, order, rows, keep))
+            element_pairs += int(np.count_nonzero(keep))
     sums.finish()
+    del sums, cells
 
-    sl = mesh.interior_slice
-    upper = a2[sl, sl]
-    a = upper + upper.T
-    a[np.diag_indices_from(a)] *= 0.5
-    del a2, flat, upper, sums
+    _mirror_upper(a)
     a1 = assemble_weighted_mass(mesh, ctx, rule)
-    a += a1.toarray()
+    n_int = a.shape[0]
+    diagonals = a.ravel()
+    diagonals[:: n_int + 1] += a1.diagonal()
+    diagonals[1 :: n_int + 1] += a1.diagonal(1)
+    diagonals[n_int :: n_int + 1] += a1.diagonal(-1)
     _check_finite(a, "stiffness")
     m = assemble_plain_mass(mesh)
     quad_meta = {
@@ -848,5 +1092,12 @@ def assemble_stiffness(
         "strategy": path,
         "beta_degree": beta_degree,
         "near_field_keys": {"identical": identical_keys, "vertex_sharing": adjacent_keys},
+        "far_cells": {
+            "cell_size": CELL_SIZE,
+            "order": CELL_ORDER,
+            "separation": CELL_SEPARATION,
+            "cell_pairs": cell_pairs,
+            "element_pairs": element_pairs,
+        },
     }
     return AssembledSystem(mesh, ctx, a, m, a1, quad_meta)

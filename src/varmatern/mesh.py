@@ -25,8 +25,10 @@ __all__ = [
 ]
 
 
-# Largest all-node float64 array assembly may hold: the n_nodes x n_nodes
-# accumulator of the nonlocal part A2. 4 GiB admits level 11 at r_ext = 4.
+# Cap on the dense stiffness, counted as an n_nodes x n_nodes float64 array.
+# Assembly holds A over the N < n_nodes unknowns only (N^2 is 56 % of
+# n_nodes^2 at r_int = 3, r_ext = 4), so the count is conservative. 4 GiB
+# admits level 11 at r_ext = 4.
 MAX_ASSEMBLY_BYTES = 4 * 2**30
 
 
@@ -132,8 +134,8 @@ class Mesh1D:
 
 def build_uniform(r_int, r_ext, level):
     """Uniform mesh with h = 2^-level; radii must be integer multiples of h,
-    and the n_nodes x n_nodes float64 accumulator of assembly must fit in
-    MAX_ASSEMBLY_BYTES."""
+    and an n_nodes x n_nodes float64 array, which bounds the N x N stiffness
+    assembly holds, must fit in MAX_ASSEMBLY_BYTES."""
     r_int = float(r_int)
     r_ext = float(r_ext)
     level = int(level)
@@ -147,8 +149,8 @@ def build_uniform(r_int, r_ext, level):
         n_nodes = math.inf
     if 8.0 * n_nodes * n_nodes > MAX_ASSEMBLY_BYTES:
         raise MeshError(
-            f"level={level} is too fine for r_ext={r_ext}: assembly would need an "
-            f"n_nodes x n_nodes float64 array of more than "
+            f"level={level} is too fine for r_ext={r_ext}: an n_nodes x n_nodes "
+            f"float64 array, the cap on the dense stiffness, would exceed "
             f"{MAX_ASSEMBLY_BYTES / 2**30:g} GiB"
         )
     h = 2.0 ** (-level)

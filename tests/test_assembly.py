@@ -321,6 +321,15 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
         assemble_stiffness(mesh, ctx, n=4)
 
 
+def _far_cells(mesh, ctx):
+    """The far cells of an assembly of ``mesh``, with their cell pairs marked."""
+    import varmatern.assembly as asm
+
+    cells = asm._FarCells(mesh, ctx.profile)  # grouped: no beta table
+    cells.add(ctx, asm._DisjointSums(np.zeros((mesh.interior_node_count,) * 2), mesh))
+    return cells
+
+
 def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     import varmatern.assembly as asm
 
@@ -333,17 +342,21 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(asm, "bessel_k", counted)
     mesh = build_uniform(3, 4, 7)
-    system = assemble_stiffness(mesh, _ctx("const05"))
+    ctx = _ctx("const05")
+    system = assemble_stiffness(mesh, ctx)
     n_el = mesh.n_elements
     assert 0 < len(calls) < (n_el - 2) / 8
     n = system.quad_meta["n_disjoint"]
-    # one grid per offset with a kept pair for a constant order, none repeated
-    ext = ~mesh.element_interior
-    needed = sum(np.any(~(ext[: n_el - k] & ext[k:])) for k in range(2, n_el))
+    # one grid per offset with a pair left to the element path for a
+    # constant order, none repeated
+    cells = _far_cells(mesh, ctx)
+    needed = sum(asm._kept_pairs(mesh, np.array([k]), cells.covered)[0].size > 0
+                 for k in range(2, n_el))
     assert sum(shape[0] for shape in calls) == needed
     # each chunk's grids take the order of its band
     bands = system.quad_meta["disjoint_orders"]
-    chunks = asm._offset_chunks(bands, lambda k0, order: max(1, asm._CHUNK_PAIRS // n_el))
+    chunks = asm._offset_chunks(bands, lambda k0, order: max(1, asm._CHUNK_PAIRS // n_el),
+                                cells.needed())
     assert [shape[1:] for shape in calls] == [(order, order) for _, order in chunks]
     assert bands[0][2] == n
 
@@ -357,22 +370,26 @@ def test_grouped_weights_match_pair_loop(key, level):
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
     s_el = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el] + 0.5 * mesh.h)
-    pairs = asm._GroupedPairs(mesh, s_el)
+    pairs = asm._GroupedPairs(s_el)
     # every offset: the last ones pair exterior elements and run past the mesh end
     ks = np.arange(2, n_el)
-    wx, wy = pairs.weights(ks)
-    ref_x, ref_y = np.zeros_like(wx), np.zeros_like(wy)
+    rows, keep = asm._kept_pairs(mesh, ks)
+    index = pairs.indices(rows, ks)
+    ref_keep, ref_index = np.zeros_like(keep), np.zeros_like(index)
     for j, k in enumerate(ks):
         for e in range(n_el - k):
             if ext[e] and ext[e + k]:
                 continue
-            b = int(np.flatnonzero(pairs.betas == 0.5 * (s_el[e] + s_el[e + k]))[0])
-            ref_x[b, j, e] = ref_y[b, j, e + k] = 1.0
-    assert np.array_equal(wx, ref_x)
-    assert np.array_equal(wy, ref_y)
-    # each existing pair has one order, and the pairs of two exterior elements none
+            i = int(np.flatnonzero(rows == e)[0])
+            ref_keep[i, j] = True
+            ref_index[i, j] = np.flatnonzero(pairs.betas == 0.5 * (s_el[e] + s_el[e + k]))[0]
+    assert np.array_equal(keep, ref_keep)
+    assert np.array_equal(np.where(keep, index, 0), ref_index)
+    # the pairs of two exterior elements are dropped, and so are the rows
+    # whose pairs all are
     kept = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in ks)
-    assert wx.sum() == wy.sum() == kept
+    assert keep.sum() == kept
+    assert np.all(np.any(keep, axis=1))
 
 
 GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
@@ -403,10 +420,11 @@ def _grouped_chunk_and_reference(ctx, mesh, rule, offset_sums):
 
     n_el = mesh.n_elements
     s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-    pairs = asm._GroupedPairs(mesh, s_q[:, 0])
+    pairs = asm._GroupedPairs(s_q[:, 0])
     # both ends of the offset range and geometric steps in between
     ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
-    return asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs), offset_sums(ks)
+    got = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs, *asm._kept_pairs(mesh, ks))
+    return got, offset_sums(ks)
 
 
 @pytest.mark.parametrize("key, kappa", GROUPED_CASES,
@@ -455,7 +473,10 @@ def test_step_grouped_blocks_match_beta_table():
             self_sum = np.zeros((n_el, 2, 2))
             cross = np.zeros((2, 2, n_el - ks[0], ks.size))
             for j, k in enumerate(ks):
-                part = asm._disjoint_chunk_general(ctx, mesh, ks[j : j + 1], rule, s_q, table)
+                one = ks[j : j + 1]
+                part = asm._disjoint_chunk_general(
+                    ctx, mesh, one, rule, s_q, table, *asm._kept_pairs(mesh, one)
+                )
                 self_sum += part[0]
                 cross[:, :, : n_el - k, j] = part[1][..., 0]
             return self_sum, cross
@@ -521,6 +542,24 @@ def test_quad_metadata_recorded():
         assert meta["near_field_keys"] == {
             "identical": identical, "vertex_sharing": vertex_sharing
         }
+    # the far cells, and the disjoint pairs they leave to the element path:
+    # together they hold every disjoint pair that is not both exterior
+    import varmatern.assembly as asm
+
+    for level in (3, 5):
+        mesh = build_uniform(3, 4, level)
+        n_el = mesh.n_elements
+        ext = ~mesh.element_interior
+        disjoint = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in range(2, n_el))
+        for key in ("const05", "bump"):
+            far = assemble_stiffness(mesh, _ctx(key)).quad_meta["far_cells"]
+            assert set(far) == {"cell_size", "order", "separation", "cell_pairs",
+                                "element_pairs"}
+            assert (far["cell_size"], far["order"], far["separation"]) == (
+                asm.CELL_SIZE, asm.CELL_ORDER, asm.CELL_SEPARATION)
+            assert all(type(far[name]) is int for name in ("cell_pairs", "element_pairs"))
+            assert (far["cell_pairs"] > 0) == (level == 5)
+            assert far["element_pairs"] + far["cell_pairs"] * asm.CELL_SIZE**2 == disjoint
 
 
 # ------------------------------------------------------- near-field keys
@@ -575,9 +614,13 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     system = assemble_stiffness(build_uniform(3, 4, 6), _ctx(key))
     # the grouped disjoint path calls bessel_k itself: these are the two
     # anchors of the identical pairs, then the two halves of the
-    # vertex-sharing pairs, one row per distinct integrand each
+    # vertex-sharing pairs, one row per distinct integrand each; then one
+    # call per offset of the far cells, one grid per distinct pair of cell
+    # orders (s is constant on every cell of either profile)
     assert system.quad_meta["strategy"] == "grouped"
-    assert seen == rows
+    assert seen[:4] == rows
+    assert len(seen) > 4
+    assert set(seen[4:]) <= ({1} if key == "const05" else {1, 2, 3})
     assert system.quad_meta["near_field_keys"] == {
         "identical": rows[0], "vertex_sharing": rows[2]
     }
@@ -679,7 +722,9 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
         # a one-offset chunk; self blocks per element, cross blocks per pair
         for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
             ks = np.array([k])
-            tab = asm._disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table)
+            tab = asm._disjoint_chunk_general(
+                ctx, mesh, ks, rule, s_q, table, *asm._kept_pairs(mesh, ks)
+            )
             ref = _chunk_reference(mesh, ks, direct)
             for part_tab, part_ref in zip(tab, ref):
                 axes = (1, 2) if part_ref.ndim == 3 else (0, 1)
@@ -742,6 +787,39 @@ def test_beta_table_unresolved_degree_raises(monkeypatch):
         assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
 
 
+CHOP_CASES = [(bounds, kappa) for bounds in ((0.35, 0.85), (0.01, 0.99))
+              for kappa in (0.5, 2.5, 10.0)]
+
+
+@pytest.mark.parametrize("bounds, kappa", CHOP_CASES,
+                         ids=[f"{lo}-{hi}-{kappa}" for (lo, hi), kappa in CHOP_CASES])
+def test_beta_table_chopped_sum_matches_full_degree(bounds, kappa):
+    import varmatern.assembly as asm
+
+    table = asm._BetaTable(smoothness.gaussian_bump(*bounds, 0.9, 3.0))
+    xq = gauss_legendre_01(6).nodes
+    rng = np.random.default_rng(7)
+    terms = []
+    for level in (4, 6, 8):
+        h = 2.0**-level
+        for ks in (np.arange(2, 6), np.arange(40, 48), np.arange(1990, 2000)):
+            r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
+            log_growth = np.log(np.maximum(4.0, 2.0 * kappa * r))
+            chopped = table.coefficients(kappa, r, log_growth, ks)
+            b = table.nodes.reshape(-1, 1, 1, 1)
+            values = asm._phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
+            full = np.tensordot(table.to_coef, values, axes=1)
+            assert full.shape[0] == asm.BETA_DEGREE + 1
+            assert np.array_equal(chopped, full[: chopped.shape[0]])
+            terms.append(chopped.shape[0])
+            t = rng.uniform(-1.0, 1.0, (50,) + r.shape)
+            ref = asm._clenshaw(full, t)
+            err = np.abs(asm._clenshaw(chopped, t) - ref)
+            assert np.all(err <= 1e-13 * np.abs(ref)), (level, ks[0], terms[-1])
+    # the chop shortens the series on most grids
+    assert np.median(terms) < asm.BETA_DEGREE + 1, terms
+
+
 def test_beta_table_order_outside_profile_bounds_raises():
     # bounds narrower than the values the profile takes
     profile = smoothness.SmoothnessProfile(
@@ -750,3 +828,188 @@ def test_beta_table_order_outside_profile_bounds_raises():
     ctx = KernelContext(2.5, 1.0, profile)
     with pytest.raises(AssemblyError, match="leaves the profile bounds"):
         assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
+
+
+# ------------------------------------------------------------- far cells
+
+FAR_CELL_CASES = [(key, kappa) for key in ("gaussian_bump", "bump_01", "oscillatory_ramp")
+                  for kappa in (0.5, 2.5, 10.0)]
+
+
+def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
+    """Largest error, relative to the block, of the element-pair blocks of
+    the cell pairs (c, c + d) from their interpolants against order-24
+    direct blocks: the pairs of the first, middle and last elements of
+    each cell. Only the pairs the far field takes, unless told otherwise;
+    returns the error and how many cell pairs it covers."""
+    import varmatern.assembly as asm
+
+    g, inverse, resolved = cells.grids(ctx, d, c)
+    if resolved_only:
+        c, inverse = c[resolved], inverse[resolved]
+    if not c.size:
+        return 0.0, 0
+    h, size = mesh.h, asm.CELL_SIZE
+    j = np.array([0, size // 2, size - 1])
+    m1 = cells.m1[j]
+    m0, m2 = m1.sum(axis=1), cells.m2[j]
+    g = g[inverse]
+    got = h * h * np.stack([
+        np.einsum("jabi,pik,lk->pjlab", m2, g, m0),
+        -np.einsum("jai,pik,lbk->pjlab", m1, g, m1),
+        np.einsum("ji,pik,lbak->pjlab", m0, g, m2),
+    ], axis=3)
+    first = (c[:, None, None] * size + j[None, :, None]) + 0 * j[None, None, :]
+    second = ((c + d)[:, None, None] * size + j[None, None, :]) + 0 * j[None, :, None]
+    ref = np.stack(asm._disjoint_blocks_direct(
+        ctx, h, mesh.nodes[first.ravel()], mesh.nodes[second.ravel()], gauss_legendre_01(24)
+    ), axis=1).reshape(got.shape)
+    err = np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    return float(np.max(err)), c.size
+
+
+def _far_cell_sample(cells, d):
+    """Cell pairs (c, c + d) of the far field's kind spread over the mesh."""
+    c = np.arange(cells.count - d)
+    c = c[cells.regular[c] & cells.regular[c + d] & ~(cells.exterior[c] & cells.exterior[c + d])]
+    return c[np.unique(np.linspace(0, c.size - 1, 6).astype(int))]
+
+
+@pytest.mark.parametrize("key, kappa", FAR_CELL_CASES,
+                         ids=[f"{key}-{kappa}" for key, kappa in FAR_CELL_CASES])
+def test_far_cells_hold_block_tolerance(key, kappa):
+    # every cell pair the far field takes, at the closest cell offsets and
+    # at some farther ones, against order-24 element-pair blocks
+    import varmatern.assembly as asm
+
+    ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
+    taken = 0
+    for level in (7, 8):
+        mesh = build_uniform(3, 4, level)
+        cells = asm._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
+        gap = asm.CELL_SEPARATION
+        for d in (gap, gap + 1, 2 * gap, cells.count // 2):
+            err, count = _cell_pair_errors(ctx, mesh, cells, d, _far_cell_sample(cells, d))
+            assert err <= asm.DISJOINT_BLOCK_RTOL, (level, d, err)
+            taken += count
+    assert taken > 0
+
+
+def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
+    # the negative controls of the constants: each misses the block
+    # tolerance on pairs whose interpolants it takes as resolved or not
+    import varmatern.assembly as asm
+
+    ctx = KernelContext(2.5, 1.0, BETA_TABLE_PROFILES["gaussian_bump"]())
+    mesh = build_uniform(3, 4, 7)
+    closer = asm.CELL_SEPARATION - 1
+    table = asm._BetaTable(ctx.profile)
+    cells = asm._FarCells(mesh, ctx.profile, table)
+    err, _ = _cell_pair_errors(ctx, mesh, cells, closer, _far_cell_sample(cells, closer), False)
+    assert err > asm.DISJOINT_BLOCK_RTOL
+    monkeypatch.setattr(asm, "CELL_ORDER", asm.CELL_ORDER - 4)
+    cells = asm._FarCells(mesh, ctx.profile, table)
+    gap = asm.CELL_SEPARATION
+    err, _ = _cell_pair_errors(ctx, mesh, cells, gap, _far_cell_sample(cells, gap), False)
+    assert err > asm.DISJOINT_BLOCK_RTOL
+
+
+def _row_oracle(mesh, ctx, nodes, n):
+    """Rows of A at the mesh ``nodes`` over the unknowns, rebuilt from
+    single-pair blocks: identical and vertex-sharing pairs at order n,
+    disjoint pairs by direct tensor Gauss of order 24."""
+    import varmatern.assembly as asm
+
+    n_el = mesh.n_elements
+    ext = ~mesh.element_interior
+    pairs = sorted({(min(e, f), max(e, f)) for node in nodes for e in (node - 1, node)
+                    if 0 <= e < n_el for f in range(n_el) if not (ext[e] and ext[f])})
+    e, f = np.array([pair for pair in pairs if pair[1] - pair[0] >= 2]).T
+    # a pair's blocks depend on its offset and on s at its quadrature
+    # points only: pairs that agree in these are evaluated once
+    rule = gauss_legendre_01(24)
+    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
+    _, first, inverse = np.unique(np.column_stack([f - e, s_q[e], s_q[f]]), axis=0,
+                                  return_index=True, return_inverse=True)
+    sxx, sxy, syy = (part[inverse.ravel()] for part in asm._disjoint_blocks_direct(
+        ctx, mesh.h, mesh.nodes[e[first]], mesh.nodes[f[first]], rule
+    ))
+    a1 = assemble_weighted_mass(mesh, ctx, gauss_legendre_01(n))
+    rows = []
+    for node in nodes:
+        row = np.zeros(mesh.n_nodes)
+        for first, second in pairs:
+            if second - first < 2:
+                block, on = (pair_block_identical(mesh, ctx, first, n) if first == second
+                             else pair_block_adjacent(mesh, ctx, first, second, n))
+                if node in on:
+                    row[list(on)] += (1.0 if first == second else 2.0) * block[on.index(node)]
+        for a in range(2):
+            on_e, on_f = e + a == node, f + a == node
+            for b in range(2):
+                np.add.at(row, e[on_e] + b, 2.0 * sxx[on_e, a, b])
+                np.add.at(row, f[on_e] + b, 2.0 * sxy[on_e, a, b])
+                np.add.at(row, f[on_f] + b, 2.0 * syy[on_f, a, b])
+                np.add.at(row, e[on_f] + b, 2.0 * sxy[on_f, b, a])
+        i = node - mesh.first_interior_node
+        rows.append(row[mesh.interior_slice] + a1[[i], :].toarray()[0])
+    return rows
+
+
+@pytest.mark.parametrize("key", ["bump", "step", "const05"])
+@pytest.mark.parametrize("level", [7, 8])
+def test_stiffness_rows_match_single_pair_oracle(key, level):
+    # n = 12 leaves every disjoint pair its graded order (n_far(2) = 10),
+    # which holds each block to DISJOINT_BLOCK_RTOL; a smaller n would cap
+    # the nearest offsets below it
+    mesh = build_uniform(3, 4, level)
+    ctx = _ctx(key)
+    system = assemble_stiffness(mesh, ctx, n=12)
+    assert system.quad_meta["far_cells"]["cell_pairs"] > 0
+    lo, hi = mesh.first_interior_node, mesh.last_interior_node
+    jump = int(np.flatnonzero(mesh.nodes == 0.0)[0])
+    # both ends of D (the nodes at -+r_int), their neighbours, the step's jump
+    nodes = (lo, lo + 1, jump, hi - 1, hi)
+    for node, ref in zip(nodes, _row_oracle(mesh, ctx, nodes, 12)):
+        err = np.max(np.abs(system.a[node - lo] - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), (node, err / np.max(np.abs(ref)))
+
+
+def test_irregular_cells_keep_the_element_path(monkeypatch):
+    # D = [-2.75, 2.75] ends inside a cell, and the profile has knots inside
+    # cells: those cells keep the element path at every offset, and A
+    # agrees with the element path alone
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(2.75, 4, 5)  # 40 exterior elements at either end
+    profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
+    ctx = KernelContext(2.5, 1.0, profile)
+    cells = asm._FarCells(mesh, profile)
+    lefts = mesh.nodes[: cells.count * asm.CELL_SIZE : asm.CELL_SIZE]
+    straddle = (lefts < -2.75) & (lefts + asm.CELL_SIZE * mesh.h > -2.75)
+    knot = (lefts < -0.3) & (lefts + asm.CELL_SIZE * mesh.h > -0.3)
+    assert np.count_nonzero(straddle) == np.count_nonzero(knot) == 1
+    assert not np.any(cells.regular[straddle | knot])
+    cellular = assemble_stiffness(mesh, ctx)
+    assert cellular.quad_meta["far_cells"]["cell_pairs"] > 0
+    monkeypatch.setattr(asm, "CELL_SEPARATION", mesh.n_elements)
+    elementwise = assemble_stiffness(mesh, ctx)
+    assert elementwise.quad_meta["far_cells"]["cell_pairs"] == 0
+    scale = np.max(np.abs(elementwise.a))
+    assert np.max(np.abs(cellular.a - elementwise.a)) <= 1e-14 * scale
+    assert np.array_equal(cellular.a, cellular.a.T)
+
+
+@pytest.mark.parametrize("key", ["step", "bump"])
+def test_assembly_peak_memory_within_twice_a(key):
+    import tracemalloc
+
+    mesh = build_uniform(3, 4, 8)
+    ctx = _ctx(key)
+    tracemalloc.start()
+    try:
+        system = assemble_stiffness(mesh, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * system.a.nbytes, peak / system.a.nbytes
