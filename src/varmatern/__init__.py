@@ -15,6 +15,7 @@ from . import (  # noqa: F401
     checks,
     config,
     convergence,
+    farfield,
     fileio,
     kernel,
     linalg,

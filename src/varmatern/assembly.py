@@ -14,19 +14,14 @@ keys along the mesh is evaluated once, a few hundred rows at a time, and
 scattered back to its pairs, which on a piecewise-constant profile leaves a
 handful of integrands per level.
 
-Far field: the elements group into cells of CELL_SIZE. Away from x = y the
-kernel g = phi r^(-1 - 2 beta) is analytic on a pair of cells wherever s is,
-so a cell pair CELL_SEPARATION or more cells apart takes g from its
-interpolant on CELL_ORDER x CELL_ORDER Chebyshev points (the degenerate-
-kernel step of hierarchical matrices, on one level: Boerm, Grasedyck &
-Hackbusch, Hierarchical Matrices, 2003, ch. 2-3). On the uniform mesh the
-moments of the interpolant's Lagrange functions against the hats are the
-same in every cell, so the pair adds -h^2 W G W^T to the cross entries of
-A2 and its self blocks come from G mu; the pairs of one cell offset are
-done together, and their blocks never all held at once. A cell that
+Far field (varmatern.farfield): pairs of cells of farfield.CELL_SIZE
+elements, farfield.CELL_SEPARATION or more cells apart, take the kernel from
+its Chebyshev interpolant on the cell pair; each such pair adds its blocks by
+matrix products with moments shared by every cell, the pairs of one cell
+offset together, and their blocks are never all held at once. A cell that
 straddles +-r_int or holds a breakpoint of s inside, a pair whose
-interpolant's Chebyshev tail is not negligible (_FarCells), and every pair
-closer than the cell separation keep the element path below.
+interpolant's Chebyshev tail is not negligible, and every pair closer than
+the cell separation keep the element path below.
 
 Element path: disjoint pairs are batched by index offset k: on the uniform
 mesh every pair of one offset shares the distance grid r_ab = h (k + x_b -
@@ -74,11 +69,11 @@ never frozen per element.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.linalg import cholesky_banded
 
-from . import smoothness
+from . import farfield, smoothness
+from .farfield import _chebyshev, _clenshaw, _distinct_rows, _FarCells
 from .kernel import _phi_from_beta, _prefactor_from_beta, bessel_k
 from .linalg import cholesky
 from .mesh import adjacent_pair_maps, classify_pair, hat_eval
@@ -133,24 +128,6 @@ DISJOINT_BLOCK_RTOL = 1e-12
 # of the largest coefficient instead, the chopped sum missed the full one by
 # up to 1.4e-12 of itself, where the kernel falls steeply in beta.
 BETA_CHOP_RTOL = 1e-13
-
-# The far field: cells of CELL_SIZE elements, a pair of cells CELL_SEPARATION
-# or more cells apart interpolated on CELL_ORDER Chebyshev points per cell.
-# Against order-24 direct blocks (gaussian bumps on [0.35, 0.85] and [0.01,
-# 0.99], the oscillatory ramp, kappa in {0.5, 2.5, 10}, levels 7 and 8) the
-# element-pair blocks of cell pairs 3 and 4 apart stay within 2.9e-13 of
-# themselves at order 16; order 14 gives 1.5e-11 and order 12 1.1e-9, and
-# cells 2 apart give 2.9e-10 at order 16 and 2.9e-13 only at order 20.
-# Where kappa CELL_SIZE h is large, or s changes fast across a cell, a
-# fixed order does not suffice: a cell pair whose last two Chebyshev
-# coefficients in either variable exceed CELL_TAIL_RTOL of its smallest
-# kernel value keeps the element path. That estimate ran 50 to 1500 times
-# above the block error over the same profiles, kappa in {0.5, 10, 50}
-# and levels 4 to 8 (bumps as narrow as sigma = 0.1 too).
-CELL_SIZE = 16
-CELL_ORDER = 16
-CELL_SEPARATION = 3
-CELL_TAIL_RTOL = 1e-11
 
 # Pairs per chunk of offsets on the grouped disjoint-pair path: the chunk's
 # blocks, one per pair, stay at about 3 MB.
@@ -265,18 +242,6 @@ def _element_order_max(profile, h, lefts):
     samples = np.linspace(0.0, 1.0, 33)
     s_vals = smoothness.evaluate(profile, lefts[:, None] + h * samples[None, :])
     return np.max(s_vals, axis=1)
-
-
-def _distinct_rows(*keys):
-    """The integrands to evaluate: the first row of each run of equal keys
-    along the leading axis, and for every row the index of its run. Equal
-    keys that are not next to each other start a run each."""
-    rows = len(keys[0])
-    new = np.arange(rows) == 0
-    for key in keys:
-        key = key.reshape(rows, -1)
-        new[1:] |= np.any(key[1:] != key[:-1], axis=1)
-    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _by_rows(fn, count):
@@ -524,16 +489,6 @@ def _check_finite(arr, what):
         raise AssemblyError(f"non-finite entries while assembling {what}")
 
 
-def _chebyshev(count):
-    """The ``count`` Chebyshev points of the first kind on [-1, 1] and the map
-    from values there to the coefficients of their interpolant."""
-    j = np.arange(count)
-    theta = np.pi * (j + 0.5) / count
-    to_coef = 2.0 / count * np.cos(np.outer(j, theta))
-    to_coef[0] *= 0.5
-    return np.cos(theta), to_coef
-
-
 class _BetaTable:
     """Chebyshev nodes of [s_lower, s_upper] in beta and the map from kernel
     values at those nodes to Chebyshev coefficients (first kind)."""
@@ -589,20 +544,6 @@ class _BetaTable:
                 f"{self.upper}] at disjoint offset {ks[np.argwhere(outside)[0][1]]}"
             )
         return (b - self.mid) / self.half
-
-
-def _clenshaw(coef, t):
-    """sum_j coef[j] T_j(t); coef[j] broadcasts against t."""
-    two_t = 2.0 * t
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    tmp = np.empty_like(t)
-    for c in coef[:0:-1]:
-        np.multiply(two_t, b1, out=tmp)
-        tmp -= b2
-        tmp += c
-        b1, b2, tmp = tmp, b1, b2
-    return coef[0] + t * b1 - b2
 
 
 def _disjoint_orders(n_el, n, kappa_h):
@@ -771,156 +712,10 @@ class _DisjointSums:
             _band_add(self.a, self.first, da, db, 2.0 * self.self_blocks[:, da, db])
 
 
-class _FarCells:
-    """The far field on cells of CELL_SIZE consecutive elements (the last
-    n_el mod CELL_SIZE elements form none).
-
-    A cell pair CELL_SEPARATION or more cells apart takes the kernel from its
-    interpolant on the tensor grid of CELL_ORDER Chebyshev points in each
-    cell. The interpolant's Lagrange functions have the same moments on the
-    k-th element of every cell, so the pair's blocks are matrix products of
-    its kernel grid G with moments computed once: the node-by-node cross
-    block -h^2 W G W^T, and the self blocks of its first and second cell
-    from G mu and G^T mu, mu the cell integrals. The cell pairs of one cell
-    offset share one distance grid; each distinct beta grid among them is
-    evaluated once, directly on the grouped path (one grid per offset and
-    pair of orders on a piecewise-constant profile) and from the beta
-    ``table`` on the offset's distance grid on the general path. A pair joins the far field only if both cells are
-    regular (all interior or all exterior, with no breakpoint of s inside),
-    they are not both exterior, and the last two Chebyshev coefficients of
-    its grid in either variable stay within CELL_TAIL_RTOL of its smallest
-    kernel value; every other pair keeps the element path.
-    """
-
-    def __init__(self, mesh, profile, table=None):
-        size, p = CELL_SIZE, CELL_ORDER
-        self.mesh = mesh
-        self.table = table
-        self.count = n = mesh.n_elements // size
-        tau, self.to_coef = _chebyshev(p)
-        self.t = 0.5 * (1.0 + tau)  # the nodes in cell lengths
-        lefts = mesh.nodes[: n * size : size]
-        rights = mesh.nodes[size : (n + 1) * size : size]
-        self.s = smoothness.evaluate(profile, lefts[:, None] + (rights - lefts)[:, None] * self.t)
-        ext = ~mesh.element_interior[: n * size].reshape(n, size)
-        self.exterior = np.all(ext, axis=1)
-        breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
-        broken = np.searchsorted(breaks, rights) > np.searchsorted(breaks, lefts, "right")
-        self.regular = (self.exterior | ~np.any(ext, axis=1)) & ~broken
-        # moments on the elements of one cell: Gauss of this order is exact
-        # for psi_a psi_b L_i, of degree p + 1
-        rule = gauss_legendre_01(p // 2 + 1)
-        u = 2.0 * (np.arange(size)[:, None] + rule.nodes) / size - 1.0
-        lagrange = np.cos(np.arccos(u)[..., None] * np.arange(p)) @ self.to_coef
-        psi = np.stack([1.0 - rule.nodes, rule.nodes])
-        self.m1 = np.einsum("q,aq,jqi->jai", rule.weights, psi, lagrange)
-        self.m2 = np.einsum("q,aq,bq,jqi->jabi", rule.weights, psi, psi, lagrange)
-        self.mu = self.m1.sum(axis=(0, 1))
-        self.w = np.zeros((size + 1, p))
-        self.w[:-1] += self.m1[:, 0]
-        self.w[1:] += self.m1[:, 1]
-        # (cell of the first element, cell of the second) in the far field;
-        # the last index stands for the elements past the last cell
-        self.far = np.zeros((n + 1, n + 1), dtype=bool)
-        self.cell_of = np.minimum(np.arange(mesh.n_elements) // size, n)
-
-    def covered(self, first, second):
-        """Whether the element pairs (first, second) are in the far field."""
-        return self.far[self.cell_of[first], self.cell_of[second]]
-
-    def needed(self):
-        """Per offset k = 0 ... n_el - 1, whether some pair (e, e + k) may
-        lie outside the far field: the pairs of offset k lie in cell pairs
-        k // CELL_SIZE and k // CELL_SIZE + 1 cells apart."""
-        n_el = self.mesh.n_elements
-        ext = self.exterior
-        if self.count * CELL_SIZE < n_el:
-            ext = np.append(ext, np.all(~self.mesh.element_interior[self.count * CELL_SIZE :]))
-        m = ext.size
-        open_ = np.zeros(m + 1, dtype=bool)
-        for d in range(m):
-            c = np.arange(m - d)
-            open_[d] = np.any(~self.far[c, c + d] & ~(ext[c] & ext[c + d]))
-        k = np.arange(n_el)
-        q = k // CELL_SIZE
-        return open_[q] | ((k % CELL_SIZE > 0) & open_[q + 1])
-
-    def grids(self, ctx, d, c):
-        """Kernel grids g[i, j] at (x_i, y_j) of the cell pairs (c, c + d),
-        each distinct one once, and for every pair the index of its grid and
-        whether its interpolant resolves the kernel."""
-        h = self.mesh.h
-        beta = 0.5 * (self.s[c, :, None] + self.s[c + d, None, :])
-        key, inverse = _distinct_rows(beta)
-        beta = beta[key]
-        r = h * CELL_SIZE * (d + self.t[None, :] - self.t[:, None])
-        if self.table is None:
-            g = _phi_from_beta(ctx.kappa, beta, r) * r ** (-1.0 - 2.0 * beta)
-        else:
-            # errors name the element offset of the cell offset
-            ks = np.array([d * CELL_SIZE])
-            log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
-            coef = self.table.coefficients(ctx.kappa, r[None], log_growth[None], ks)[:, 0]
-            f = _clenshaw(coef, self.table.abscissae(beta[:, None], ks)[:, 0])
-            g = f * np.exp((0.5 + beta) * (log_growth - 2.0 * np.log(r)))
-        coef = self.to_coef @ g @ self.to_coef.T
-        tail = np.maximum(np.max(np.abs(coef[:, -2:]), axis=(1, 2)),
-                          np.max(np.abs(coef[:, :, -2:]), axis=(1, 2)))
-        return g, inverse, (tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2)))[inverse]
-
-    def add(self, ctx, sums):
-        """Add the far field to ``sums`` and mark its cell pairs in ``far``;
-        returns the number of cell pairs it holds."""
-        size, n = CELL_SIZE, self.count
-        h = self.mesh.h
-        v = np.zeros((n, CELL_ORDER))
-        for d in range(CELL_SEPARATION, n):
-            c = np.arange(n - d)
-            c = c[self.regular[c] & self.regular[c + d] & ~(self.exterior[c] & self.exterior[c + d])]
-            if not c.size:
-                continue
-            g, inverse, resolved = self.grids(ctx, d, c)
-            c, inverse = c[resolved], inverse[resolved]
-            self.far[c, c + d] = True
-            v[c] += (g @ self.mu)[inverse]
-            v[c + d] += (self.mu @ g)[inverse]
-            cross = (-2.0 * h * h) * (self.w @ g @ self.w.T)[inverse]
-            _add_cell_blocks(sums.a, c * size - sums.first, (c + d) * size - sums.first, size, cross)
-        sums.self_blocks[: n * size] += (
-            h * h * np.einsum("jabi,ci->cjab", self.m2, v).reshape(-1, 2, 2)
-        )
-        return int(np.count_nonzero(self.far))
-
-
-def _add_cell_blocks(a, rows, cols, size, blocks):
-    """a[rows[i] + u, cols[i] + w] += blocks[i, u, w] where the index lies in
-    a. ``rows`` ascends in multiples of ``size`` and ``cols`` - ``rows`` is
-    constant, so blocks ``size`` apart overlap in one row and one column,
-    and each half of them, taken in turn, in none."""
-    n = a.shape[0]
-    inside = (rows >= 0) & (cols + size < n)
-    for i in np.flatnonzero(~inside & (rows + size >= 0) & (cols < n)):
-        r0, c0 = max(rows[i], 0), max(cols[i], 0)
-        r1, c1 = min(rows[i] + size + 1, n), min(cols[i] + size + 1, n)
-        a[r0:r1, c0:c1] += blocks[i, r0 - rows[i] : r1 - rows[i], c0 - cols[i] : c1 - cols[i]]
-    if np.any(inside):
-        rows, cols, blocks = rows[inside], cols[inside], blocks[inside]
-        steps = (rows - rows[0]) // size
-        dense = np.zeros((steps[-1] + 1,) + blocks.shape[1:])
-        dense[steps] = blocks
-        corner = a[rows[0] :, cols[0] :]
-        view = as_strided(
-            corner, dense.shape, (size * (corner.strides[0] + corner.strides[1]),) + corner.strides
-        )
-        view[0::2] += dense[0::2]
-        view[1::2] += dense[1::2]
-
-
-def _mirror_upper(a, rows=256):
-    """Copy the upper triangle of a onto its lower one, a block of rows at a
-    time."""
-    for i0 in range(0, a.shape[0], rows):
-        i1 = min(i0 + rows, a.shape[0])
+def _mirror_upper(a):
+    """Copy the upper triangle of a onto its lower one, 256 rows at a time."""
+    for i0 in range(0, a.shape[0], 256):
+        i1 = min(i0 + 256, a.shape[0])
         a[i0:i1, :i0] = a[:i0, i0:i1].T
         block = a[i0:i1, i0:i1]
         block[np.tril_indices(i1 - i0, -1)] = block.T[np.tril_indices(i1 - i0, -1)]
@@ -956,17 +751,17 @@ def assemble_stiffness(
     rate (defaulting to the expected strong rate of the profile).
 
     The disjoint pairs split into the far field and the near band. The far
-    field holds the pairs of cells of CELL_SIZE elements CELL_SEPARATION or
-    more cells apart, where both cells are all interior or all exterior,
-    hold no breakpoint of s inside and the kernel's interpolant on
-    CELL_ORDER Chebyshev points per cell resolves it; each such cell pair
-    adds its cross block and self blocks by matrix products with moments
-    shared by every cell. Every other disjoint pair (the near band, and the
-    pairs of cells that fail a condition) takes tensor Gauss of order
-    min(n, n_far(k)) at offset k, which holds each block to
-    DISJOINT_BLOCK_RTOL of itself where kappa h is small; where kappa h > 1
-    they keep n. The element path follows from s at the quadrature points of
-    each element, at the nodes of every order in use. When s takes one value
+    field (farfield._FarCells) holds the pairs of cells of CELL_SIZE
+    elements CELL_SEPARATION or more cells apart, where both cells are all
+    interior or all exterior, hold no breakpoint of s inside and the
+    kernel's interpolant on CELL_ORDER Chebyshev points per cell resolves
+    it; each such cell pair adds its cross block and self blocks by matrix
+    products with moments shared by every cell. Every other disjoint pair
+    (the near band, and the pairs of cells that fail a condition) takes
+    tensor Gauss of order min(n, n_far(k)) at offset k, which holds each
+    block to DISJOINT_BLOCK_RTOL of itself where kappa h is small; where
+    kappa h > 1 they keep n. The element path follows from s at the
+    quadrature points of each element, at the nodes of every order in use. When s takes one value
     there in every element, the grouped path takes each band of one order in
     chunks of about _CHUNK_PAIRS pairs, one bessel_k call per chunk, and the
     far cells evaluate each distinct grid directly; otherwise the general
@@ -1093,9 +888,9 @@ def assemble_stiffness(
         "beta_degree": beta_degree,
         "near_field_keys": {"identical": identical_keys, "vertex_sharing": adjacent_keys},
         "far_cells": {
-            "cell_size": CELL_SIZE,
-            "order": CELL_ORDER,
-            "separation": CELL_SEPARATION,
+            "cell_size": farfield.CELL_SIZE,
+            "order": farfield.CELL_ORDER,
+            "separation": farfield.CELL_SEPARATION,
             "cell_pairs": cell_pairs,
             "element_pairs": element_pairs,
         },

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varmatern import smoothness
+from varmatern import farfield, smoothness
 from varmatern.assembly import (
     AssemblyError,
     assemble_plain_mass,
@@ -325,7 +325,7 @@ def _far_cells(mesh, ctx):
     """The far cells of an assembly of ``mesh``, with their cell pairs marked."""
     import varmatern.assembly as asm
 
-    cells = asm._FarCells(mesh, ctx.profile)  # grouped: no beta table
+    cells = farfield._FarCells(mesh, ctx.profile)  # grouped: no beta table
     cells.add(ctx, asm._DisjointSums(np.zeros((mesh.interior_node_count,) * 2), mesh))
     return cells
 
@@ -556,10 +556,10 @@ def test_quad_metadata_recorded():
             assert set(far) == {"cell_size", "order", "separation", "cell_pairs",
                                 "element_pairs"}
             assert (far["cell_size"], far["order"], far["separation"]) == (
-                asm.CELL_SIZE, asm.CELL_ORDER, asm.CELL_SEPARATION)
+                farfield.CELL_SIZE, farfield.CELL_ORDER, farfield.CELL_SEPARATION)
             assert all(type(far[name]) is int for name in ("cell_pairs", "element_pairs"))
             assert (far["cell_pairs"] > 0) == (level == 5)
-            assert far["element_pairs"] + far["cell_pairs"] * asm.CELL_SIZE**2 == disjoint
+            assert far["element_pairs"] + far["cell_pairs"] * farfield.CELL_SIZE**2 == disjoint
 
 
 # ------------------------------------------------------- near-field keys
@@ -603,24 +603,32 @@ def test_near_field_keys_match_row_by_row(key, level):
 def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     import varmatern.assembly as asm
 
-    seen = []
+    seen, far = [], []
     real = asm._phi_from_beta
 
-    def counted(kappa, b, r):
-        seen.append(np.shape(b)[0])
-        return real(kappa, b, r)
+    def counted(record):
+        def call(kappa, b, r):
+            record.append(np.shape(b)[0])
+            return real(kappa, b, r)
+        return call
 
-    monkeypatch.setattr(asm, "_phi_from_beta", counted)
-    system = assemble_stiffness(build_uniform(3, 4, 6), _ctx(key))
+    monkeypatch.setattr(asm, "_phi_from_beta", counted(seen))
+    monkeypatch.setattr(farfield, "_phi_from_beta", counted(far))
+    mesh = build_uniform(3, 4, 6)
+    system = assemble_stiffness(mesh, _ctx(key))
     # the grouped disjoint path calls bessel_k itself: these are the two
     # anchors of the identical pairs, then the two halves of the
-    # vertex-sharing pairs, one row per distinct integrand each; then one
-    # call per offset of the far cells, one grid per distinct pair of cell
-    # orders (s is constant on every cell of either profile)
+    # vertex-sharing pairs, one row per distinct integrand each
     assert system.quad_meta["strategy"] == "grouped"
-    assert seen[:4] == rows
-    assert len(seen) > 4
-    assert set(seen[4:]) <= ({1} if key == "const05" else {1, 2, 3})
+    assert seen == rows
+    # the far cells: one call per pass and one grid per cell offset and
+    # distinct pair of cell orders (s is constant on every cell of either
+    # profile); a cell offset split between two passes counts in both
+    offsets = np.unique(farfield._FarCells(mesh, PROFILES[key]()).pairs()[1]).size
+    split = len(far) - 1
+    assert offsets > 0 and split >= 0
+    assert (offsets <= sum(far) <= offsets + split if key == "const05"
+            else offsets < sum(far) <= 3 * (offsets + split))
     assert system.quad_meta["near_field_keys"] == {
         "identical": rows[0], "vertex_sharing": rows[2]
     }
@@ -844,12 +852,12 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     returns the error and how many cell pairs it covers."""
     import varmatern.assembly as asm
 
-    g, inverse, resolved = cells.grids(ctx, d, c)
+    g, inverse, resolved = cells.grids(ctx, c, np.full(c.size, d))
     if resolved_only:
         c, inverse = c[resolved], inverse[resolved]
     if not c.size:
         return 0.0, 0
-    h, size = mesh.h, asm.CELL_SIZE
+    h, size = mesh.h, farfield.CELL_SIZE
     j = np.array([0, size // 2, size - 1])
     m1 = cells.m1[j]
     m0, m2 = m1.sum(axis=1), cells.m2[j]
@@ -886,8 +894,8 @@ def test_far_cells_hold_block_tolerance(key, kappa):
     taken = 0
     for level in (7, 8):
         mesh = build_uniform(3, 4, level)
-        cells = asm._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
-        gap = asm.CELL_SEPARATION
+        cells = farfield._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
+        gap = farfield.CELL_SEPARATION
         for d in (gap, gap + 1, 2 * gap, cells.count // 2):
             err, count = _cell_pair_errors(ctx, mesh, cells, d, _far_cell_sample(cells, d))
             assert err <= asm.DISJOINT_BLOCK_RTOL, (level, d, err)
@@ -902,14 +910,14 @@ def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
 
     ctx = KernelContext(2.5, 1.0, BETA_TABLE_PROFILES["gaussian_bump"]())
     mesh = build_uniform(3, 4, 7)
-    closer = asm.CELL_SEPARATION - 1
+    closer = farfield.CELL_SEPARATION - 1
     table = asm._BetaTable(ctx.profile)
-    cells = asm._FarCells(mesh, ctx.profile, table)
+    cells = farfield._FarCells(mesh, ctx.profile, table)
     err, _ = _cell_pair_errors(ctx, mesh, cells, closer, _far_cell_sample(cells, closer), False)
     assert err > asm.DISJOINT_BLOCK_RTOL
-    monkeypatch.setattr(asm, "CELL_ORDER", asm.CELL_ORDER - 4)
-    cells = asm._FarCells(mesh, ctx.profile, table)
-    gap = asm.CELL_SEPARATION
+    monkeypatch.setattr(farfield, "CELL_ORDER", farfield.CELL_ORDER - 4)
+    cells = farfield._FarCells(mesh, ctx.profile, table)
+    gap = farfield.CELL_SEPARATION
     err, _ = _cell_pair_errors(ctx, mesh, cells, gap, _far_cell_sample(cells, gap), False)
     assert err > asm.DISJOINT_BLOCK_RTOL
 
@@ -984,15 +992,15 @@ def test_irregular_cells_keep_the_element_path(monkeypatch):
     mesh = build_uniform(2.75, 4, 5)  # 40 exterior elements at either end
     profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
     ctx = KernelContext(2.5, 1.0, profile)
-    cells = asm._FarCells(mesh, profile)
-    lefts = mesh.nodes[: cells.count * asm.CELL_SIZE : asm.CELL_SIZE]
-    straddle = (lefts < -2.75) & (lefts + asm.CELL_SIZE * mesh.h > -2.75)
-    knot = (lefts < -0.3) & (lefts + asm.CELL_SIZE * mesh.h > -0.3)
+    cells = farfield._FarCells(mesh, profile)
+    lefts = mesh.nodes[: cells.count * farfield.CELL_SIZE : farfield.CELL_SIZE]
+    straddle = (lefts < -2.75) & (lefts + farfield.CELL_SIZE * mesh.h > -2.75)
+    knot = (lefts < -0.3) & (lefts + farfield.CELL_SIZE * mesh.h > -0.3)
     assert np.count_nonzero(straddle) == np.count_nonzero(knot) == 1
     assert not np.any(cells.regular[straddle | knot])
     cellular = assemble_stiffness(mesh, ctx)
     assert cellular.quad_meta["far_cells"]["cell_pairs"] > 0
-    monkeypatch.setattr(asm, "CELL_SEPARATION", mesh.n_elements)
+    monkeypatch.setattr(farfield, "CELL_SEPARATION", mesh.n_elements)
     elementwise = assemble_stiffness(mesh, ctx)
     assert elementwise.quad_meta["far_cells"]["cell_pairs"] == 0
     scale = np.max(np.abs(elementwise.a))
@@ -1013,3 +1021,20 @@ def test_assembly_peak_memory_within_twice_a(key):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * system.a.nbytes, peak / system.a.nbytes
+
+
+def test_needed_offsets_hold_every_pair_left_to_the_element_path():
+    # far fields with holes: an offset whose pairs all lie in cell pairs of
+    # the far field may be skipped, no other
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(3, 4, 5)  # 16 cells
+    cells = farfield._FarCells(mesh, smoothness.constant(0.5))
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        cells.far[:] = np.triu(rng.random(cells.far.shape) < 0.97, farfield.CELL_SEPARATION)
+        needed = cells.needed()
+        held = [asm._kept_pairs(mesh, np.array([k]), cells.covered)[0].size > 0
+                for k in range(mesh.n_elements)]
+        assert np.all(needed[2:] | ~np.array(held[2:]))
+        assert not np.all(needed)
