@@ -42,9 +42,12 @@ CELL_ORDER = 16
 CELL_SEPARATION = 3
 CELL_TAIL_RTOL = 1e-11
 
-# Candidate cell pairs per pass of the far field: their beta and kernel
-# grids take about 0.5 MB each.
-_CELL_PAIRS = 256
+# Candidate cell pairs per pass of the far field (whole cell offsets, so at
+# least the pairs of one): their beta and kernel grids take about 0.25 MB
+# each. Passes of 256 pairs split across offsets left 0.4 MB more resident
+# after a level-8 assembly, and the covariance that followed peaked higher
+# by as much.
+_CELL_PAIRS = 128
 
 
 def _chebyshev(count):
@@ -98,8 +101,8 @@ class _FarCells:
     offset share one distance grid; each distinct beta grid among them is
     evaluated once: directly without a beta ``table`` (one grid per offset
     and pair of orders on a piecewise-constant profile), else from the
-    table on the offset's distance grid. The candidate pairs go
-    _CELL_PAIRS at a time. A pair joins the far field only if both cells
+    table on the offset's distance grid. The candidate pairs go in passes
+    of whole offsets, about _CELL_PAIRS at a time. A pair joins the far field only if both cells
     are regular (all interior or all exterior, with no breakpoint of s
     inside), they are not both exterior, and the last two Chebyshev
     coefficients of its grid in either variable stay within CELL_TAIL_RTOL
@@ -200,15 +203,22 @@ class _FarCells:
         return g, inverse, (tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2)))[inverse]
 
     def add(self, ctx, sums):
-        """Add the far field to ``sums`` and mark its cell pairs in ``far``,
-        _CELL_PAIRS candidate pairs at a time; returns the number of cell
-        pairs it holds."""
+        """Add the far field to ``sums`` and mark its cell pairs in ``far``;
+        returns the number of cell pairs it holds."""
         size, n = CELL_SIZE, self.count
         h = self.mesh.h
         v = np.zeros((n, CELL_ORDER))
         c_all, d_all = self.pairs()
-        for i in range(0, c_all.size, _CELL_PAIRS):
-            c, d = c_all[i : i + _CELL_PAIRS], d_all[i : i + _CELL_PAIRS]
+        # passes of whole cell offsets, at most _CELL_PAIRS pairs unless one
+        # offset alone has more
+        ends = np.append(np.flatnonzero(np.diff(d_all)) + 1, d_all.size)
+        i = 0
+        while i < d_all.size:
+            later = ends[ends > i]
+            fits = later[later <= i + _CELL_PAIRS]
+            j = fits[-1] if fits.size else later[0]
+            c, d = c_all[i:j], d_all[i:j]
+            i = j
             g, inverse, resolved = self.grids(ctx, c, d)
             c, d, inverse = c[resolved], d[resolved], inverse[resolved]
             self.far[c, c + d] = True

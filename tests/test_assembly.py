@@ -621,14 +621,12 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     # vertex-sharing pairs, one row per distinct integrand each
     assert system.quad_meta["strategy"] == "grouped"
     assert seen == rows
-    # the far cells: one call per pass and one grid per cell offset and
-    # distinct pair of cell orders (s is constant on every cell of either
-    # profile); a cell offset split between two passes counts in both
+    # the far cells: one call per pass of whole cell offsets, one grid per
+    # offset and distinct pair of cell orders (s is constant on every cell
+    # of either profile)
     offsets = np.unique(farfield._FarCells(mesh, PROFILES[key]()).pairs()[1]).size
-    split = len(far) - 1
-    assert offsets > 0 and split >= 0
-    assert (offsets <= sum(far) <= offsets + split if key == "const05"
-            else offsets < sum(far) <= 3 * (offsets + split))
+    assert 0 < len(far) < offsets
+    assert (sum(far) == offsets if key == "const05" else offsets < sum(far) <= 3 * offsets)
     assert system.quad_meta["near_field_keys"] == {
         "identical": rows[0], "vertex_sharing": rows[2]
     }
