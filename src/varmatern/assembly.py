@@ -135,9 +135,7 @@ _CHUNK_PAIRS = 2**15
 
 # Quadrature points per chunk of offsets on the general path (one offset
 # takes more when it alone has more): its pair orders, Clenshaw temporaries
-# and kernel values take 0.25 MB each. At level 6 the peak allocation of
-# assembly (6.15 MB) is then still that of the dense pair sums; 2**16 points
-# raised it to 6.33 MB.
+# and kernel values take 0.25 MB each.
 _CHUNK_POINTS = 2**15
 
 # Rows (elements or vertex-sharing pairs) per pass of the near-field
@@ -865,7 +863,6 @@ def assemble_stiffness(
             sums.add(ks, *chunk(ks, order, rows, keep))
             element_pairs += int(np.count_nonzero(keep))
     sums.finish()
-    del sums, cells
 
     _mirror_upper(a)
     a1 = assemble_weighted_mass(mesh, ctx, rule)
