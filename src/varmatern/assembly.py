@@ -31,21 +31,21 @@ FAR_ORDERS, except where kappa h > 1, where every offset keeps n; the
 offsets go in bands of one order, and each band, less the offsets the far
 field covers, in chunks, each holding only the first elements with a pair
 left to it. Tensor Gauss reads s only at the quadrature points of each
-element, so the path follows from those values at the nodes of every order
-in use. When s takes one value at the quadrature points of each element
-(the grouped path), a chunk holds about _CHUNK_PAIRS pairs: the kernel grid
-of every (offset, beta) a chunk needs comes from one bessel_k call, and each
-pair reads its block by the index of its order. Otherwise (the general path)
-a chunk holds about _CHUNK_POINTS quadrature points: the kernel is tabulated
-on the chunk's distance grids at the BETA_DEGREE + 1 Chebyshev points of
-[s_lower, s_upper] in beta and the Chebyshev series, chopped after the
-degree that the chunk needs, is summed by one Clenshaw pass at every
-quadrature point of the chunk's pairs. The table holds the kernel with its
-growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that
-does not resolve the rest to BETA_TAIL_RTOL raises AssemblyError. Both paths
-hand their blocks to one accumulator (_DisjointSums): the element self blocks
-are summed into one (n_el, 2, 2) array that reaches the band once, and the
-cross blocks of offset k go onto the diagonals k - 1, k and k + 1.
+element, at the nodes of every order in use, so a pair's kernel grid is set
+by its offset and by the runs of equal rows of those values that hold its
+two elements: each distinct (offset, run, run) of a chunk is evaluated once,
+by farfield.kernel_grids, and each pair reads the block of its key. That
+evaluator takes the grids directly where they are few per distance grid (a
+piecewise-constant profile: one to three per offset), and otherwise from a
+table of the kernel on the chunk's distance grids at the BETA_DEGREE + 1
+Chebyshev points of [s_lower, s_upper] in beta, its series chopped after the
+degree that the chunk needs and summed by Clenshaw. The table holds the
+kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out;
+a table that does not resolve the rest to BETA_TAIL_RTOL raises
+AssemblyError. The far cells and the element path hand their blocks to one
+accumulator (_DisjointSums): the element self blocks are summed into one
+(n_el, 2, 2) array that reaches the band once, and the cross blocks of
+offset k go onto the diagonals k - 1, k and k + 1.
 
 A is summed in place over the N unknowns: entries of exterior nodes are
 dropped as they arrive, A2 is accumulated on its upper triangle and then
@@ -73,8 +73,9 @@ from scipy import sparse
 from scipy.linalg import cholesky_banded
 
 from . import farfield, smoothness
-from .farfield import _chebyshev, _clenshaw, _distinct_rows, _FarCells
-from .kernel import _phi_from_beta, _prefactor_from_beta, bessel_k
+from .farfield import _chebyshev, _distinct_rows, _FarCells
+from .kernel import _phi_from_beta
+from .kernel import bessel_k  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import cholesky
 from .mesh import adjacent_pair_maps, classify_pair, hat_eval
 from .quadrature import gauss_legendre_01, quadrature_order
@@ -91,7 +92,7 @@ __all__ = [
 ]
 
 
-# Chebyshev degree in beta of the general disjoint-pair kernel table.
+# Chebyshev degree in beta of the disjoint-pair kernel table.
 BETA_DEGREE = 24
 
 # A table whose last two Chebyshev coefficients at some grid point exceed
@@ -129,13 +130,14 @@ DISJOINT_BLOCK_RTOL = 1e-12
 # up to 1.4e-12 of itself, where the kernel falls steeply in beta.
 BETA_CHOP_RTOL = 1e-13
 
-# Pairs per chunk of offsets on the grouped disjoint-pair path: the chunk's
-# blocks, one per pair, stay at about 3 MB.
+# Pairs per chunk of disjoint offsets: the chunk's blocks, one per pair,
+# stay at about 3 MB.
 _CHUNK_PAIRS = 2**15
 
-# Quadrature points per chunk of offsets on the general path (one offset
-# takes more when it alone has more): its pair orders, Clenshaw temporaries
-# and kernel values take 0.25 MB each.
+# Points of the distinct kernel grids per chunk of disjoint offsets, taking
+# an offset k to hold n_el - k grids, or two per run of equal s if fewer (one
+# offset takes more when it alone has more): their orders, Clenshaw
+# temporaries and kernel values take 0.25 MB each.
 _CHUNK_POINTS = 2**15
 
 # Rows (elements or vertex-sharing pairs) per pass of the near-field
@@ -532,16 +534,15 @@ class _BetaTable:
         too_much = np.flatnonzero(np.any(too_much.reshape(self.degree, -1), axis=1))
         return coef[: too_much[-1] + 2 if too_much.size else 1]
 
-    def abscissae(self, b, ks):
-        """t in [-1, 1] for the pair orders b, shape (pairs, len(ks), m, m);
-        orders outside the bounds raise."""
+    def check(self, b, ks):
+        """Raise when a pair order leaves the bounds; b holds the beta grids
+        (B, m, m) and ks the disjoint offset of each."""
         outside = np.abs(b - self.mid) > self.half + _BETA_ROUNDING
         if np.any(outside):
             raise AssemblyError(
                 f"pair order beta leaves the profile bounds [{self.lower}, "
-                f"{self.upper}] at disjoint offset {ks[np.argwhere(outside)[0][1]]}"
+                f"{self.upper}] at disjoint offset {ks[np.argwhere(outside)[0][0]]}"
             )
-        return (b - self.mid) / self.half
 
 
 def _disjoint_orders(n_el, n, kappa_h):
@@ -610,74 +611,33 @@ def _pair_sums(mesh, ks, rows, keep, blocks):
     return self_blocks, cross
 
 
-def _disjoint_chunk_general(ctx, mesh, ks, rule, s_q, table, rows, keep):
-    """Blocks for the offsets ``ks`` (ascending) from the beta table on their
-    distance grids; ``s_q`` holds s at the nodes of ``rule`` in every
-    element, and ``rows``, ``keep`` the pairs to add (_kept_pairs).
+def _disjoint_chunk(ctx, mesh, ks, rule, s_q, runs, table, rows, keep):
+    """Blocks for the offsets ``ks`` (ascending); ``s_q`` holds s at the
+    nodes of ``rule`` in every element, ``runs`` the index of each element's
+    run of equal rows of s at the quadrature points (_distinct_rows), and
+    ``rows``, ``keep`` the pairs to add (_kept_pairs).
 
-    One coefficients call covers the chunk's grids and one Clenshaw pass the
-    pairs (rows[i], rows[i] + ks[j]); a pair past the mesh end reads the
-    last element and is dropped. Returns what _DisjointSums.add takes.
+    A pair's kernel grid is set by its offset and the orders at the nodes of
+    its two elements, so the kept pairs (rows[i], rows[i] + ks[j]) are keyed
+    by (j, run of the first element, run of the second): the grids of the
+    distinct keys come from one kernel_grids call and their blocks from one
+    _blocks_from_kernel call, and each kept pair reads the block of its key
+    (the others are dropped). Returns what _DisjointSums.add takes.
     """
     h = mesh.h
     xq = rule.nodes
+    second = np.minimum(rows[:, None] + ks, mesh.n_elements - 1)
+    # offset by offset, the runs of both elements ascend along the mesh, so
+    # equal keys are neighbours
+    j, i = np.nonzero(keep.T)
+    key, inverse = _distinct_rows(j, runs[rows[i]], runs[second[i, j]])
+    i, j = i[key], j[key]
+    beta = 0.5 * (s_q[rows[i], :, None] + s_q[second[i, j], None, :])
     r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
-    log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r))
-    coef = table.coefficients(ctx.kappa, r, log_growth, ks)
-    s_y = s_q[np.minimum(rows[:, None] + ks, mesh.n_elements - 1)]
-    b = 0.5 * (s_q[rows, None, :, None] + s_y[:, :, None, :])
-    f = _clenshaw(coef, table.abscissae(b, ks))
-    g = f * np.exp((0.5 + b) * (log_growth - 2.0 * np.log(r)))
-    blocks = _blocks_from_kernel(g, h, rule).reshape(rows.size, ks.size, 3, 2, 2)
-    return _pair_sums(mesh, ks, rows, keep, blocks)
-
-
-class _GroupedPairs:
-    """Pair orders of the disjoint pairs when s is constant per element (its
-    value there is ``s_el``): a pair's order 0.5 (s_e + s_f) is one of the
-    distinct ``betas`` (ascending)."""
-
-    def __init__(self, s_el):
-        orders = np.unique(s_el)
-        self.betas = np.unique(0.5 * (orders[:, None] + orders[None, :]))
-        self._s = s_el
-
-    def indices(self, rows, ks):
-        """Index into ``betas`` of the order of each pair (rows[i], rows[i] +
-        ks[j]), shape (len(rows), len(ks)); a pair past the mesh end reads
-        the last element."""
-        second = np.minimum(rows[:, None] + ks, self._s.size - 1)
-        return np.searchsorted(self.betas, 0.5 * (self._s[rows, None] + self._s[second]))
-
-
-def _disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs, rows, keep):
-    """Blocks for the offsets ``ks`` (ascending) when s is constant per
-    element; ``pairs`` is the _GroupedPairs of the profile, and ``rows``,
-    ``keep`` the pairs to add (_kept_pairs).
-
-    The kernel grid of each (beta, offset) that a kept pair needs comes from
-    one bessel_k call, and all their blocks from one _blocks_from_kernel
-    call; each pair then reads its block by its order's index. Returns what
-    _DisjointSums.add takes.
-    """
-    h = mesh.h
-    xq = rule.nodes
-    index = pairs.indices(rows, ks)
-    used = np.zeros((pairs.betas.size, ks.size), dtype=bool)
-    used[index[keep], np.nonzero(keep)[1]] = True
-    bb, kk = np.nonzero(used)
-    beta = pairs.betas[bb]
-    nu = 0.5 + beta[:, None, None]
-    # distance grid depends only on the offset: r_ab = h * (k + y_b - x_a)
-    r = h * (ks[kk][:, None, None] + xq[None, None, :] - xq[None, :, None])
-    g = (
-        _prefactor_from_beta(ctx.kappa, beta)[:, None, None]
-        * bessel_k(nu, ctx.kappa * r)
-        * r ** (-nu)
-    )
-    table = np.zeros((pairs.betas.size, ks.size, 3, 2, 2))
-    table[bb, kk] = _blocks_from_kernel(g, h, rule)
-    return _pair_sums(mesh, ks, rows, keep, table[index, np.arange(ks.size)])
+    g = farfield.kernel_grids(ctx.kappa, table, r, beta, j, ks)
+    index = np.zeros(keep.shape, dtype=int)
+    index.T[keep.T] = inverse
+    return _pair_sums(mesh, ks, rows, keep, _blocks_from_kernel(g, h, rule)[index])
 
 
 class _DisjointSums:
@@ -758,19 +718,16 @@ def assemble_stiffness(
     (the near band, and the pairs of cells that fail a condition) takes
     tensor Gauss of order min(n, n_far(k)) at offset k, which holds each
     block to DISJOINT_BLOCK_RTOL of itself where kappa h is small; where
-    kappa h > 1 they keep n. The element path follows from s at the
-    quadrature points of each element, at the nodes of every order in use. When s takes one value
-    there in every element, the grouped path takes each band of one order in
-    chunks of about _CHUNK_PAIRS pairs, one bessel_k call per chunk, and the
-    far cells evaluate each distinct grid directly; otherwise the general
-    path takes them in chunks of about _CHUNK_POINTS quadrature points and
-    interpolates the kernel in beta from a Chebyshev table of degree
-    BETA_DEGREE, chopped where its tail is negligible, one table and one
-    Clenshaw pass per chunk, and so do the far cells, one table per cell
-    offset.
+    kappa h > 1 they keep n. Each band of one order goes in chunks of at
+    most _CHUNK_PAIRS pairs and about _CHUNK_POINTS points of distinct
+    kernel grids, a pair's grid being set by its offset and by the runs of
+    equal s, at the quadrature points, that hold its two elements. Each
+    chunk and each pass of far cells evaluates its distinct grids in one
+    farfield.kernel_grids call: directly where they are few (a
+    piecewise-constant profile), else from a Chebyshev table in beta of
+    degree BETA_DEGREE, chopped where its tail is negligible.
 
-    ``quad_meta`` records the path as "strategy", the table degree as
-    "beta_degree" (None on the grouped path), the bands as
+    ``quad_meta`` records the table degree as "beta_degree", the bands as
     "disjoint_orders", [[k_first, k_last, order], ...], and the far field as
     "far_cells", {"cell_size", "order", "separation", "cell_pairs": the
     cell pairs interpolated, "element_pairs": the disjoint element pairs
@@ -826,41 +783,23 @@ def assemble_stiffness(
     orders = sorted({n, *(order for *_, order in bands)})
     xq = np.concatenate([gauss_legendre_01(order).nodes for order in orders])
     s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * xq)
-    if np.all(s_q == s_q[:, :1]):
-        path = "grouped"
-        pairs = _GroupedPairs(s_q[:, 0])
+    s_by_order = dict(zip(orders, np.split(s_q, np.cumsum(orders)[:-1], axis=1)))
+    runs = _distinct_rows(s_q)[1]
+    table = _BetaTable(profile)
 
-        def chunk(ks, order, rows, keep):
-            return _disjoint_chunk_grouped(
-                ctx, mesh, ks, gauss_legendre_01(order), pairs, rows, keep
-            )
+    def width(k0, order):
+        grids = min(n_el - k0, 2 * (runs[-1] + 1))
+        return max(1, min(_CHUNK_PAIRS // n_el, _CHUNK_POINTS // (grids * order * order)))
 
-        def width(k0, order):
-            return max(1, _CHUNK_PAIRS // n_el)
-
-        beta_degree = None
-    else:
-        path = "general"
-        table = _BetaTable(profile)
-        s_by_order = dict(zip(orders, np.split(s_q, np.cumsum(orders)[:-1], axis=1)))
-
-        def chunk(ks, order, rows, keep):
-            return _disjoint_chunk_general(
-                ctx, mesh, ks, gauss_legendre_01(order), s_by_order[order], table, rows, keep
-            )
-
-        def width(k0, order):
-            return max(1, _CHUNK_POINTS // ((n_el - k0) * order * order))
-
-        beta_degree = table.degree
     sums = _DisjointSums(a, mesh)
-    cells = _FarCells(mesh, profile, None if path == "grouped" else table)
+    cells = _FarCells(mesh, profile, table)
     cell_pairs = cells.add(ctx, sums)
     element_pairs = 0
     for ks, order in _offset_chunks(bands, width, cells.needed()):
         rows, keep = _kept_pairs(mesh, ks, cells.covered)
         if rows.size:
-            sums.add(ks, *chunk(ks, order, rows, keep))
+            sums.add(ks, *_disjoint_chunk(ctx, mesh, ks, gauss_legendre_01(order),
+                                          s_by_order[order], runs, table, rows, keep))
             element_pairs += int(np.count_nonzero(keep))
     sums.finish()
 
@@ -881,8 +820,7 @@ def assemble_stiffness(
         "n_weighted_mass": n,
         "c": c,
         "target_rate": target_rate,
-        "strategy": path,
-        "beta_degree": beta_degree,
+        "beta_degree": table.degree,
         "near_field_keys": {"identical": identical_keys, "vertex_sharing": adjacent_keys},
         "far_cells": {
             "cell_size": farfield.CELL_SIZE,

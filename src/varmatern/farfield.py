@@ -11,8 +11,8 @@ for the integral fractional Laplacian, 2018). On the uniform mesh the
 moments of the interpolant's Lagrange functions against the hats are the
 same in every cell, so a cell pair adds -h^2 W G W^T to the cross entries of
 A2 and its self blocks come from G mu. The element path of the assembly
-takes every pair the far field leaves. The Chebyshev helpers here serve the
-beta table of that path too.
+takes every pair the far field leaves. Both evaluate their kernel grids
+through kernel_grids, and the Chebyshev helpers here serve its beta table.
 """
 
 from __future__ import annotations
@@ -74,10 +74,39 @@ def _clenshaw(coef, t):
     return coef[0] + t * b1 - b2
 
 
+def kernel_grids(kappa, table, r, beta, group, ks):
+    """The kernel g = phi r^(-1 - 2 beta) of disjoint pairs on the beta grids
+    ``beta`` (B, m, m), grid i at the distances r[group[i]] (r holds one
+    grid per offset, ``group`` ascends); ks[j] is the element offset of
+    r[j], which errors name.
+
+    The only kernel evaluator of the disjoint pairs, for the element path
+    and the far cells alike. Orders outside the bounds of the beta ``table``
+    raise first. Grids that number at most the table's degree + 1 nodes per
+    distance grid (a piecewise-constant profile) are evaluated directly;
+    more than that cost less from the table: its series on the distance
+    grids, chopped where its tail is negligible, summed by one Clenshaw pass
+    per distance grid.
+    """
+    table.check(beta, ks[group])
+    if beta.shape[0] <= (table.degree + 1) * r.shape[0]:
+        r = r[group]
+        return _phi_from_beta(kappa, beta, r) * r ** (-1.0 - 2.0 * beta)
+    log_growth = np.log(np.maximum(4.0, 2.0 * kappa * r))
+    coef = table.coefficients(kappa, r, log_growth, ks)
+    g = np.empty_like(beta)
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    for i0, i1 in zip(starts, np.append(starts[1:], group.size)):
+        j, b = group[i0], beta[i0:i1]
+        f = _clenshaw(coef[:, j], (b - table.mid) / table.half)
+        g[i0:i1] = f * np.exp((0.5 + b) * (log_growth[j] - 2.0 * np.log(r[j])))
+    return g
+
+
 def _distinct_rows(*keys):
-    """The integrands to evaluate, here and in the near field: the first row
-    of each run of equal keys along the leading axis, and for every row the
-    index of its run. Equal keys that are not next to each other start a
+    """The rows to evaluate, here and in the assembly: the first row of each
+    run of equal keys along the leading axis, and for every row the index of
+    its run. Equal keys that are not next to each other start a
     run each."""
     rows = len(keys[0])
     new = np.arange(rows) == 0
@@ -99,17 +128,16 @@ class _FarCells:
     block -h^2 W G W^T, and the self blocks of its first and second cell
     from G mu and G^T mu, mu the cell integrals. The cell pairs of one cell
     offset share one distance grid; each distinct beta grid among them is
-    evaluated once: directly without a beta ``table`` (one grid per offset
-    and pair of orders on a piecewise-constant profile), else from the
-    table on the offset's distance grid. The candidate pairs go in passes
-    of whole offsets, about _CELL_PAIRS at a time. A pair joins the far field only if both cells
-    are regular (all interior or all exterior, with no breakpoint of s
-    inside), they are not both exterior, and the last two Chebyshev
-    coefficients of its grid in either variable stay within CELL_TAIL_RTOL
-    of its smallest kernel value; every other pair keeps the element path.
+    evaluated once, by kernel_grids with the beta ``table``. The candidate
+    pairs go in passes of whole offsets, about _CELL_PAIRS at a time. A
+    pair joins the far field only if both cells are regular (all interior
+    or all exterior, with no breakpoint of s inside), they are not both
+    exterior, and the last two Chebyshev coefficients of its grid in either
+    variable stay within CELL_TAIL_RTOL of its smallest kernel value; every
+    other pair keeps the element path.
     """
 
-    def __init__(self, mesh, profile, table=None):
+    def __init__(self, mesh, profile, table):
         size, p = CELL_SIZE, CELL_ORDER
         self.mesh = mesh
         self.table = table
@@ -184,19 +212,10 @@ class _FarCells:
         beta = 0.5 * (self.s[c, :, None] + self.s[c + d, None, :])
         key, inverse = _distinct_rows(d, beta)
         beta, d = beta[key], d[key]
+        first, group = _distinct_rows(d)
+        d = d[first]
         r = h * CELL_SIZE * (d[:, None, None] + self.t[None, :] - self.t[:, None])
-        if self.table is None:
-            g = _phi_from_beta(ctx.kappa, beta, r) * r ** (-1.0 - 2.0 * beta)
-        else:
-            # one table per cell offset; errors name its element offset
-            g = np.empty_like(beta)
-            starts = np.flatnonzero(np.diff(d, prepend=-1))
-            for i0, i1 in zip(starts, np.append(starts[1:], d.size)):
-                ks = np.array([d[i0] * CELL_SIZE])
-                log_growth = np.log(np.maximum(4.0, 2.0 * ctx.kappa * r[i0]))
-                coef = self.table.coefficients(ctx.kappa, r[i0][None], log_growth[None], ks)
-                f = _clenshaw(coef[:, 0], self.table.abscissae(beta[i0:i1, None], ks)[:, 0])
-                g[i0:i1] = f * np.exp((0.5 + beta[i0:i1]) * (log_growth - 2.0 * np.log(r[i0])))
+        g = kernel_grids(ctx.kappa, self.table, r, beta, group, d * CELL_SIZE)
         coef = self.to_coef @ g @ self.to_coef.T
         tail = np.maximum(np.max(np.abs(coef[:, -2:]), axis=(1, 2)),
                           np.max(np.abs(coef[:, :, -2:]), axis=(1, 2)))

@@ -195,16 +195,17 @@ def _assemble_brute(mesh, ctx, n):
     return assemble_weighted_mass(mesh, ctx, rule) + a2[sl, sl]
 
 
-@pytest.mark.parametrize("key,path", [
-    ("const05", "grouped"),
-    ("step", "grouped"),
-    ("bump", "general"),
-])
-def test_assembly_matches_brute_force(key, path):
+BRUTE_FORCE_PROFILES = {
+    **{key: PROFILES[key] for key in ("const05", "step", "bump", "ramp")},
+    "tabulated": lambda: smoothness.tabulated([-1.5, -0.4, 0.3, 1.5], [0.45, 0.8, 0.52, 0.61]),
+}
+
+
+@pytest.mark.parametrize("key", list(BRUTE_FORCE_PROFILES))
+def test_assembly_matches_brute_force(key):
     mesh = build_uniform(1, 2, 2)  # 16 elements keeps the brute loop cheap
-    ctx = _ctx(key)
+    ctx = KernelContext(2.5, 1.0, BRUTE_FORCE_PROFILES[key]())
     system = assemble_stiffness(mesh, ctx, n=6)
-    assert system.quad_meta["strategy"] == path
     ref = _assemble_brute(mesh, ctx, 6)
     assert np.max(np.abs(system.a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -217,14 +218,12 @@ def test_assembled_stiffness_exactly_symmetric(build_system, key):
         assert np.array_equal(system.a1.toarray(), system.a1.T.toarray()), level
 
 
-def test_constant_tabulated_profile_takes_grouped_path():
+def test_constant_tabulated_profile_matches_constant_bitwise():
     mesh = build_uniform(3, 4, 4)
     flat = assemble_stiffness(
         mesh, KernelContext(2.5, 1.0, smoothness.tabulated([-4.0, 4.0], [0.5, 0.5]))
     )
     const = assemble_stiffness(mesh, _ctx("const05"))
-    assert flat.quad_meta["strategy"] == "grouped"
-    assert flat.quad_meta["beta_degree"] is None
     assert np.array_equal(flat.a, const.a)
 
 
@@ -276,46 +275,34 @@ def test_quadrature_order_robustness(build_system):
 
 
 def test_non_finite_block_names_pair(monkeypatch):
-    import varmatern.assembly as asm
-
     mesh = build_uniform(1, 2, 1)  # elements 0, 1, 6 and 7 are exterior
     ctx = _ctx("bump")
+    real = farfield.kernel_grids
 
-    real = asm._phi_from_beta
+    def poisoned(*args):
+        return np.full_like(real(*args), np.nan)
 
-    def poisoned(kappa, b, r):
-        out = np.array(real(kappa, b, r), dtype=float, copy=True)
-        if np.shape(b)[1:] == (1, 1, 1):  # the beta table's orders, one per chunk
-            out[0] = np.nan
-        return out
-
-    monkeypatch.setattr(asm, "_phi_from_beta", poisoned)
-    # (0, 2) is the first kept pair of the first disjoint offset
+    monkeypatch.setattr(farfield, "kernel_grids", poisoned)
+    # every disjoint kernel grid is poisoned: (0, 2) is the first kept pair
+    # of the first disjoint offset
     with pytest.raises(AssemblyError, match=r"disjoint block for element pair \(0, 2\)"):
         assemble_stiffness(mesh, ctx, n=4)
 
 
 @pytest.mark.parametrize("key", ["const05", "step", "bump"])
 def test_grouped_non_finite_block_names_pair(monkeypatch, key):
-    import varmatern.assembly as asm
-    import varmatern.kernel as kernel
-
+    # a poisoned grid reaches every pair of its key, and the first kept one
+    # is named
     mesh = build_uniform(3, 4, 2)  # elements 0-3 and 28-31 are exterior
     ctx = _ctx(key)
-    unit = ctx.kappa * mesh.h
-    real = kernel.bessel_k
+    real = farfield.kernel_grids
 
-    def poisoned(nu, z):
-        out = np.array(real(nu, z), dtype=float, copy=True)
-        # the mean of kappa r_ab = kappa h (k + x_b - x_a) over a grid is kappa h k;
-        # the beta table's orders broadcast against its grids
-        offset = np.rint(np.mean(np.broadcast_to(z, out.shape), axis=(-2, -1)) / unit)
-        out[offset == 3] = np.nan
-        return out
+    def poisoned(kappa, table, r, beta, group, ks):
+        g = real(kappa, table, r, beta, group, ks)
+        g[ks[group] == 3] = np.nan
+        return g
 
-    # the grouped path calls bessel_k itself, the beta table through the kernel
-    monkeypatch.setattr(asm, "bessel_k", poisoned)
-    monkeypatch.setattr(kernel, "bessel_k", poisoned)
+    monkeypatch.setattr(farfield, "kernel_grids", poisoned)
     # (0, 3) has offset 3 too, but both its elements are exterior
     with pytest.raises(AssemblyError, match=r"element pair \(1, 4\)"):
         assemble_stiffness(mesh, ctx, n=4)
@@ -325,30 +312,33 @@ def _far_cells(mesh, ctx):
     """The far cells of an assembly of ``mesh``, with their cell pairs marked."""
     import varmatern.assembly as asm
 
-    cells = farfield._FarCells(mesh, ctx.profile)  # grouped: no beta table
+    cells = farfield._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
     cells.add(ctx, asm._DisjointSums(np.zeros((mesh.interior_node_count,) * 2), mesh))
     return cells
 
 
 def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
+    # a constant order puts every pair of one offset under one key: each
+    # chunk of the element path is one direct kernel call
     import varmatern.assembly as asm
 
     calls = []
-    real = asm.bessel_k
+    real = farfield._phi_from_beta
 
-    def counted(nu, z):
-        calls.append(np.shape(z))
-        return real(nu, z)
+    def counted(kappa, b, r):
+        if np.shape(b)[-1] != farfield.CELL_ORDER:  # not a far cell grid
+            calls.append(np.shape(b))
+        return real(kappa, b, r)
 
-    monkeypatch.setattr(asm, "bessel_k", counted)
+    monkeypatch.setattr(farfield, "_phi_from_beta", counted)
     mesh = build_uniform(3, 4, 7)
     ctx = _ctx("const05")
     system = assemble_stiffness(mesh, ctx)
     n_el = mesh.n_elements
     assert 0 < len(calls) < (n_el - 2) / 8
     n = system.quad_meta["n_disjoint"]
-    # one grid per offset with a pair left to the element path for a
-    # constant order, none repeated
+    # one grid per offset with a pair left to the element path, none
+    # repeated
     cells = _far_cells(mesh, ctx)
     needed = sum(asm._kept_pairs(mesh, np.array([k]), cells.covered)[0].size > 0
                  for k in range(2, n_el))
@@ -361,38 +351,49 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     assert bands[0][2] == n
 
 
-@pytest.mark.parametrize("key", ["const05", "step"])
+@pytest.mark.parametrize("key", ["const05", "step", "bump"])
 @pytest.mark.parametrize("level", [3, 4, 5])
-def test_grouped_weights_match_pair_loop(key, level):
+def test_grouped_weights_match_pair_loop(monkeypatch, key, level):
+    # every kept pair reads the block of a key whose grid is its own: with
+    # the kernel replaced by beta + k, the chunk's sums match those of each
+    # pair's own grid
     import varmatern.assembly as asm
 
     mesh = build_uniform(3, 4, level)
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
-    s_el = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el] + 0.5 * mesh.h)
-    pairs = asm._GroupedPairs(s_el)
+    rule = gauss_legendre_01(4)
+    s_q = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
     # every offset: the last ones pair exterior elements and run past the mesh end
     ks = np.arange(2, n_el)
     rows, keep = asm._kept_pairs(mesh, ks)
-    index = pairs.indices(rows, ks)
-    ref_keep, ref_index = np.zeros_like(keep), np.zeros_like(index)
+    ref_keep = np.zeros_like(keep)
     for j, k in enumerate(ks):
         for e in range(n_el - k):
-            if ext[e] and ext[e + k]:
-                continue
-            i = int(np.flatnonzero(rows == e)[0])
-            ref_keep[i, j] = True
-            ref_index[i, j] = np.flatnonzero(pairs.betas == 0.5 * (s_el[e] + s_el[e + k]))[0]
+            if not (ext[e] and ext[e + k]):
+                ref_keep[int(np.flatnonzero(rows == e)[0]), j] = True
     assert np.array_equal(keep, ref_keep)
-    assert np.array_equal(np.where(keep, index, 0), ref_index)
     # the pairs of two exterior elements are dropped, and so are the rows
     # whose pairs all are
     kept = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in ks)
     assert keep.sum() == kept
     assert np.all(np.any(keep, axis=1))
 
+    monkeypatch.setattr(farfield, "kernel_grids",
+                        lambda kappa, table, r, beta, group, ks: beta + ks[group, None, None])
+    runs = farfield._distinct_rows(s_q)[1]
+    got = asm._disjoint_chunk(_ctx(key), mesh, ks, rule, s_q, runs, None, rows, keep)
 
-GROUPED_CASES = [(key, kappa) for key in ("const05", "step") for kappa in (0.5, 2.5, 10.0)]
+    def own_grids(k):
+        beta = 0.5 * (s_q[: n_el - k, :, None] + s_q[k:, None, :])
+        return asm._blocks_from_kernel(beta + k, mesh.h, rule).transpose(1, 0, 2, 3)
+
+    for part, ref in zip(got, _chunk_reference(mesh, ks, own_grids)):
+        assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+GROUPED_CASES = [(key, kappa) for key in ("const05", "step", "bump")
+                 for kappa in (0.5, 2.5, 10.0)]
 
 
 def _chunk_reference(mesh, ks, offset_blocks):
@@ -413,28 +414,30 @@ def _chunk_reference(mesh, ks, offset_blocks):
     return self_ref, cross_ref
 
 
-def _grouped_chunk_and_reference(ctx, mesh, rule, offset_sums):
-    """_disjoint_chunk_grouped at 8 geometric offsets, and ``offset_sums(ks)``,
-    the same sums by another route."""
+def _chunk(ctx, mesh, ks, rule):
+    """_disjoint_chunk for the offsets ``ks`` and every pair they hold (the
+    assembly skips a chunk with none)."""
     import varmatern.assembly as asm
 
     n_el = mesh.n_elements
     s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-    pairs = asm._GroupedPairs(s_q[:, 0])
-    # both ends of the offset range and geometric steps in between
-    ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
-    got = asm._disjoint_chunk_grouped(ctx, mesh, ks, rule, pairs, *asm._kept_pairs(mesh, ks))
-    return got, offset_sums(ks)
+    runs = farfield._distinct_rows(s_q)[1]
+    rows, keep = asm._kept_pairs(mesh, ks)
+    if not rows.size:
+        return asm._pair_sums(mesh, ks, rows, keep, np.zeros((0, ks.size, 3, 2, 2)))
+    return asm._disjoint_chunk(ctx, mesh, ks, rule, s_q, runs, asm._BetaTable(ctx.profile),
+                               rows, keep)
 
 
 @pytest.mark.parametrize("key, kappa", GROUPED_CASES,
                          ids=[f"{key}-{kappa}" for key, kappa in GROUPED_CASES])
 def test_grouped_chunk_blocks_match_direct(key, kappa):
+    # the pairs grouped by key, through either branch of kernel_grids
     import varmatern.assembly as asm
 
     ctx = _ctx(key, kappa=kappa)
     rule = gauss_legendre_01(8)
-    for level in (3, 4, 5, 6, 7):
+    for level in (3, 4, 5):
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
 
@@ -443,89 +446,118 @@ def test_grouped_chunk_blocks_match_direct(key, kappa):
                 ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
             )
 
-        got, refs = _grouped_chunk_and_reference(
-            ctx, mesh, rule, lambda ks: _chunk_reference(mesh, ks, direct)
-        )
-        for part, ref in zip(got, refs):
+        # both ends of the offset range and geometric steps in between
+        ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
+        got = _chunk(ctx, mesh, ks, rule)
+        for part, ref in zip(got, _chunk_reference(mesh, ks, direct)):
             err = np.max(np.abs(part - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
         # the one pair of the last offset has both elements exterior
         assert not np.any(got[1][..., -1])
 
 
-def test_step_grouped_blocks_match_beta_table():
-    # the two disjoint-pair paths, compared directly on a profile both accept
+KERNEL_GRID_CASES = [(key, kappa) for key in ("step", "bump", "ramp")
+                     for kappa in (0.5, 2.5, 10.0)]
+
+
+@pytest.mark.parametrize("key, kappa", KERNEL_GRID_CASES,
+                         ids=[f"{key}-{kappa}" for key, kappa in KERNEL_GRID_CASES])
+def test_kernel_grids_table_matches_direct(monkeypatch, key, kappa):
+    # the grids of 56 pairs at each of four offsets take the beta table in
+    # one call, and each grid alone the direct kernel
     import varmatern.assembly as asm
 
-    ctx = _ctx("step")
+    ctx = _ctx(key, kappa=kappa)
     table = asm._BetaTable(ctx.profile)
-    rule = gauss_legendre_01(8)
-    for level in (3, 4, 5, 6):
-        mesh = build_uniform(3, 4, level)
-        s_q = smoothness.evaluate(
-            ctx.profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * rule.nodes
-        )
+    mesh = build_uniform(3, 4, 5)
+    xq = gauss_legendre_01(8).nodes
+    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * xq)
+    ks = np.array([2, 7, 40, 200])
+    e = np.arange(mesh.n_elements - ks[-1])
+    beta = 0.5 * (s_q[e, :, None] + s_q[e[:, None] + ks[:, None, None], None, :]).reshape(-1, 8, 8)
+    group = np.repeat(np.arange(ks.size), e.size)
+    r = mesh.h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
+    tables = []
+    real = asm._BetaTable.coefficients
 
-        n_el = mesh.n_elements
+    def coefficients(self, *args):
+        tables.append(args)
+        return real(self, *args)
 
-        def tabulated(ks):
-            # the general path's chunk, one offset at a time
-            self_sum = np.zeros((n_el, 2, 2))
-            cross = np.zeros((2, 2, n_el - ks[0], ks.size))
-            for j, k in enumerate(ks):
-                one = ks[j : j + 1]
-                part = asm._disjoint_chunk_general(
-                    ctx, mesh, one, rule, s_q, table, *asm._kept_pairs(mesh, one)
-                )
-                self_sum += part[0]
-                cross[:, :, : n_el - k, j] = part[1][..., 0]
-            return self_sum, cross
-
-        got, refs = _grouped_chunk_and_reference(ctx, mesh, rule, tabulated)
-        for part, ref in zip(got, refs):
-            err = np.max(np.abs(part - ref))
-            assert err <= 1e-10 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
+    monkeypatch.setattr(asm._BetaTable, "coefficients", coefficients)
+    many = farfield.kernel_grids(kappa, table, r, beta, group, ks)
+    assert len(tables) == 1
+    for i, j in enumerate(group):
+        one = farfield.kernel_grids(kappa, table, r[j : j + 1], beta[i : i + 1], np.zeros(1, int),
+                                    ks[j : j + 1])[0]
+        assert np.max(np.abs(many[i] - one)) <= 1e-12 * np.max(np.abs(one)), (i, ks[j])
+    assert len(tables) == 1
 
 
-@pytest.mark.parametrize("key", ["const05", "step"])
+@pytest.mark.parametrize("key, level, takes_table", [
+    ("const05", 7, False),
+    ("step", 7, False),
+    ("bump", 6, True),
+])
+def test_beta_table_only_for_many_grids_per_offset(monkeypatch, key, level, takes_table):
+    import varmatern.assembly as asm
+
+    tables, grids = [], []
+    real_coefficients = asm._BetaTable.coefficients
+    real_grids = farfield.kernel_grids
+
+    def coefficients(self, *args):
+        tables.append(args)
+        return real_coefficients(self, *args)
+
+    def kernel_grids(kappa, table, r, beta, group, ks):
+        if beta.shape[-1] != farfield.CELL_ORDER:  # the element path
+            grids.append(np.bincount(group).max())
+        return real_grids(kappa, table, r, beta, group, ks)
+
+    monkeypatch.setattr(asm._BetaTable, "coefficients", coefficients)
+    monkeypatch.setattr(farfield, "kernel_grids", kernel_grids)
+    assemble_stiffness(build_uniform(3, 4, level), _ctx(key))
+    assert bool(tables) == takes_table
+    # a constant order: one grid per offset; the step: one per pair of its
+    # two orders
+    if not takes_table:
+        assert max(grids) == {"const05": 1, "step": 3}[key]
+
+
+@pytest.mark.parametrize("key", ["const05", "step", "bump"])
 def test_grouped_chunking_matches_brute_force(monkeypatch, key):
+    # one to a few offsets per chunk against one chunk per band: 32
+    # elements, 4 exterior at each end, also against brute force, and 128,
+    # where the bump's chunks take the beta table
     import varmatern.assembly as asm
 
-    mesh = build_uniform(3, 4, 2)  # 32 elements, 4 exterior at each end
     ctx = _ctx(key)
-    one_chunk = assemble_stiffness(mesh, ctx, n=6).a
-    # three offsets per chunk: ten chunks over the 30 offsets
-    monkeypatch.setattr(asm, "_CHUNK_PAIRS", 3 * mesh.n_elements)
-    chunked = assemble_stiffness(mesh, ctx, n=6).a
-    ref = _assemble_brute(mesh, ctx, 6)
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(chunked - one_chunk)) <= 1e-14 * scale
-    assert np.max(np.abs(chunked - ref)) <= 1e-13 * scale
-
-
-def test_general_chunking_matches_one_chunk(monkeypatch):
-    import varmatern.assembly as asm
-
-    mesh = build_uniform(3, 4, 4)  # 128 elements: bands of 1, 3, 18, 40 and 64 offsets
-    ctx = _ctx("bump")
-    monkeypatch.setattr(asm, "_CHUNK_POINTS", 2**40)
-    one_chunk = assemble_stiffness(mesh, ctx, n=10)
-    assert one_chunk.quad_meta["strategy"] == "general"
-    # one to a few offsets per chunk
-    monkeypatch.setattr(asm, "_CHUNK_POINTS", 3 * mesh.n_elements * 16)
-    chunked = assemble_stiffness(mesh, ctx, n=10).a
-    scale = np.max(np.abs(one_chunk.a))
-    assert np.max(np.abs(chunked - one_chunk.a)) <= 1e-14 * scale
+    for level, n in ((2, 6), (4, 10)):
+        mesh = build_uniform(3, 4, level)
+        monkeypatch.setattr(asm, "_CHUNK_PAIRS", 2**40)
+        monkeypatch.setattr(asm, "_CHUNK_POINTS", 2**40)
+        one_chunk = assemble_stiffness(mesh, ctx, n=n).a
+        monkeypatch.setattr(asm, "_CHUNK_PAIRS", 3 * mesh.n_elements)
+        monkeypatch.setattr(asm, "_CHUNK_POINTS", 3 * mesh.n_elements * 16)
+        chunked = assemble_stiffness(mesh, ctx, n=n).a
+        scale = np.max(np.abs(one_chunk))
+        assert np.max(np.abs(chunked - one_chunk)) <= 1e-14 * scale, level
+        if level == 2:
+            ref = _assemble_brute(mesh, ctx, n)
+            assert np.max(np.abs(chunked - ref)) <= 1e-13 * scale
 
 
 def test_quad_metadata_recorded():
     mesh = build_uniform(3, 4, 3)
-    for key, path in (("const05", "grouped"), ("bump", "general")):
+    import varmatern.assembly as asm
+
+    for key in ("const05", "bump"):
         system = assemble_stiffness(mesh, _ctx(key), c=1.0)
         meta = system.quad_meta
         assert meta["n_disjoint"] == meta["n_adjacent"] == meta["n_identical"]
         assert meta["c"] == 1.0
-        assert meta["strategy"] == path
+        assert meta["beta_degree"] == asm.BETA_DEGREE
         # the order bands cover the offsets 2 ... n_el - 1 in turn, none above n
         bands = meta["disjoint_orders"]
         assert bands[0][0] == 2 and bands[-1][1] == mesh.n_elements - 1
@@ -544,8 +576,6 @@ def test_quad_metadata_recorded():
         }
     # the far cells, and the disjoint pairs they leave to the element path:
     # together they hold every disjoint pair that is not both exterior
-    import varmatern.assembly as asm
-
     for level in (3, 5):
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
@@ -612,19 +642,27 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
             return real(kappa, b, r)
         return call
 
+    real_grids = farfield.kernel_grids
+
+    def far_grids(kappa, table, r, beta, group, ks):
+        if beta.shape[-1] == farfield.CELL_ORDER:
+            far.append(beta.shape[0])
+        return real_grids(kappa, table, r, beta, group, ks)
+
     monkeypatch.setattr(asm, "_phi_from_beta", counted(seen))
-    monkeypatch.setattr(farfield, "_phi_from_beta", counted(far))
+    monkeypatch.setattr(farfield, "kernel_grids", far_grids)
     mesh = build_uniform(3, 4, 6)
     system = assemble_stiffness(mesh, _ctx(key))
-    # the grouped disjoint path calls bessel_k itself: these are the two
-    # anchors of the identical pairs, then the two halves of the
-    # vertex-sharing pairs, one row per distinct integrand each
-    assert system.quad_meta["strategy"] == "grouped"
+    # the disjoint pairs evaluate their kernel in kernel_grids, directly on
+    # these profiles: these are the two anchors of the identical pairs, then
+    # the two halves of the vertex-sharing pairs, one row per distinct
+    # integrand each
     assert seen == rows
     # the far cells: one call per pass of whole cell offsets, one grid per
     # offset and distinct pair of cell orders (s is constant on every cell
     # of either profile)
-    offsets = np.unique(farfield._FarCells(mesh, PROFILES[key]()).pairs()[1]).size
+    cells = farfield._FarCells(mesh, PROFILES[key](), asm._BetaTable(PROFILES[key]()))
+    offsets = np.unique(cells.pairs()[1]).size
     assert 0 < len(far) < offsets
     assert (sum(far) == offsets if key == "const05" else offsets < sum(far) <= 3 * offsets)
     assert system.quad_meta["near_field_keys"] == {
@@ -676,7 +714,7 @@ def test_single_pair_blocks_read_only_their_elements(monkeypatch):
     assert max(seen) == 2 * 33
 
 
-# ------------------------------------------------------ general-path beta table
+# ------------------------------------------------------------------ beta table
 
 BETA_TABLE_PROFILES = {
     "gaussian_bump": lambda: smoothness.gaussian_bump(0.35, 0.85, 0.9, 3.0),
@@ -711,13 +749,11 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
 
     profile = BETA_TABLE_PROFILES[key]()
     ctx = KernelContext(kappa, 1.0, profile)
-    table = asm._BetaTable(profile)
-    assert table.degree == asm.BETA_DEGREE
+    assert asm._BetaTable(profile).degree == asm.BETA_DEGREE
     rule = gauss_legendre_01(8)
     for level in levels:
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
-        s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
 
         def direct(k):
             return asm._disjoint_blocks_direct(
@@ -728,9 +764,7 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
         # a one-offset chunk; self blocks per element, cross blocks per pair
         for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
             ks = np.array([k])
-            tab = asm._disjoint_chunk_general(
-                ctx, mesh, ks, rule, s_q, table, *asm._kept_pairs(mesh, ks)
-            )
+            tab = _chunk(ctx, mesh, ks, rule)
             ref = _chunk_reference(mesh, ks, direct)
             for part_tab, part_ref in zip(tab, ref):
                 axes = (1, 2) if part_ref.ndim == 3 else (0, 1)
@@ -780,7 +814,6 @@ def test_beta_degree_recorded_for_general_path():
     # wide bounds and a large kappa: every offset's table must resolve
     ctx = KernelContext(50.0, 1.0, BETA_TABLE_PROFILES["bump_01"]())
     system = assemble_stiffness(build_uniform(3, 4, 3), ctx)
-    assert system.quad_meta["strategy"] == "general"
     assert system.quad_meta["beta_degree"] == asm.BETA_DEGREE
 
 
@@ -819,21 +852,23 @@ def test_beta_table_chopped_sum_matches_full_degree(bounds, kappa):
             assert np.array_equal(chopped, full[: chopped.shape[0]])
             terms.append(chopped.shape[0])
             t = rng.uniform(-1.0, 1.0, (50,) + r.shape)
-            ref = asm._clenshaw(full, t)
-            err = np.abs(asm._clenshaw(chopped, t) - ref)
+            ref = farfield._clenshaw(full, t)
+            err = np.abs(farfield._clenshaw(chopped, t) - ref)
             assert np.all(err <= 1e-13 * np.abs(ref)), (level, ks[0], terms[-1])
     # the chop shortens the series on most grids
     assert np.median(terms) < asm.BETA_DEGREE + 1, terms
 
 
 def test_beta_table_order_outside_profile_bounds_raises():
-    # bounds narrower than the values the profile takes
-    profile = smoothness.SmoothnessProfile(
-        "tabulated", 0.5, 0.6, {"x": np.array([-3.0, 3.0]), "s": np.array([0.4, 0.7])}
-    )
-    ctx = KernelContext(2.5, 1.0, profile)
-    with pytest.raises(AssemblyError, match="leaves the profile bounds"):
-        assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
+    # bounds narrower than the values the profile takes: a profile that
+    # varies, and a constant one, whose grids are evaluated directly
+    for x, s in (([-3.0, 3.0], [0.4, 0.7]), ([-4.0, 4.0], [0.7, 0.7])):
+        profile = smoothness.SmoothnessProfile(
+            "tabulated", 0.5, 0.6, {"x": np.array(x), "s": np.array(s)}
+        )
+        ctx = KernelContext(2.5, 1.0, profile)
+        with pytest.raises(AssemblyError, match="leaves the profile bounds"):
+            assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
 
 
 # ------------------------------------------------------------- far cells
@@ -990,7 +1025,7 @@ def test_irregular_cells_keep_the_element_path(monkeypatch):
     mesh = build_uniform(2.75, 4, 5)  # 40 exterior elements at either end
     profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
     ctx = KernelContext(2.5, 1.0, profile)
-    cells = farfield._FarCells(mesh, profile)
+    cells = farfield._FarCells(mesh, profile, asm._BetaTable(profile))
     lefts = mesh.nodes[: cells.count * farfield.CELL_SIZE : farfield.CELL_SIZE]
     straddle = (lefts < -2.75) & (lefts + farfield.CELL_SIZE * mesh.h > -2.75)
     knot = (lefts < -0.3) & (lefts + farfield.CELL_SIZE * mesh.h > -0.3)
@@ -1027,7 +1062,8 @@ def test_needed_offsets_hold_every_pair_left_to_the_element_path():
     import varmatern.assembly as asm
 
     mesh = build_uniform(3, 4, 5)  # 16 cells
-    cells = farfield._FarCells(mesh, smoothness.constant(0.5))
+    profile = smoothness.constant(0.5)
+    cells = farfield._FarCells(mesh, profile, asm._BetaTable(profile))
     rng = np.random.default_rng(3)
     for _ in range(10):
         cells.far[:] = np.triu(rng.random(cells.far.shape) < 0.97, farfield.CELL_SEPARATION)
