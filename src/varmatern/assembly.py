@@ -76,7 +76,7 @@ from . import farfield, smoothness
 from .farfield import _chebyshev, _distinct_rows, _FarCells
 from .kernel import _phi_from_beta
 from .kernel import bessel_k  # noqa: F401  (perfbench/spans.py traces this name)
-from .linalg import cholesky
+from .linalg import _mirror_upper, cholesky
 from .mesh import adjacent_pair_maps, classify_pair, hat_eval
 from .quadrature import gauss_legendre_01, quadrature_order
 
@@ -668,15 +668,6 @@ class _DisjointSums:
     def finish(self):
         for da, db in ((0, 0), (0, 1), (1, 1)):
             _band_add(self.a, self.first, da, db, 2.0 * self.self_blocks[:, da, db])
-
-
-def _mirror_upper(a):
-    """Copy the upper triangle of a onto its lower one, 256 rows at a time."""
-    for i0 in range(0, a.shape[0], 256):
-        i1 = min(i0 + 256, a.shape[0])
-        a[i0:i1, :i0] = a[:i0, i0:i1].T
-        block = a[i0:i1, i0:i1]
-        block[np.tril_indices(i1 - i0, -1)] = block.T[np.tril_indices(i1 - i0, -1)]
 
 
 def _kept_finite(blocks, keep, what, first, second):

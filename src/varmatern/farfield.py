@@ -111,8 +111,7 @@ def _distinct_rows(*keys):
     rows = len(keys[0])
     new = np.arange(rows) == 0
     for key in keys:
-        key = key.reshape(rows, -1)
-        new[1:] |= np.any(key[1:] != key[:-1], axis=1)
+        new[1:] |= np.any(key[1:] != key[:-1], axis=tuple(range(1, key.ndim)))
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
@@ -127,14 +126,15 @@ class _FarCells:
     its kernel grid G with moments computed once: the node-by-node cross
     block -h^2 W G W^T, and the self blocks of its first and second cell
     from G mu and G^T mu, mu the cell integrals. The cell pairs of one cell
-    offset share one distance grid; each distinct beta grid among them is
-    evaluated once, by kernel_grids with the beta ``table``. The candidate
-    pairs go in passes of whole offsets, about _CELL_PAIRS at a time. A
-    pair joins the far field only if both cells are regular (all interior
-    or all exterior, with no breakpoint of s inside), they are not both
-    exterior, and the last two Chebyshev coefficients of its grid in either
-    variable stay within CELL_TAIL_RTOL of its smallest kernel value; every
-    other pair keeps the element path.
+    offset share one distance grid, and those whose cells lie in the same
+    runs of equal s (``runs``) one beta grid, evaluated once by kernel_grids
+    with the beta ``table``. The candidate pairs go in passes of whole
+    offsets, about _CELL_PAIRS at a time. A pair joins the far field only
+    if both cells are regular (all interior or all exterior, with no
+    breakpoint of s inside), they are not both exterior, and the last two
+    Chebyshev coefficients of its grid in either variable stay within
+    CELL_TAIL_RTOL of its smallest kernel value; every other pair keeps the
+    element path.
     """
 
     def __init__(self, mesh, profile, table):
@@ -147,6 +147,7 @@ class _FarCells:
         lefts = mesh.nodes[: n * size : size]
         rights = mesh.nodes[size : (n + 1) * size : size]
         self.s = smoothness.evaluate(profile, lefts[:, None] + (rights - lefts)[:, None] * self.t)
+        self.runs = _distinct_rows(self.s)[1]  # cells in one run share their s
         ext = ~mesh.element_interior[: n * size].reshape(n, size)
         self.exterior = np.all(ext, axis=1)
         breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
@@ -205,13 +206,13 @@ class _FarCells:
 
     def grids(self, ctx, c, d):
         """Kernel grids g[i, j] at (x_i, y_j) of the cell pairs (c, c + d),
-        ordered by d, each distinct (d, beta grid) once, and for every pair
-        the index of its grid and whether its interpolant resolves the
-        kernel."""
+        ordered by d, each (d, run of c, run of c + d) once (both runs ascend
+        with c), and for every pair the index of its grid and whether its
+        interpolant resolves the kernel."""
         h = self.mesh.h
+        key, inverse = _distinct_rows(d, self.runs[c], self.runs[c + d])
+        c, d = c[key], d[key]
         beta = 0.5 * (self.s[c, :, None] + self.s[c + d, None, :])
-        key, inverse = _distinct_rows(d, beta)
-        beta, d = beta[key], d[key]
         first, group = _distinct_rows(d)
         d = d[first]
         r = h * CELL_SIZE * (d[:, None, None] + self.t[None, :] - self.t[:, None])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from varmatern.linalg import (
     NotPositiveDefiniteError,
@@ -97,3 +99,70 @@ def test_sparse_mass_accepted(build_system):
     lower = system.stiffness_cholesky
     assert np.array_equal(inv_triple_product(lower, system.mass_cholesky),
                           inv_triple_product(lower, system.mass_cholesky.toarray()))
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("profile", ["const05", "step", "bump"])
+def test_triple_product_matches_two_sweeps(build_system, profile, level):
+    # reference: two triangular sweeps against the columns of L_M, then Y Y^T
+    system = build_system(profile, 2.5, level)
+    lower = system.stiffness_cholesky
+    y = cho_solve((lower, True), system.mass_cholesky.toarray())
+    ref = y @ y.T
+    c = inv_triple_product(lower, system.mass_cholesky)
+    assert np.array_equal(c, c.T)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_triple_product_holds_two_dense_arrays(build_system):
+    system = build_system("step", 2.5, 6)
+    lower, mass_lower = system.stiffness_cholesky, system.mass_cholesky
+    n = lower.shape[0]
+    tracemalloc.start()
+    try:
+        inv_triple_product(lower, mass_lower)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * n * n * 8
+
+
+def test_triple_product_singular_factor_raises():
+    lower = np.tril(np.ones((4, 4)))
+    lower[2, 2] = 0.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        inv_triple_product(lower, np.eye(4))
+    assert exc.value.index == 3
+
+
+def _spd(rng, n):
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("at", [(255, 400), (256, 400), (400, 255), (400, 256),
+                                (255, 256), (256, 255), (599, 0)])
+def test_cholesky_checks_across_panels(rng, at):
+    # the checks run in 256-row panels of the upper half against their mirror
+    # columns; an entry on either side of a panel boundary, in either half
+    a = _spd(rng, 600)
+    scale = np.max(np.abs(a))
+    ok = a.copy()
+    ok[at] += 0.5e-12 * scale
+    cholesky(ok)
+    skewed = a.copy()
+    skewed[at] += 2e-12 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        cholesky(skewed)
+    bad = a.copy()
+    bad[at] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        cholesky(bad)
+
+
+def test_cholesky_reports_non_finite_before_asymmetry(rng):
+    a = _spd(rng, 600)
+    a[0, 599] += 1.0
+    a[599, 300] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        cholesky(a)
