@@ -5,47 +5,35 @@ over interior elements, A2 the nonlocal pair sum over all element pairs.
 Vertex-sharing and identical pairs are integrated with the singularity-
 resolving changes of variables (Duffy map plus power substitutions whose
 exponent uses the pair-local upper order bound, which coincides with the
-global bound for constant-order profiles); disjoint pairs use plain tensor
-Gauss in the near band and Chebyshev interpolants on cells in the far
-field. The anchor of an identical pair and the shared vertex of a
-vertex-sharing pair enter their transformed integrands only through beta,
-so each integrand is keyed by its s_up and its beta grids: each run of equal
-keys along the mesh is evaluated once, a few hundred rows at a time, and
-scattered back to its pairs, which on a piecewise-constant profile leaves a
-handful of integrands per level.
+global bound for constant-order profiles). The anchor of an identical pair
+and the shared vertex of a vertex-sharing pair enter their transformed
+integrands only through beta, so each integrand is keyed by its s_up and its
+beta grids: each run of equal keys along the mesh is evaluated once, a few
+hundred rows at a time, and scattered back to its pairs, which on a
+piecewise-constant profile leaves a handful of integrands per level.
 
-Far field (varmatern.farfield): pairs of cells of farfield.CELL_SIZE
-elements, farfield.CELL_SEPARATION or more cells apart, take the kernel from
-its Chebyshev interpolant on the cell pair; each such pair adds its blocks by
-matrix products with moments shared by every cell, the pairs of one cell
-offset together, and their blocks are never all held at once. A cell that
-straddles +-r_int or holds a breakpoint of s inside, a pair whose
-interpolant's Chebyshev tail is not negligible, and every pair closer than
-the cell separation keep the element path below.
-
-Element path: disjoint pairs are batched by index offset k: on the uniform
-mesh every pair of one offset shares the distance grid r_ab = h (k + x_b -
-x_a), and only the pair order beta varies. Their tensor-Gauss order falls
-with the offset, min(n, n_far(k)) with n_far from FAR_BREAKS and
-FAR_ORDERS, except where kappa h > 1, where every offset keeps n; the
-offsets go in bands of one order, and each band, less the offsets the far
-field covers, in chunks, each holding only the first elements with a pair
-left to it. Tensor Gauss reads s only at the quadrature points of each
-element, at the nodes of every order in use, so a pair's kernel grid is set
-by its offset and by the runs of equal rows of those values that hold its
-two elements: each distinct (offset, run, run) of a chunk is evaluated once,
-by farfield.kernel_grids, and each pair reads the block of its key. That
-evaluator takes the grids directly where they are few per distance grid (a
-piecewise-constant profile: one to three per offset), and otherwise from a
-table of the kernel on the chunk's distance grids at the BETA_DEGREE + 1
-Chebyshev points of [s_lower, s_upper] in beta, its series chopped after the
-degree that the chunk needs and summed by Clenshaw. The table holds the
-kernel with its growth in nu, max(4, 2 kappa r)^nu / r^(2 nu), divided out;
-a table that does not resolve the rest to BETA_TAIL_RTOL raises
-AssemblyError. The far cells and the element path hand their blocks to one
-accumulator (_DisjointSums): the element self blocks are summed into one
-(n_el, 2, 2) array that reaches the band once, and the cross blocks of
-offset k go onto the diagonals k - 1, k and k + 1.
+Disjoint pairs are cell pairs of varmatern.farfield, on two cell sizes. The
+far cells of farfield.CELL_SIZE elements take the pairs
+farfield.CELL_SEPARATION or more cells apart whose kernel their Chebyshev
+interpolant resolves; every pair they leave is a pair of one-element cells
+under tensor Gauss, whose order falls with the offset k, min(n, n_far(k))
+with n_far from FAR_BREAKS and FAR_ORDERS, except where kappa h > 1, where
+every offset keeps n. Both sizes go through one loop (_passes): the cell
+offsets in bands of one order, in passes of whole offsets, each pass's pairs
+ordered by offset and then by first cell. On the uniform mesh the pairs of
+one offset share their distance grid, so a pair's kernel grid is set by its
+offset and by the runs of equal s, at its cells' nodes, that hold its two
+cells: each distinct (offset, run, run) of a pass is evaluated once, by
+farfield.kernel_grids. That evaluator takes the grids directly where they
+are few per distance grid (a piecewise-constant profile: one to three per
+offset), and otherwise from a table of the kernel on the pass's distance
+grids at the BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta,
+its series chopped after the degree that the pass needs and summed by
+Clenshaw. The table holds the kernel with its growth in nu,
+max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that does not resolve
+the rest to BETA_TAIL_RTOL raises AssemblyError. The cross blocks of a cell
+offset go onto A at once, and the self blocks are summed per element and
+reach its band once.
 
 A is summed in place over the N unknowns: entries of exterior nodes are
 dropped as they arrive, A2 is accumulated on its upper triangle and then
@@ -73,7 +61,7 @@ from scipy import sparse
 from scipy.linalg import cholesky_banded
 
 from . import farfield, smoothness
-from .farfield import _chebyshev, _distinct_rows, _FarCells
+from .farfield import _chebyshev, _distinct_rows
 from .kernel import _phi_from_beta
 from .kernel import bessel_k  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import _mirror_upper, cholesky
@@ -123,20 +111,20 @@ DISJOINT_BLOCK_RTOL = 1e-12
 
 # The series of the beta table is summed only up to the lowest degree past
 # which its coefficients add up to at most this share of the smallest
-# tabulated value, at every point of the chunk's grids (after Aurentz &
+# tabulated value, at every point of the pass's grids (after Aurentz &
 # Trefethen, "Chopping a Chebyshev series", ACM TOMS 43(4), 2017), so the
 # chopped sum stays within it of the full one. Measured against the share
 # of the largest coefficient instead, the chopped sum missed the full one by
 # up to 1.4e-12 of itself, where the kernel falls steeply in beta.
 BETA_CHOP_RTOL = 1e-13
 
-# Pairs per chunk of disjoint offsets: the chunk's blocks, one per pair,
-# stay at about 3 MB.
+# Cell pairs per pass of disjoint offsets, counting every pair an offset
+# may hold: their indices stay at about 1 MB.
 _CHUNK_PAIRS = 2**15
 
-# Points of the distinct kernel grids per chunk of disjoint offsets, taking
-# an offset k to hold n_el - k grids, or two per run of equal s if fewer (one
-# offset takes more when it alone has more): their orders, Clenshaw
+# Points of the distinct kernel grids per pass of disjoint offsets, taking
+# an offset k to hold count - k grids, or two per run of equal s if fewer
+# (one offset takes more when it alone has more): their orders, Clenshaw
 # temporaries and kernel values take 0.25 MB each.
 _CHUNK_POINTS = 2**15
 
@@ -569,105 +557,32 @@ def _offset_chunks(bands, width, needed):
             ks = ks[step:]
 
 
-def _kept_pairs(mesh, ks, covered=None):
-    """The pairs (e, e + k), k in the ascending ``ks``, left to the element
-    path: those that exist, are not both exterior and, where ``covered``
-    (first, second) is given, are not in the far field. Returns the first
-    elements with such a pair, ``rows``, and which of their pairs are kept,
-    shape (len(rows), len(ks))."""
-    n_el = mesh.n_elements
-    first = np.arange(n_el - int(ks[0]))[:, None]
-    second = first + ks
-    keep = second < n_el
-    second = np.minimum(second, n_el - 1)
-    ext = ~mesh.element_interior
-    keep &= ~(ext[first] & ext[second])
-    if covered is not None:
-        keep &= ~covered(first, second)
-    rows = np.flatnonzero(np.any(keep, axis=1))
-    return rows, keep[rows]
+def _pairs_left(count, ks, drop):
+    """The pairs (c, c + k) of ``count`` cells, k in the ascending ``ks``,
+    that exist and that ``drop`` (first, second) leaves, ordered by k and
+    then by c."""
+    j, c = np.nonzero(np.arange(count) < count - ks[:, None])
+    d = ks[j]
+    keep = ~drop(c, c + d)
+    return c[keep], d[keep]
 
 
-def _pair_sums(mesh, ks, rows, keep, blocks):
-    """What _DisjointSums.add takes, from the blocks (len(rows), len(ks), 3,
-    2, 2) of the pairs (rows[i], rows[i] + ks[j]): the self-block sums (n_el,
-    2, 2), sxx on the first and syy on the second element of each kept pair,
-    and the cross blocks (2, 2, n_el - ks[0], len(ks)) by first element,
-    zero where a pair is not kept. Raises naming the first kept pair whose
-    block is not finite."""
-    n_el = mesh.n_elements
-    second = rows[:, None] + ks
-    blocks = _kept_finite(blocks, keep, "disjoint", rows[:, None], second)
-    sxx, sxy, syy = np.moveaxis(blocks, 2, 0)
-    self_blocks = np.stack(
-        [np.bincount(np.minimum(second, n_el - 1).ravel(), entry, n_el)
-         for entry in syy.reshape(-1, 4).T],
-        axis=1,
-        dtype=float,
-    ).reshape(n_el, 2, 2)
-    self_blocks[rows] += sxx.sum(axis=1)
-    cross = np.zeros((2, 2, n_el - int(ks[0]), ks.size))
-    cross[:, :, rows] = sxy.transpose(2, 3, 0, 1)
-    return self_blocks, cross
+def _passes(cells, bands, needed, drop):
+    """The pairs (c, c + d) of ``cells`` that ``drop`` leaves, pass by pass
+    over the cell offsets k with ``needed[k]`` in the ``bands`` [k_first,
+    k_last, order], from _pairs_left. A pass holds at most _CHUNK_PAIRS
+    pairs and about _CHUNK_POINTS points of distinct kernel grids, taking
+    an offset to hold count - k grids, or two per run of equal s if fewer,
+    and at least one offset."""
 
+    def width(k0, order):
+        grids = min(cells.count - k0, 2 * (cells.runs[-1] + 1))
+        return max(1, min(_CHUNK_PAIRS // cells.count, _CHUNK_POINTS // (grids * order * order)))
 
-def _disjoint_chunk(ctx, mesh, ks, rule, s_q, runs, table, rows, keep):
-    """Blocks for the offsets ``ks`` (ascending); ``s_q`` holds s at the
-    nodes of ``rule`` in every element, ``runs`` the index of each element's
-    run of equal rows of s at the quadrature points (_distinct_rows), and
-    ``rows``, ``keep`` the pairs to add (_kept_pairs).
-
-    A pair's kernel grid is set by its offset and the orders at the nodes of
-    its two elements, so the kept pairs (rows[i], rows[i] + ks[j]) are keyed
-    by (j, run of the first element, run of the second): the grids of the
-    distinct keys come from one kernel_grids call and their blocks from one
-    _blocks_from_kernel call, and each kept pair reads the block of its key
-    (the others are dropped). Returns what _DisjointSums.add takes.
-    """
-    h = mesh.h
-    xq = rule.nodes
-    second = np.minimum(rows[:, None] + ks, mesh.n_elements - 1)
-    # offset by offset, the runs of both elements ascend along the mesh, so
-    # equal keys are neighbours
-    j, i = np.nonzero(keep.T)
-    key, inverse = _distinct_rows(j, runs[rows[i]], runs[second[i, j]])
-    i, j = i[key], j[key]
-    beta = 0.5 * (s_q[rows[i], :, None] + s_q[second[i, j], None, :])
-    r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
-    g = farfield.kernel_grids(ctx.kappa, table, r, beta, j, ks)
-    index = np.zeros(keep.shape, dtype=int)
-    index.T[keep.T] = inverse
-    return _pair_sums(mesh, ks, rows, keep, _blocks_from_kernel(g, h, rule)[index])
-
-
-class _DisjointSums:
-    """Disjoint-pair blocks summed onto the upper triangle of A2, held in A
-    over the N unknowns (mesh nodes ``first`` ... ``first`` + N - 1); entries
-    of exterior nodes are dropped.
-
-    The self blocks (sxx on the first element of a pair, syy on the second)
-    collect in one (n_el, 2, 2) array that reaches the band of A once, in
-    finish(); the cross blocks of offset k go onto the diagonals k - 1, k
-    and k + 1. Every block enters with factor 2: each unordered pair is
-    computed once and the ordered double sum visits it twice.
-    """
-
-    def __init__(self, a, mesh):
-        self.a = a
-        self.first = mesh.first_interior_node
-        self.self_blocks = np.zeros((mesh.n_elements, 2, 2))
-
-    def add(self, ks, self_blocks, cross):
-        """Add self-block sums (n_el, 2, 2) and the cross blocks
-        cross[:, :, i, j] of the pairs (i, i + ks[j])."""
-        self.self_blocks += self_blocks
-        for j, k in enumerate(ks):
-            for da, db in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                _band_add(self.a, self.first, da, k + db, 2.0 * cross[da, db, :, j])
-
-    def finish(self):
-        for da, db in ((0, 0), (0, 1), (1, 1)):
-            _band_add(self.a, self.first, da, db, 2.0 * self.self_blocks[:, da, db])
+    for ks, _ in _offset_chunks(bands, width, needed):
+        c, d = _pairs_left(cells.count, ks, drop)
+        if c.size:
+            yield c, d
 
 
 def _kept_finite(blocks, keep, what, first, second):
@@ -699,24 +614,19 @@ def assemble_stiffness(
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
 
-    The disjoint pairs split into the far field and the near band. The far
-    field (farfield._FarCells) holds the pairs of cells of CELL_SIZE
-    elements CELL_SEPARATION or more cells apart, where both cells are all
-    interior or all exterior, hold no breakpoint of s inside and the
-    kernel's interpolant on CELL_ORDER Chebyshev points per cell resolves
-    it; each such cell pair adds its cross block and self blocks by matrix
-    products with moments shared by every cell. Every other disjoint pair
-    (the near band, and the pairs of cells that fail a condition) takes
-    tensor Gauss of order min(n, n_far(k)) at offset k, which holds each
-    block to DISJOINT_BLOCK_RTOL of itself where kappa h is small; where
-    kappa h > 1 they keep n. Each band of one order goes in chunks of at
+    The disjoint pairs are cell pairs (farfield): first the pairs of far
+    cells of CELL_SIZE elements CELL_SEPARATION or more cells apart, where
+    both cells are all interior or all exterior, hold no breakpoint of s
+    inside and the kernel's interpolant on CELL_ORDER Chebyshev points per
+    cell resolves it; then every element pair they leave, as a pair of
+    one-element cells under tensor Gauss of order min(n, n_far(k)) at offset
+    k, which holds each block to DISJOINT_BLOCK_RTOL of itself where kappa h
+    is small (where kappa h > 1 they keep n). Each pass of either takes at
     most _CHUNK_PAIRS pairs and about _CHUNK_POINTS points of distinct
-    kernel grids, a pair's grid being set by its offset and by the runs of
-    equal s, at the quadrature points, that hold its two elements. Each
-    chunk and each pass of far cells evaluates its distinct grids in one
-    farfield.kernel_grids call: directly where they are few (a
-    piecewise-constant profile), else from a Chebyshev table in beta of
-    degree BETA_DEGREE, chopped where its tail is negligible.
+    kernel grids, evaluated in one farfield.kernel_grids call: directly
+    where they are few (a piecewise-constant profile), else from a
+    Chebyshev table in beta of degree BETA_DEGREE, chopped where its tail
+    is negligible.
 
     ``quad_meta`` records the table degree as "beta_degree", the bands as
     "disjoint_orders", [[k_first, k_last, order], ...], and the far field as
@@ -725,11 +635,11 @@ def assemble_stiffness(
     left to the element path}; "n_disjoint" is n, the order of the nearest
     pairs. The identical and vertex-sharing pairs evaluate each run of equal
     integrands once; the run counts are "near_field_keys", {"identical":
-    ..., "vertex_sharing": ...}. The blocks are checked after they reach
-    every pair, so a failure names the first kept pair. A is summed on its
-    upper triangle, over the N unknowns only, mirrored, and A1 added by its
-    three diagonals. Raises AssemblyError when a kept pair's block is not
-    finite or the beta table does not resolve the kernel.
+    ..., "vertex_sharing": ...}. The blocks and kernel grids are checked
+    where they reach the pairs, so a failure names the first kept pair. A is
+    summed on its upper triangle, over the N unknowns only, mirrored, and A1
+    added by its three diagonals. Raises AssemblyError when a kept pair's
+    block is not finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
     if n is None:
@@ -766,33 +676,47 @@ def assemble_stiffness(
         for db in range(da, 3):
             _band_add(a, first, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs: the far field on cells, then the element path over the
-    # offsets k = 2 ... n_el - 1 in bands of one order, for the pairs the
-    # cells leave; tensor Gauss reads s only at the quadrature points of
-    # each element, here those of every order in use side by side
-    bands = _disjoint_orders(n_el, n, ctx.kappa * h)
-    orders = sorted({n, *(order for *_, order in bands)})
-    xq = np.concatenate([gauss_legendre_01(order).nodes for order in orders])
-    s_q = smoothness.evaluate(profile, mesh.nodes[:n_el, None] + h * xq)
-    s_by_order = dict(zip(orders, np.split(s_q, np.cumsum(orders)[:-1], axis=1)))
-    runs = _distinct_rows(s_q)[1]
+    # disjoint pairs: the far cell pairs, then the element pairs they leave
+    # over the offsets k = 2 ... n_el - 1, in bands of one order
     table = _BetaTable(profile)
+    cells, regular = farfield.far_cells(mesh, profile, table)
+    count, size = cells.count, cells.size
+    far = np.zeros((count + 1,) * 2, dtype=bool)
 
-    def width(k0, order):
-        grids = min(n_el - k0, 2 * (runs[-1] + 1))
-        return max(1, min(_CHUNK_PAIRS // n_el, _CHUNK_POINTS // (grids * order * order)))
+    def irregular(i, j):
+        return ~(regular[i] & regular[j]) | (cells.exterior[i] & cells.exterior[j])
 
-    sums = _DisjointSums(a, mesh)
-    cells = _FarCells(mesh, profile, table)
-    cell_pairs = cells.add(ctx, sums)
+    cell_bands = [[farfield.CELL_SEPARATION, count - 1, farfield.CELL_ORDER]]
+    for cell, d in _passes(cells, cell_bands, np.ones(count, bool), irregular):
+        g, inverse = cells.grids(ctx, cell, d)
+        ok = farfield.resolved(g)[inverse]
+        cell, d = cell[ok], d[ok]
+        far[cell, cell + d] = True
+        cells.add(a, cell, d, g, inverse[ok])
+
+    cell_of = np.minimum(elements // size, count)
+
+    def covered(e, f):
+        return (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
+
+    needed = farfield.needed(cells, far)
+    self_blocks = cells.self_blocks()
     element_pairs = 0
-    for ks, order in _offset_chunks(bands, width, cells.needed()):
-        rows, keep = _kept_pairs(mesh, ks, cells.covered)
-        if rows.size:
-            sums.add(ks, *_disjoint_chunk(ctx, mesh, ks, gauss_legendre_01(order),
-                                          s_by_order[order], runs, table, rows, keep))
-            element_pairs += int(np.count_nonzero(keep))
-    sums.finish()
+    bands = _disjoint_orders(n_el, n, ctx.kappa * h)
+    for band in bands:
+        level = farfield.element_cells(mesh, profile, table, band[2])
+        for e, k in _passes(level, [band], needed, covered):
+            g, inverse = level.grids(ctx, e, k)
+            bad = np.flatnonzero(~np.all(np.isfinite(g), axis=(1, 2))[inverse])
+            if bad.size:
+                i = bad[0]
+                raise AssemblyError("non-finite disjoint block for element pair "
+                                    f"({e[i]}, {e[i] + k[i]})")
+            level.add(a, e, k, g, inverse)
+            element_pairs += e.size
+        self_blocks += level.self_blocks()
+    for da, db in ((0, 0), (0, 1), (1, 1)):
+        _band_add(a, first, da, db, 2.0 * self_blocks[:, da, db])
 
     _mirror_upper(a)
     a1 = assemble_weighted_mass(mesh, ctx, rule)
@@ -817,7 +741,7 @@ def assemble_stiffness(
             "cell_size": farfield.CELL_SIZE,
             "order": farfield.CELL_ORDER,
             "separation": farfield.CELL_SEPARATION,
-            "cell_pairs": cell_pairs,
+            "cell_pairs": int(np.count_nonzero(far)),
             "element_pairs": element_pairs,
         },
     }

@@ -203,6 +203,16 @@ class RunConfig:
                     f"config key 'slices.x0' holds locations {outside} outside "
                     f"D = [{-self.r_int}, {self.r_int}]"
                 )
+        if command == "matern":  # the Whittle variance needs nu = 2 s - 1/2 > 0
+            if self.profile.kind == "constant":
+                if self.profile.params["s"] <= 0.25:
+                    raise ConfigError(f"config key 'profile.s' must exceed 1/4 for matern, "
+                                      f"got {self.profile.params['s']}")
+            else:
+                s = smoothness.average_s(self.profile, (-self.r_ext, self.r_ext))
+                if s <= 0.25:
+                    raise ConfigError(f"invalid 'profile' block: its mean order over G must "
+                                      f"exceed 1/4 for matern, got {s}")
         if command == "converge":
             if self.m < 1:
                 raise ConfigError(

@@ -1,18 +1,24 @@
-"""The far field of the disjoint element pairs: the kernel interpolated on
-pairs of cells.
+"""The disjoint element pairs, assembled as pairs of cells.
 
-The elements group into cells of CELL_SIZE. Away from x = y the kernel
-g = phi r^(-1 - 2 beta) is analytic on a pair of cells wherever s is, so a
-cell pair CELL_SEPARATION or more cells apart takes g from its interpolant on
-CELL_ORDER x CELL_ORDER Chebyshev points: the degenerate-kernel step of
-hierarchical matrices, on one level (Boerm, Grasedyck & Hackbusch,
-Hierarchical Matrices, 2003, ch. 2-3; Ainsworth & Glusa use cluster methods
-for the integral fractional Laplacian, 2018). On the uniform mesh the
-moments of the interpolant's Lagrange functions against the hats are the
-same in every cell, so a cell pair adds -h^2 W G W^T to the cross entries of
-A2 and its self blocks come from G mu. The element path of the assembly
-takes every pair the far field leaves. Both evaluate their kernel grids
-through kernel_grids, and the Chebyshev helpers here serve its beta table.
+A cell is a run of consecutive elements with p nodes, at which a pair of
+cells (c, c + d) samples the kernel g = phi r^(-1 - 2 beta) as the grid
+G[i, j] = g(x_i, y_j). On the uniform mesh the moments of the nodes' weight
+functions against the hats are the same in every cell: W[a, i] by mesh node
+a of the cell, mu[i] by node, and m2[k, a, b, i] by element k of the cell
+and its hats a, b. So a cell pair adds -h^2 W G W^T to the cross entries of
+A2, and h^2 m2 . (G mu) and h^2 m2 . (mu G) to the self blocks of its first
+and second cell: the degenerate-kernel step of hierarchical matrices (Boerm,
+Grasedyck & Hackbusch, Hierarchical Matrices, 2003, ch. 2-3; Ainsworth &
+Glusa use cluster methods for the integral fractional Laplacian, 2018).
+
+The engine serves two cell sizes. An element on the n nodes and weights of
+tensor Gauss is a cell of one element, with W[a, i] = w_i psi_a(x_i), mu_i =
+w_i and m2[0, a, b, i] = w_i psi_a(x_i) psi_b(x_i), and its cell pairs are
+the element pairs under tensor Gauss. The far cells hold CELL_SIZE elements
+on CELL_ORDER Chebyshev points, whose Lagrange functions give the moments: a
+pair of them CELL_SEPARATION or more cells apart takes g from its
+interpolant, where that resolves it. Every kernel grid comes from
+kernel_grids, the one evaluator of the disjoint pairs.
 """
 
 from __future__ import annotations
@@ -34,20 +40,13 @@ from .quadrature import gauss_legendre_01
 # Where kappa CELL_SIZE h is large, or s changes fast across a cell, a
 # fixed order does not suffice: a cell pair whose last two Chebyshev
 # coefficients in either variable exceed CELL_TAIL_RTOL of its smallest
-# kernel value keeps the element path. That estimate ran 50 to 1500 times
+# kernel value keeps the element pairs. That estimate ran 50 to 1500 times
 # above the block error over the same profiles, kappa in {0.5, 10, 50}
 # and levels 4 to 8 (bumps as narrow as sigma = 0.1 too).
 CELL_SIZE = 16
 CELL_ORDER = 16
 CELL_SEPARATION = 3
 CELL_TAIL_RTOL = 1e-11
-
-# Candidate cell pairs per pass of the far field (whole cell offsets, so at
-# least the pairs of one): their beta and kernel grids take about 0.25 MB
-# each. Passes of 256 pairs split across offsets left 0.4 MB more resident
-# after a level-8 assembly, and the covariance that followed peaked higher
-# by as much.
-_CELL_PAIRS = 128
 
 
 def _chebyshev(count):
@@ -80,13 +79,11 @@ def kernel_grids(kappa, table, r, beta, group, ks):
     grid per offset, ``group`` ascends); ks[j] is the element offset of
     r[j], which errors name.
 
-    The only kernel evaluator of the disjoint pairs, for the element path
-    and the far cells alike. Orders outside the bounds of the beta ``table``
-    raise first. Grids that number at most the table's degree + 1 nodes per
-    distance grid (a piecewise-constant profile) are evaluated directly;
-    more than that cost less from the table: its series on the distance
-    grids, chopped where its tail is negligible, summed by one Clenshaw pass
-    per distance grid.
+    Orders outside the bounds of the beta ``table`` raise first. Grids that
+    number at most the table's degree + 1 nodes per distance grid (a
+    piecewise-constant profile) are evaluated directly; more than that cost
+    less from the table: its series on the distance grids, chopped where
+    its tail is negligible, summed by one Clenshaw pass per distance grid.
     """
     table.check(beta, ks[group])
     if beta.shape[0] <= (table.degree + 1) * r.shape[0]:
@@ -115,167 +112,174 @@ def _distinct_rows(*keys):
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
-class _FarCells:
-    """The far field on cells of CELL_SIZE consecutive elements (the last
-    n_el mod CELL_SIZE elements form none).
-
-    A cell pair CELL_SEPARATION or more cells apart takes the kernel from its
-    interpolant on the tensor grid of CELL_ORDER Chebyshev points in each
-    cell. The interpolant's Lagrange functions have the same moments on the
-    k-th element of every cell, so the pair's blocks are matrix products of
-    its kernel grid G with moments computed once: the node-by-node cross
-    block -h^2 W G W^T, and the self blocks of its first and second cell
-    from G mu and G^T mu, mu the cell integrals. The cell pairs of one cell
-    offset share one distance grid, and those whose cells lie in the same
-    runs of equal s (``runs``) one beta grid, evaluated once by kernel_grids
-    with the beta ``table``. The candidate pairs go in passes of whole
-    offsets, about _CELL_PAIRS at a time. A pair joins the far field only
-    if both cells are regular (all interior or all exterior, with no
-    breakpoint of s inside), they are not both exterior, and the last two
-    Chebyshev coefficients of its grid in either variable stay within
-    CELL_TAIL_RTOL of its smallest kernel value; every other pair keeps the
-    element path.
+class _Cells:
+    """Cells of ``size`` consecutive elements from the mesh's first (the
+    last n_el mod size elements form none), with nodes at ``t`` in cell
+    lengths, the orders s (count, p) at the nodes of every cell, and the
+    moments w (size + 1, p), mu (p,) and m2 (size, 2, 2, p). Cells in one
+    run of equal s (``runs``) share their kernel grids; ``v`` sums G mu
+    over the pairs a cell is first in and mu G over those it is second in.
     """
 
-    def __init__(self, mesh, profile, table):
-        size, p = CELL_SIZE, CELL_ORDER
+    def __init__(self, mesh, table, size, t, s, w, mu, m2):
         self.mesh = mesh
         self.table = table
-        self.count = n = mesh.n_elements // size
-        tau, self.to_coef = _chebyshev(p)
-        self.t = 0.5 * (1.0 + tau)  # the nodes in cell lengths
-        lefts = mesh.nodes[: n * size : size]
-        rights = mesh.nodes[size : (n + 1) * size : size]
-        self.s = smoothness.evaluate(profile, lefts[:, None] + (rights - lefts)[:, None] * self.t)
-        self.runs = _distinct_rows(self.s)[1]  # cells in one run share their s
-        ext = ~mesh.element_interior[: n * size].reshape(n, size)
-        self.exterior = np.all(ext, axis=1)
-        breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
-        broken = np.searchsorted(breaks, rights) > np.searchsorted(breaks, lefts, "right")
-        self.regular = (self.exterior | ~np.any(ext, axis=1)) & ~broken
-        # moments on the elements of one cell: Gauss of this order is exact
-        # for psi_a psi_b L_i, of degree p + 1
-        rule = gauss_legendre_01(p // 2 + 1)
-        u = 2.0 * (np.arange(size)[:, None] + rule.nodes) / size - 1.0
-        lagrange = np.cos(np.arccos(u)[..., None] * np.arange(p)) @ self.to_coef
-        psi = np.stack([1.0 - rule.nodes, rule.nodes])
-        self.m1 = np.einsum("q,aq,jqi->jai", rule.weights, psi, lagrange)
-        self.m2 = np.einsum("q,aq,bq,jqi->jabi", rule.weights, psi, psi, lagrange)
-        self.mu = self.m1.sum(axis=(0, 1))
-        self.w = np.zeros((size + 1, p))
-        self.w[:-1] += self.m1[:, 0]
-        self.w[1:] += self.m1[:, 1]
-        # (cell of the first element, cell of the second) in the far field;
-        # the last index stands for the elements past the last cell
-        self.far = np.zeros((n + 1, n + 1), dtype=bool)
-        self.cell_of = np.minimum(np.arange(mesh.n_elements) // size, n)
-
-    def covered(self, first, second):
-        """Whether the element pairs (first, second) are in the far field."""
-        return self.far[self.cell_of[first], self.cell_of[second]]
-
-    def needed(self):
-        """Per offset k = 0 ... n_el - 1, whether some pair (e, e + k) may
-        lie outside the far field: the pairs of offset k lie in cell pairs
-        k // CELL_SIZE and k // CELL_SIZE + 1 cells apart."""
-        n_el = self.mesh.n_elements
-        ext = self.exterior
-        if self.count * CELL_SIZE < n_el:
-            ext = np.append(ext, np.all(~self.mesh.element_interior[self.count * CELL_SIZE :]))
-        m = ext.size
-        open_ = np.zeros(m + 1, dtype=bool)
-        for d in range(m):
-            c = np.arange(m - d)
-            open_[d] = np.any(~self.far[c, c + d] & ~(ext[c] & ext[c + d]))
-        k = np.arange(n_el)
-        q = k // CELL_SIZE
-        return open_[q] | ((k % CELL_SIZE > 0) & open_[q + 1])
-
-    def pairs(self):
-        """The cell pairs (c, c + d) the far field may take, d at least
-        CELL_SEPARATION, ordered by d and then c: both cells regular and not
-        both exterior."""
-        n = self.count
-        d = np.arange(CELL_SEPARATION, max(n, CELL_SEPARATION))[:, None]
-        c = np.arange(n)[None, :]
-        second = np.minimum(c + d, n - 1)
-        ok = (c + d < n) & self.regular[c] & self.regular[second]
-        ok &= ~(self.exterior[c] & self.exterior[second])
-        d, c = np.nonzero(ok)
-        return c, d + CELL_SEPARATION
+        self.size = size
+        self.t, self.s, self.w, self.mu, self.m2 = t, s, w, mu, m2
+        self.count = n = s.shape[0]
+        self.runs = _distinct_rows(s)[1]
+        self.exterior = np.all(~mesh.element_interior[: n * size].reshape(n, size), axis=1)
+        self.v = np.zeros(s.shape)
 
     def grids(self, ctx, c, d):
         """Kernel grids g[i, j] at (x_i, y_j) of the cell pairs (c, c + d),
         ordered by d, each (d, run of c, run of c + d) once (both runs ascend
-        with c), and for every pair the index of its grid and whether its
-        interpolant resolves the kernel."""
-        h = self.mesh.h
+        with c) and all from one kernel_grids call, and for every pair the
+        index of its grid."""
         key, inverse = _distinct_rows(d, self.runs[c], self.runs[c + d])
         c, d = c[key], d[key]
         beta = 0.5 * (self.s[c, :, None] + self.s[c + d, None, :])
         first, group = _distinct_rows(d)
         d = d[first]
-        r = h * CELL_SIZE * (d[:, None, None] + self.t[None, :] - self.t[:, None])
-        g = kernel_grids(ctx.kappa, self.table, r, beta, group, d * CELL_SIZE)
-        coef = self.to_coef @ g @ self.to_coef.T
-        tail = np.maximum(np.max(np.abs(coef[:, -2:]), axis=(1, 2)),
-                          np.max(np.abs(coef[:, :, -2:]), axis=(1, 2)))
-        return g, inverse, (tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2)))[inverse]
+        r = self.mesh.h * self.size * (d[:, None, None] + self.t[None, :] - self.t[:, None])
+        return kernel_grids(ctx.kappa, self.table, r, beta, group, d * self.size), inverse
 
-    def add(self, ctx, sums):
-        """Add the far field to ``sums`` and mark its cell pairs in ``far``;
-        returns the number of cell pairs it holds."""
-        size, n = CELL_SIZE, self.count
-        h = self.mesh.h
-        v = np.zeros((n, CELL_ORDER))
-        c_all, d_all = self.pairs()
-        # passes of whole cell offsets, at most _CELL_PAIRS pairs unless one
-        # offset alone has more
-        ends = np.append(np.flatnonzero(np.diff(d_all)) + 1, d_all.size)
-        i = 0
-        while i < d_all.size:
-            later = ends[ends > i]
-            fits = later[later <= i + _CELL_PAIRS]
-            j = fits[-1] if fits.size else later[0]
-            c, d = c_all[i:j], d_all[i:j]
-            i = j
-            g, inverse, resolved = self.grids(ctx, c, d)
-            c, d, inverse = c[resolved], d[resolved], inverse[resolved]
-            self.far[c, c + d] = True
-            np.add.at(v, c, (g @ self.mu)[inverse])
-            np.add.at(v, c + d, (self.mu @ g)[inverse])
-            cross = ((-2.0 * h * h) * (self.w @ g @ self.w.T))[inverse]
-            starts = np.flatnonzero(np.diff(d, prepend=-1))
-            for i0, i1 in zip(starts, np.append(starts[1:], d.size)):
-                rows = c[i0:i1] * size - sums.first
-                _add_cell_blocks(sums.a, rows, rows + d[i0] * size, size, cross[i0:i1])
-        sums.self_blocks[: n * size] += (
-            h * h * np.einsum("jabi,ci->cjab", self.m2, v).reshape(-1, 2, 2)
-        )
-        return int(np.count_nonzero(self.far))
+    def add(self, a, c, d, g, inverse):
+        """Add the cell pairs (c, c + d), ordered by d, with the kernel grids
+        g[inverse]: their G mu and mu G to ``v``, and their cross blocks,
+        twice (the ordered double sum visits each pair twice), to the upper
+        triangle ``a`` of A2 over the unknowns."""
+        size, p = self.size, self.t.size
+        for cells, terms in ((c, g.reshape(-1, p) @ self.mu), (c + d, self.mu @ g)):
+            at = (cells[:, None] * p + np.arange(p)).ravel()
+            self.v += np.bincount(at, terms.reshape(-1, p)[inverse].ravel(),
+                                  self.v.size).reshape(self.v.shape)
+        cross = ((self.w @ g).reshape(-1, p) @ self.w.T).reshape(-1, size + 1, size + 1)
+        cross *= -2.0 * self.mesh.h**2
+        rows = c * size - self.mesh.first_interior_node
+        starts = np.flatnonzero(np.diff(d, prepend=-1))
+        for i0, i1 in zip(starts, np.append(starts[1:], d.size)):
+            _add_cell_blocks(a, rows[i0:i1], rows[i0:i1] + d[i0] * size, size,
+                             cross[inverse[i0:i1]])
+
+    def self_blocks(self):
+        """The self blocks the cell pairs added, summed per element: sxx of
+        the pairs an element is first in and syy of those it is second in,
+        shape (n_el, 2, 2)."""
+        blocks = np.zeros((self.mesh.n_elements, 2, 2))
+        blocks[: self.count * self.size] = self.mesh.h**2 * np.einsum(
+            "jabi,ci->cjab", self.m2, self.v
+        ).reshape(-1, 2, 2)
+        return blocks
+
+
+def element_cells(mesh, profile, table, order):
+    """The elements as cells of one element, on the nodes of tensor Gauss of
+    ``order``."""
+    rule = gauss_legendre_01(order)
+    x, w = rule.nodes, rule.weights
+    psi = np.stack([1.0 - x, x])
+    s = smoothness.evaluate(profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * x)
+    return _Cells(mesh, table, 1, x, s, w * psi, w, (w * psi[:, None] * psi)[None])
+
+
+def _moments(size, to_coef):
+    """m1[k, a, i] and m2[k, a, b, i]: the Lagrange functions L_i of the
+    interpolant on the Chebyshev points of ``to_coef`` in a cell of ``size``
+    elements, integrated against psi_a and psi_a psi_b on its k-th element.
+    Gauss of order p // 2 + 1 is exact for psi_a psi_b L_i, of degree p + 1."""
+    p = to_coef.shape[0]
+    rule = gauss_legendre_01(p // 2 + 1)
+    u = 2.0 * (np.arange(size)[:, None] + rule.nodes) / size - 1.0
+    lagrange = np.cos(np.arccos(u)[..., None] * np.arange(p)) @ to_coef
+    psi = np.stack([1.0 - rule.nodes, rule.nodes])
+    m1 = np.einsum("q,aq,jqi->jai", rule.weights, psi, lagrange)
+    m2 = np.einsum("q,aq,bq,jqi->jabi", rule.weights, psi, psi, lagrange)
+    return m1, m2
+
+
+def far_cells(mesh, profile, table):
+    """The far field's cells, CELL_SIZE elements on CELL_ORDER Chebyshev
+    points, and which are regular: all interior or all exterior, with no
+    breakpoint of s inside. Only a pair of regular cells, not both
+    exterior, may join the far field."""
+    size = CELL_SIZE
+    n = mesh.n_elements // size
+    tau, to_coef = _chebyshev(CELL_ORDER)
+    t = 0.5 * (1.0 + tau)
+    lefts = mesh.nodes[: n * size : size]
+    rights = mesh.nodes[size : (n + 1) * size : size]
+    s = smoothness.evaluate(profile, lefts[:, None] + (rights - lefts)[:, None] * t)
+    m1, m2 = _moments(size, to_coef)
+    w = np.zeros((size + 1, CELL_ORDER))
+    w[:-1] += m1[:, 0]
+    w[1:] += m1[:, 1]
+    cells = _Cells(mesh, table, size, t, s, w, m1.sum(axis=(0, 1)), m2)
+    interior = np.all(mesh.element_interior[: n * size].reshape(n, size), axis=1)
+    breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
+    broken = np.searchsorted(breaks, rights) > np.searchsorted(breaks, lefts, "right")
+    return cells, (cells.exterior | interior) & ~broken
+
+
+def resolved(g):
+    """Whether the interpolant of each kernel grid resolves the kernel: the
+    last two Chebyshev coefficients of g in either variable stay within
+    CELL_TAIL_RTOL of its smallest value."""
+    to_coef = _chebyshev(g.shape[-1])[1]
+    coef = to_coef @ g @ to_coef.T
+    tail = np.maximum(np.max(np.abs(coef[:, -2:]), axis=(1, 2)),
+                      np.max(np.abs(coef[:, :, -2:]), axis=(1, 2)))
+    return tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2))
+
+
+def needed(cells, far):
+    """Per element offset k = 0 ... n_el - 1, whether some pair (e, e + k)
+    may lie outside the cell pairs marked in ``far``, (count + 1) square,
+    its last index standing for the elements past the last cell: the pairs
+    of offset k lie in cell pairs k // size and k // size + 1 cells apart."""
+    mesh, size = cells.mesh, cells.size
+    n_el = mesh.n_elements
+    ext = cells.exterior
+    if cells.count * size < n_el:
+        ext = np.append(ext, np.all(~mesh.element_interior[cells.count * size :]))
+    m = ext.size
+    open_ = np.zeros(m + 1, dtype=bool)
+    for d in range(m):
+        c = np.arange(m - d)
+        open_[d] = np.any(~far[c, c + d] & ~(ext[c] & ext[c + d]))
+    k = np.arange(n_el)
+    q = k // size
+    return open_[q] | ((k % size > 0) & open_[q + 1])
 
 
 def _add_cell_blocks(a, rows, cols, size, blocks):
     """a[rows[i] + u, cols[i] + w] += blocks[i, u, w] where the index lies in
     a. ``rows`` ascends in multiples of ``size`` and ``cols`` - ``rows`` is
     constant, so blocks ``size`` apart overlap in one row and one column,
-    and each half of them, taken in turn, in none."""
+    and the parts of the blocks before their last row and column, in their
+    last row, in their last column and in their corner, taken in turn, in
+    none. Only the last block to start above row 0 and the first to end
+    past the last column are cut."""
     n = a.shape[0]
-    inside = (rows >= 0) & (cols + size < n)
-    for i in np.flatnonzero(~inside & (rows + size >= 0) & (cols < n)):
-        r0, c0 = max(rows[i], 0), max(cols[i], 0)
-        r1, c1 = min(rows[i] + size + 1, n), min(cols[i] + size + 1, n)
-        a[r0:r1, c0:c1] += blocks[i, r0 - rows[i] : r1 - rows[i], c0 - cols[i] : c1 - cols[i]]
-    if np.any(inside):
-        rows, cols, blocks = rows[inside], cols[inside], blocks[inside]
-        steps = (rows - rows[0]) // size
+    shift = int(cols[0] - rows[0])
+    i0, i1 = np.searchsorted(rows, (0, n - size - shift)).tolist()
+    for i in {i0 - 1, i1}:
+        if 0 <= i < rows.size:
+            r = int(rows[i])
+            c = r + shift
+            r0, c0, r1, c1 = max(r, 0), max(c, 0), min(r + size + 1, n), min(c + size + 1, n)
+            if r1 > r0 and c1 > c0:
+                a[r0:r1, c0:c1] += blocks[i, r0 - r : r1 - r, c0 - c : c1 - c]
+    if i1 > i0:
+        blocks = blocks[i0:i1]
+        steps = (rows[i0:i1] - rows[i0]) // size
         if steps[-1] >= steps.size:  # gaps: zero blocks fill them
             dense = np.zeros((steps[-1] + 1,) + blocks.shape[1:])
             dense[steps] = blocks
             blocks = dense
-        corner = a[rows[0] :, cols[0] :]
+        corner = a[rows[i0] :, rows[i0] + shift :]
         view = as_strided(
             corner, blocks.shape, (size * (corner.strides[0] + corner.strides[1]),) + corner.strides
         )
-        view[0::2] += blocks[0::2]
-        view[1::2] += blocks[1::2]
+        for part in np.s_[:, :-1, :-1], np.s_[:, -1, :-1], np.s_[:, :-1, -1], np.s_[:, -1, -1]:
+            view[part] += blocks[part]

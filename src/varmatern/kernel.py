@@ -95,8 +95,8 @@ class KernelContext:
             raise ValueError("only the one-dimensional kernel is implemented")
         kappa = float(kappa)
         mu = float(mu)
-        if kappa <= 0 or mu <= 0:
-            raise ValueError(f"kappa and mu must be positive, got {kappa}, {mu}")
+        if not (0 < kappa < np.inf and 0 < mu < np.inf):
+            raise ValueError(f"kappa and mu must be finite and positive, got {kappa}, {mu}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "profile", profile)

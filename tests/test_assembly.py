@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -308,18 +310,29 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
         assemble_stiffness(mesh, ctx, n=4)
 
 
-def _far_cells(mesh, ctx):
-    """The far cells of an assembly of ``mesh``, with their cell pairs marked."""
-    import varmatern.assembly as asm
+def _far_field(monkeypatch, mesh, ctx):
+    """An assembly of ``mesh``, its far cells and the cell pairs it marks in
+    ``far``, as farfield.needed receives them."""
+    seen = []
+    real = farfield.needed
+    monkeypatch.setattr(farfield, "needed", lambda cells, far: seen.append((cells, far))
+                        or real(cells, far))
+    system = assemble_stiffness(mesh, ctx)
+    monkeypatch.setattr(farfield, "needed", real)
+    return system, *seen[0]
 
-    cells = farfield._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
-    cells.add(ctx, asm._DisjointSums(np.zeros((mesh.interior_node_count,) * 2), mesh))
-    return cells
+
+def _covered(mesh, cells, far):
+    """What the assembly drops of the element pairs (e, f): both exterior,
+    or in a cell pair marked in ``far``."""
+    ext = ~mesh.element_interior
+    cell_of = np.minimum(np.arange(mesh.n_elements) // cells.size, cells.count)
+    return lambda e, f: (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
 
 
 def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     # a constant order puts every pair of one offset under one key: each
-    # chunk of the element path is one direct kernel call
+    # pass of the element cells is one direct kernel call
     import varmatern.assembly as asm
 
     calls = []
@@ -332,128 +345,147 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(farfield, "_phi_from_beta", counted)
     mesh = build_uniform(3, 4, 7)
-    ctx = _ctx("const05")
-    system = assemble_stiffness(mesh, ctx)
+    system, cells, far = _far_field(monkeypatch, mesh, _ctx("const05"))
     n_el = mesh.n_elements
     assert 0 < len(calls) < (n_el - 2) / 8
     n = system.quad_meta["n_disjoint"]
-    # one grid per offset with a pair left to the element path, none
+    # one grid per offset with a pair left to the element cells, none
     # repeated
-    cells = _far_cells(mesh, ctx)
-    needed = sum(asm._kept_pairs(mesh, np.array([k]), cells.covered)[0].size > 0
+    covered = _covered(mesh, cells, far)
+    needed = sum(asm._pairs_left(n_el, np.array([k]), covered)[0].size > 0
                  for k in range(2, n_el))
     assert sum(shape[0] for shape in calls) == needed
-    # each chunk's grids take the order of its band
+    # each pass's grids take the order of its band
     bands = system.quad_meta["disjoint_orders"]
     chunks = asm._offset_chunks(bands, lambda k0, order: max(1, asm._CHUNK_PAIRS // n_el),
-                                cells.needed())
+                                farfield.needed(cells, far))
     assert [shape[1:] for shape in calls] == [(order, order) for _, order in chunks]
     assert bands[0][2] == n
+
+
+def _element_sums(ctx, mesh, ks, order):
+    """What the element cells of ``order`` add for the pairs of the offsets
+    ``ks`` that are not both exterior, in one pass: the upper triangle of A2
+    over the unknowns, and the self blocks per element."""
+    import varmatern.assembly as asm
+
+    ext = ~mesh.element_interior
+    cells = farfield.element_cells(mesh, ctx.profile, asm._BetaTable(ctx.profile), order)
+    e, k = asm._pairs_left(mesh.n_elements, ks, lambda e, f: ext[e] & ext[f])
+    a = np.zeros((mesh.interior_node_count,) * 2)
+    if e.size:
+        cells.add(a, e, k, *cells.grids(ctx, e, k))
+    return a, cells.self_blocks()
+
+
+def _pair_reference(mesh, e, f, blocks):
+    """The same sums, pair by pair, from the blocks (P, 3, 2, 2) of the
+    pairs (e, f), (sxx, sxy, syy) along axis 1."""
+    sxx, sxy, syy = np.moveaxis(blocks, 1, 0)
+    self_ref = np.zeros((mesh.n_elements, 2, 2))
+    np.add.at(self_ref, e, sxx)
+    np.add.at(self_ref, f, syy)
+    a = np.zeros((mesh.n_nodes,) * 2)
+    for u in range(2):
+        for w in range(2):
+            np.add.at(a, (e + u, f + w), 2.0 * sxy[:, u, w])
+    return a[mesh.interior_slice, mesh.interior_slice], self_ref
+
+
+def _kept(mesh, ks):
+    """The pairs (e, e + k), k in ``ks``, that are not both exterior."""
+    import varmatern.assembly as asm
+
+    ext = ~mesh.element_interior
+    e, k = asm._pairs_left(mesh.n_elements, ks, lambda e, f: ext[e] & ext[f])
+    return e, e + k
+
+
+def _direct_blocks(ctx, mesh, e, f, rule):
+    import varmatern.assembly as asm
+
+    return np.stack(asm._disjoint_blocks_direct(ctx, mesh.h, mesh.nodes[e], mesh.nodes[f], rule),
+                    axis=1)
 
 
 @pytest.mark.parametrize("key", ["const05", "step", "bump"])
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_grouped_weights_match_pair_loop(monkeypatch, key, level):
-    # every kept pair reads the block of a key whose grid is its own: with
-    # the kernel replaced by beta + k, the chunk's sums match those of each
-    # pair's own grid
+    # every pair reads a grid that is its own: with the kernel replaced by
+    # beta + k, the element cells' sums match those of each pair's own grid
     import varmatern.assembly as asm
 
     mesh = build_uniform(3, 4, level)
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
-    rule = gauss_legendre_01(4)
-    s_q = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
     # every offset: the last ones pair exterior elements and run past the mesh end
     ks = np.arange(2, n_el)
-    rows, keep = asm._kept_pairs(mesh, ks)
-    ref_keep = np.zeros_like(keep)
-    for j, k in enumerate(ks):
-        for e in range(n_el - k):
-            if not (ext[e] and ext[e + k]):
-                ref_keep[int(np.flatnonzero(rows == e)[0]), j] = True
-    assert np.array_equal(keep, ref_keep)
-    # the pairs of two exterior elements are dropped, and so are the rows
-    # whose pairs all are
-    kept = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in ks)
-    assert keep.sum() == kept
-    assert np.all(np.any(keep, axis=1))
+    e, f = _kept(mesh, ks)
+    pairs = [(k, i) for k in ks for i in range(n_el - k) if not (ext[i] and ext[i + k])]
+    assert np.array_equal(np.stack([f - e, e], axis=1), np.array(pairs))
 
     monkeypatch.setattr(farfield, "kernel_grids",
                         lambda kappa, table, r, beta, group, ks: beta + ks[group, None, None])
-    runs = farfield._distinct_rows(s_q)[1]
-    got = asm._disjoint_chunk(_ctx(key), mesh, ks, rule, s_q, runs, None, rows, keep)
-
-    def own_grids(k):
-        beta = 0.5 * (s_q[: n_el - k, :, None] + s_q[k:, None, :])
-        return asm._blocks_from_kernel(beta + k, mesh.h, rule).transpose(1, 0, 2, 3)
-
-    for part, ref in zip(got, _chunk_reference(mesh, ks, own_grids)):
-        assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
+    rule = gauss_legendre_01(4)
+    got = _element_sums(_ctx(key), mesh, ks, rule.n)
+    s_q = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
+    own = 0.5 * (s_q[e, :, None] + s_q[f, None, :]) + (f - e)[:, None, None]
+    ref = _pair_reference(mesh, e, f, asm._blocks_from_kernel(own, mesh.h, rule))
+    for part, part_ref in zip(got, ref):
+        assert np.max(np.abs(part - part_ref)) <= 1e-14 * np.max(np.abs(part_ref))
 
 
 GROUPED_CASES = [(key, kappa) for key in ("const05", "step", "bump")
                  for kappa in (0.5, 2.5, 10.0)]
 
 
-def _chunk_reference(mesh, ks, offset_blocks):
-    """What a chunk of the offsets ``ks`` hands to _DisjointSums.add, summed
-    from ``offset_blocks(k)``, the (sxx, sxy, syy) blocks of every pair of
-    offset k; pairs of two exterior elements are dropped."""
-    n_el = mesh.n_elements
-    ext = ~mesh.element_interior
-    self_ref = np.zeros((n_el, 2, 2))
-    cross_ref = np.zeros((2, 2, n_el - ks[0], ks.size))
-    for j, k in enumerate(ks):
-        count = n_el - k
-        keep = ~(ext[:count] & ext[k:])[:, None, None]
-        sxx, sxy, syy = (part * keep for part in offset_blocks(k))
-        self_ref[:count] += sxx
-        self_ref[k:] += syy
-        cross_ref[:, :, :count, j] = sxy.transpose(1, 2, 0)
-    return self_ref, cross_ref
-
-
-def _chunk(ctx, mesh, ks, rule):
-    """_disjoint_chunk for the offsets ``ks`` and every pair they hold (the
-    assembly skips a chunk with none)."""
-    import varmatern.assembly as asm
-
-    n_el = mesh.n_elements
-    s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
-    runs = farfield._distinct_rows(s_q)[1]
-    rows, keep = asm._kept_pairs(mesh, ks)
-    if not rows.size:
-        return asm._pair_sums(mesh, ks, rows, keep, np.zeros((0, ks.size, 3, 2, 2)))
-    return asm._disjoint_chunk(ctx, mesh, ks, rule, s_q, runs, asm._BetaTable(ctx.profile),
-                               rows, keep)
-
-
 @pytest.mark.parametrize("key, kappa", GROUPED_CASES,
                          ids=[f"{key}-{kappa}" for key, kappa in GROUPED_CASES])
 def test_grouped_chunk_blocks_match_direct(key, kappa):
     # the pairs grouped by key, through either branch of kernel_grids
-    import varmatern.assembly as asm
-
     ctx = _ctx(key, kappa=kappa)
     rule = gauss_legendre_01(8)
     for level in (3, 4, 5):
         mesh = build_uniform(3, 4, level)
-        n_el = mesh.n_elements
-
-        def direct(k):
-            return asm._disjoint_blocks_direct(
-                ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
-            )
-
         # both ends of the offset range and geometric steps in between
-        ks = np.unique(np.geomspace(2, n_el - 1, 8).astype(int))
-        got = _chunk(ctx, mesh, ks, rule)
-        for part, ref in zip(got, _chunk_reference(mesh, ks, direct)):
+        ks = np.unique(np.geomspace(2, mesh.n_elements - 1, 8).astype(int))
+        e, f = _kept(mesh, ks)
+        # the one pair of the last offset has both elements exterior
+        assert np.max(f - e) < ks[-1]
+        got = _element_sums(ctx, mesh, ks, rule.n)
+        refs = _pair_reference(mesh, e, f, _direct_blocks(ctx, mesh, e, f, rule))
+        for part, ref in zip(got, refs):
             err = np.max(np.abs(part - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (level, err / np.max(np.abs(ref)))
-        # the one pair of the last offset has both elements exterior
-        assert not np.any(got[1][..., -1])
+
+
+def test_add_cell_blocks_of_one_element_match_dense_loop(monkeypatch):
+    # D = [-2.75, 2.75] ends inside a cell, whose pairs keep the element
+    # cells, so blocks are cut at -+r_int; offsets 33-47 lie in cell pairs 2
+    # and 3 apart, so the far cell pairs take some of their element pairs
+    import varmatern.assembly as asm
+
+    mesh = build_uniform(2.75, 4, 5)
+    _, cells, far = _far_field(monkeypatch, mesh, _ctx("const05", kappa=0.5))
+    covered = _covered(mesh, cells, far)
+    n, first = mesh.interior_node_count, mesh.first_interior_node
+    rng = np.random.default_rng(5)
+    gaps = cut = 0
+    for k in range(33, 48):
+        rows = asm._pairs_left(mesh.n_elements, np.array([k]), covered)[0] - first
+        blocks = rng.standard_normal((rows.size, 2, 2))
+        a = np.zeros((n, n))
+        farfield._add_cell_blocks(a, rows, rows + k, 1, blocks)
+        ref = np.zeros((n, n))
+        for i, row in enumerate(rows):
+            for u in range(2):
+                for w in range(2):
+                    if 0 <= row + u < n and 0 <= row + k + w < n:
+                        ref[row + u, row + k + w] += blocks[i, u, w]
+        assert np.array_equal(a, ref), k
+        gaps += np.any(np.diff(rows) > 1)
+        cut += np.any(rows == -1) and np.any(rows + k == n - 1)
+    assert gaps and cut
 
 
 KERNEL_GRID_CASES = [(key, kappa) for key in ("step", "bump", "ramp")
@@ -582,7 +614,10 @@ def test_quad_metadata_recorded():
         ext = ~mesh.element_interior
         disjoint = sum(np.count_nonzero(~(ext[: n_el - k] & ext[k:])) for k in range(2, n_el))
         for key in ("const05", "bump"):
-            far = assemble_stiffness(mesh, _ctx(key)).quad_meta["far_cells"]
+            meta = assemble_stiffness(mesh, _ctx(key), c=1.0).quad_meta
+            assert meta["c"] == 1.0
+            json.dumps(meta)  # the manifest takes it as it is
+            far = meta["far_cells"]
             assert set(far) == {"cell_size", "order", "separation", "cell_pairs",
                                 "element_pairs"}
             assert (far["cell_size"], far["order"], far["separation"]) == (
@@ -658,12 +693,16 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     # the two halves of the vertex-sharing pairs, one row per distinct
     # integrand each
     assert seen == rows
-    # the far cells: one call per pass of whole cell offsets, one grid per
+    # the far cells: one pass holds every cell offset, with one grid per
     # offset and distinct pair of cell orders (s is constant on every cell
     # of either profile)
-    cells = farfield._FarCells(mesh, PROFILES[key](), asm._BetaTable(PROFILES[key]()))
-    offsets = np.unique(cells.pairs()[1]).size
-    assert 0 < len(far) < offsets
+    cells, regular = farfield.far_cells(mesh, PROFILES[key](), asm._BetaTable(PROFILES[key]()))
+    ext = cells.exterior
+    offsets = np.unique(asm._pairs_left(
+        cells.count, np.arange(farfield.CELL_SEPARATION, cells.count),
+        lambda c, d: ~(regular[c] & regular[d]) | (ext[c] & ext[d]),
+    )[1]).size
+    assert len(far) == 1
     assert (sum(far) == offsets if key == "const05" else offsets < sum(far) <= 3 * offsets)
     assert system.quad_meta["near_field_keys"] == {
         "identical": rows[0], "vertex_sharing": rows[2]
@@ -754,20 +793,15 @@ def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
     for level in levels:
         mesh = build_uniform(3, 4, level)
         n_el = mesh.n_elements
-
-        def direct(k):
-            return asm._disjoint_blocks_direct(
-                ctx, mesh.h, mesh.nodes[: n_el - k], mesh.nodes[k:n_el], rule
-            )
-
         # both ends of the offset range and geometric steps in between, each
-        # a one-offset chunk; self blocks per element, cross blocks per pair
+        # a one-offset pass; self blocks per element, A2 per row
         for k in np.unique(np.geomspace(2, n_el - 1, 8).astype(int)):
             ks = np.array([k])
-            tab = _chunk(ctx, mesh, ks, rule)
-            ref = _chunk_reference(mesh, ks, direct)
+            e, f = _kept(mesh, ks)
+            tab = _element_sums(ctx, mesh, ks, rule.n)
+            ref = _pair_reference(mesh, e, f, _direct_blocks(ctx, mesh, e, f, rule))
             for part_tab, part_ref in zip(tab, ref):
-                axes = (1, 2) if part_ref.ndim == 3 else (0, 1)
+                axes = tuple(range(1, part_ref.ndim))
                 scale = np.max(np.abs(part_ref), axis=axes)
                 err = np.max(np.abs(part_tab - part_ref), axis=axes)
                 assert np.all(err <= 1e-10 * scale), (level, k, np.max(err / scale))
@@ -885,14 +919,15 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     returns the error and how many cell pairs it covers."""
     import varmatern.assembly as asm
 
-    g, inverse, resolved = cells.grids(ctx, c, np.full(c.size, d))
+    g, inverse = cells.grids(ctx, c, np.full(c.size, d))
     if resolved_only:
+        resolved = farfield.resolved(g)[inverse]
         c, inverse = c[resolved], inverse[resolved]
     if not c.size:
         return 0.0, 0
     h, size = mesh.h, farfield.CELL_SIZE
     j = np.array([0, size // 2, size - 1])
-    m1 = cells.m1[j]
+    m1 = farfield._moments(size, farfield._chebyshev(cells.t.size)[1])[0][j]
     m0, m2 = m1.sum(axis=1), cells.m2[j]
     g = g[inverse]
     got = h * h * np.stack([
@@ -909,10 +944,10 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     return float(np.max(err)), c.size
 
 
-def _far_cell_sample(cells, d):
+def _far_cell_sample(cells, regular, d):
     """Cell pairs (c, c + d) of the far field's kind spread over the mesh."""
     c = np.arange(cells.count - d)
-    c = c[cells.regular[c] & cells.regular[c + d] & ~(cells.exterior[c] & cells.exterior[c + d])]
+    c = c[regular[c] & regular[c + d] & ~(cells.exterior[c] & cells.exterior[c + d])]
     return c[np.unique(np.linspace(0, c.size - 1, 6).astype(int))]
 
 
@@ -927,10 +962,10 @@ def test_far_cells_hold_block_tolerance(key, kappa):
     taken = 0
     for level in (7, 8):
         mesh = build_uniform(3, 4, level)
-        cells = farfield._FarCells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
+        cells, regular = farfield.far_cells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
         gap = farfield.CELL_SEPARATION
         for d in (gap, gap + 1, 2 * gap, cells.count // 2):
-            err, count = _cell_pair_errors(ctx, mesh, cells, d, _far_cell_sample(cells, d))
+            err, count = _cell_pair_errors(ctx, mesh, cells, d, _far_cell_sample(cells, regular, d))
             assert err <= asm.DISJOINT_BLOCK_RTOL, (level, d, err)
             taken += count
     assert taken > 0
@@ -945,13 +980,14 @@ def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
     mesh = build_uniform(3, 4, 7)
     closer = farfield.CELL_SEPARATION - 1
     table = asm._BetaTable(ctx.profile)
-    cells = farfield._FarCells(mesh, ctx.profile, table)
-    err, _ = _cell_pair_errors(ctx, mesh, cells, closer, _far_cell_sample(cells, closer), False)
+    cells, regular = farfield.far_cells(mesh, ctx.profile, table)
+    sample = _far_cell_sample(cells, regular, closer)
+    err, _ = _cell_pair_errors(ctx, mesh, cells, closer, sample, False)
     assert err > asm.DISJOINT_BLOCK_RTOL
     monkeypatch.setattr(farfield, "CELL_ORDER", farfield.CELL_ORDER - 4)
-    cells = farfield._FarCells(mesh, ctx.profile, table)
+    cells, regular = farfield.far_cells(mesh, ctx.profile, table)
     gap = farfield.CELL_SEPARATION
-    err, _ = _cell_pair_errors(ctx, mesh, cells, gap, _far_cell_sample(cells, gap), False)
+    err, _ = _cell_pair_errors(ctx, mesh, cells, gap, _far_cell_sample(cells, regular, gap), False)
     assert err > asm.DISJOINT_BLOCK_RTOL
 
 
@@ -1025,12 +1061,12 @@ def test_irregular_cells_keep_the_element_path(monkeypatch):
     mesh = build_uniform(2.75, 4, 5)  # 40 exterior elements at either end
     profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
     ctx = KernelContext(2.5, 1.0, profile)
-    cells = farfield._FarCells(mesh, profile, asm._BetaTable(profile))
+    cells, regular = farfield.far_cells(mesh, profile, asm._BetaTable(profile))
     lefts = mesh.nodes[: cells.count * farfield.CELL_SIZE : farfield.CELL_SIZE]
     straddle = (lefts < -2.75) & (lefts + farfield.CELL_SIZE * mesh.h > -2.75)
     knot = (lefts < -0.3) & (lefts + farfield.CELL_SIZE * mesh.h > -0.3)
     assert np.count_nonzero(straddle) == np.count_nonzero(knot) == 1
-    assert not np.any(cells.regular[straddle | knot])
+    assert not np.any(regular[straddle | knot])
     cellular = assemble_stiffness(mesh, ctx)
     assert cellular.quad_meta["far_cells"]["cell_pairs"] > 0
     monkeypatch.setattr(farfield, "CELL_SEPARATION", mesh.n_elements)
@@ -1063,12 +1099,13 @@ def test_needed_offsets_hold_every_pair_left_to_the_element_path():
 
     mesh = build_uniform(3, 4, 5)  # 16 cells
     profile = smoothness.constant(0.5)
-    cells = farfield._FarCells(mesh, profile, asm._BetaTable(profile))
+    cells = farfield.far_cells(mesh, profile, asm._BetaTable(profile))[0]
     rng = np.random.default_rng(3)
     for _ in range(10):
-        cells.far[:] = np.triu(rng.random(cells.far.shape) < 0.97, farfield.CELL_SEPARATION)
-        needed = cells.needed()
-        held = [asm._kept_pairs(mesh, np.array([k]), cells.covered)[0].size > 0
-                for k in range(mesh.n_elements)]
-        assert np.all(needed[2:] | ~np.array(held[2:]))
+        far = np.triu(rng.random((cells.count + 1,) * 2) < 0.97, farfield.CELL_SEPARATION)
+        needed = farfield.needed(cells, far)
+        covered = _covered(mesh, cells, far)
+        held = [asm._pairs_left(mesh.n_elements, np.array([k]), covered)[0].size > 0
+                for k in range(2, mesh.n_elements)]
+        assert np.all(needed[2:] | ~np.array(held))
         assert not np.all(needed)

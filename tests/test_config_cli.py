@@ -281,6 +281,10 @@ FRONT_END_ERRORS = {
     "m-boolean": (["sample", "--m", "false"], "'sampling.m'"),
     "sigma-boolean": (["matern", "--profile", "gaussian_bump", "--s-lower", "0.35",
                        "--s-upper", "0.85", "--profile.sigma", "true"], "'profile.sigma'"),
+    # the Whittle variance of matern needs an order above 1/4
+    "matern-order-constant": (["matern", "--profile", "constant", "--s", "0.2"], "'profile.s'"),
+    "matern-order-step": (["matern", "--profile", "step", "--s-lower", "0.1",
+                           "--s-upper", "0.3"], "'profile' block"),
 }
 
 

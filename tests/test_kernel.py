@@ -239,6 +239,11 @@ def test_kernel_context_validation():
         KernelContext(1.0, -1.0, prof)
     with pytest.raises(ValueError):
         KernelContext(1.0, 1.0, prof, dim=2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            KernelContext(bad, 1.0, prof)
+        with pytest.raises(ValueError, match="finite and positive"):
+            KernelContext(1.0, bad, prof)
     ctx = KernelContext(1.5, 2.0, prof)
     with pytest.raises(AttributeError):
         ctx.kappa = 3.0
