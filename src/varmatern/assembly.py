@@ -546,17 +546,6 @@ def _disjoint_orders(n_el, n, kappa_h):
     return [[int(ks[i]), int(ks[j]), int(orders[i])] for i, j in zip(first, last)]
 
 
-def _offset_chunks(bands, width, needed):
-    """(ks, order) for the chunks each band is cut into: its offsets k with
-    ``needed[k]``, ascending, ``width(k0, order)`` of them from offset k0 on."""
-    for k_first, k_last, order in bands:
-        ks = k_first + np.flatnonzero(needed[k_first : k_last + 1])
-        while ks.size:
-            step = width(int(ks[0]), order)
-            yield ks[:step], order
-            ks = ks[step:]
-
-
 def _pairs_left(count, ks, drop):
     """The pairs (c, c + k) of ``count`` cells, k in the ascending ``ks``,
     that exist and that ``drop`` (first, second) leaves, ordered by k and
@@ -567,20 +556,20 @@ def _pairs_left(count, ks, drop):
     return c[keep], d[keep]
 
 
-def _passes(cells, bands, needed, drop):
+def _passes(cells, k_first, k_last, needed, drop):
     """The pairs (c, c + d) of ``cells`` that ``drop`` leaves, pass by pass
-    over the cell offsets k with ``needed[k]`` in the ``bands`` [k_first,
-    k_last, order], from _pairs_left. A pass holds at most _CHUNK_PAIRS
-    pairs and about _CHUNK_POINTS points of distinct kernel grids, taking
-    an offset to hold count - k grids, or two per run of equal s if fewer,
-    and at least one offset."""
-
-    def width(k0, order):
-        grids = min(cells.count - k0, 2 * (cells.runs[-1] + 1))
-        return max(1, min(_CHUNK_PAIRS // cells.count, _CHUNK_POINTS // (grids * order * order)))
-
-    for ks, _ in _offset_chunks(bands, width, needed):
-        c, d = _pairs_left(cells.count, ks, drop)
+    over the cell offsets k_first <= k <= k_last with ``needed[k]``,
+    ascending, from _pairs_left. A pass holds at most _CHUNK_PAIRS pairs and
+    about _CHUNK_POINTS points of distinct kernel grids, taking an offset to
+    hold count - k grids, or two per run of equal s if fewer, and at least
+    one offset."""
+    points = cells.t.size**2
+    ks = k_first + np.flatnonzero(needed[k_first : k_last + 1])
+    while ks.size:
+        grids = min(cells.count - int(ks[0]), 2 * (cells.runs[-1] + 1))
+        step = max(1, min(_CHUNK_PAIRS // cells.count, _CHUNK_POINTS // (grids * points)))
+        c, d = _pairs_left(cells.count, ks[:step], drop)
+        ks = ks[step:]
         if c.size:
             yield c, d
 
@@ -686,8 +675,8 @@ def assemble_stiffness(
     def irregular(i, j):
         return ~(regular[i] & regular[j]) | (cells.exterior[i] & cells.exterior[j])
 
-    cell_bands = [[farfield.CELL_SEPARATION, count - 1, farfield.CELL_ORDER]]
-    for cell, d in _passes(cells, cell_bands, np.ones(count, bool), irregular):
+    for cell, d in _passes(cells, farfield.CELL_SEPARATION, count - 1, np.ones(count, bool),
+                           irregular):
         g, inverse = cells.grids(ctx, cell, d)
         ok = farfield.resolved(g)[inverse]
         cell, d = cell[ok], d[ok]
@@ -703,9 +692,9 @@ def assemble_stiffness(
     self_blocks = cells.self_blocks()
     element_pairs = 0
     bands = _disjoint_orders(n_el, n, ctx.kappa * h)
-    for band in bands:
-        level = farfield.element_cells(mesh, profile, table, band[2])
-        for e, k in _passes(level, [band], needed, covered):
+    for k_first, k_last, order in bands:
+        level = farfield.element_cells(mesh, profile, table, order)
+        for e, k in _passes(level, k_first, k_last, needed, covered):
             g, inverse = level.grids(ctx, e, k)
             bad = np.flatnonzero(~np.all(np.isfinite(g), axis=(1, 2))[inverse])
             if bad.size:

@@ -14,7 +14,7 @@ from . import __version__
 from .assembly import AssemblyError, assemble_stiffness
 from .checks import bessel_bound_summary, two_regime_summary
 from .config import ConfigError, load_config
-from .convergence import estimate_rate
+from .convergence import rate_from_systems
 from .fileio import write_csv, write_json, write_matrix
 from .linalg import NotPositiveDefiniteError
 from .mesh import MeshError
@@ -85,10 +85,16 @@ def _parse_args(argv):
 
 
 def _assembled(cfg, timings):
+    """The system of each mesh the command reads (``cfg.meshes``), in order."""
     t0 = time.perf_counter()
-    system = assemble_stiffness(cfg.mesh, cfg.ctx, **cfg.assemble_kwargs())
+    systems = []
+    for mesh in cfg.meshes:
+        try:
+            systems.append(assemble_stiffness(mesh, cfg.ctx, **cfg.assemble_kwargs()))
+        except AssemblyError as exc:
+            raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
     timings["assemble"] = time.perf_counter() - t0
-    return system
+    return systems
 
 
 def _write_manifest(cfg, command, outputs, timings, **extra):
@@ -107,7 +113,7 @@ def _write_manifest(cfg, command, outputs, timings, **extra):
 
 def _cmd_assemble(cfg):
     timings = {}
-    system = _assembled(cfg, timings)
+    system, = _assembled(cfg, timings)
     side = {"config": cfg.echo(), **system.to_manifest()}
     out = cfg.out_dir
     outputs = [
@@ -121,7 +127,7 @@ def _cmd_assemble(cfg):
 
 def _cmd_sample(cfg):
     timings = {}
-    system = _assembled(cfg, timings)
+    system, = _assembled(cfg, timings)
     t0 = time.perf_counter()
     batch = sample_fields(system, cfg.m, cfg.seed)
     timings["sample"] = time.perf_counter() - t0
@@ -138,7 +144,7 @@ def _slice_tag(x0):
 
 def _cmd_covariance(cfg):
     timings = {}
-    system = _assembled(cfg, timings)
+    system, = _assembled(cfg, timings)
     t0 = time.perf_counter()
     cov = analytic_covariance(system)
     timings["covariance"] = time.perf_counter() - t0
@@ -168,7 +174,8 @@ def _cmd_matern(cfg):
         params = params_from_profile(
             cfg.profile, cfg.ctx.kappa, cfg.ctx.mu, (-cfg.r_ext, cfg.r_ext)
         )
-    rs = np.arange(0.0, 2.0 * cfg.r_int + cfg.mesh.h / 2, cfg.mesh.h)
+    h = cfg.meshes[0].h
+    rs = np.arange(0.0, 2.0 * cfg.r_int + h / 2, h)
     vals = matern_cov(rs, params)
     timings = {"matern": time.perf_counter() - t0}
     path = write_csv(cfg.out_dir / "matern.csv", ["r", "matern_cov"], [rs, vals])
@@ -177,14 +184,11 @@ def _cmd_matern(cfg):
 
 
 def _cmd_converge(cfg):
+    timings = {}
+    systems = _assembled(cfg, timings)
     t0 = time.perf_counter()
-    report = estimate_rate(
-        cfg.profile, cfg.ctx.kappa, cfg.ctx.mu, cfg.r_int, cfg.r_ext, cfg.levels, cfg.m,
-        cfg.seed, quad_c=cfg.quad_c, target_rate=cfg.quad_target_rate,
-        n_override=cfg.quad_n_override, n_min=cfg.quad_n_min, n_max=cfg.quad_n_max,
-        norm_kind=cfg.norm_kind,
-    )
-    timings = {"converge": time.perf_counter() - t0}
+    report = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
+    timings["converge"] = time.perf_counter() - t0
     payload = report.to_dict()
     payload["config_echo"] = cfg.echo()
     levels = sorted(report.per_sample, reverse=True)

@@ -97,7 +97,7 @@ def _require(block, key, kind, path):
             return val
         if kind is float and number and math.isfinite(float(val)):
             return float(val)
-        if kind is int and number and int(val) == float(val):
+        if kind is int and number and float(val).is_integer():
             return int(val)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -142,10 +142,6 @@ class RunConfig:
             self.profile = smoothness.from_dict(raw["profile"], default_r_int=self.r_int)
         except smoothness.ProfileError as exc:
             raise ConfigError(f"invalid 'profile' block: {exc}") from exc
-        try:
-            self.mesh = build_uniform(self.r_int, self.r_ext, self.level)
-        except MeshError as exc:
-            raise ConfigError(f"invalid 'domain' block: {exc}") from exc
         self.ctx = KernelContext(kappa, mu, self.profile)
         quad = raw["quadrature"]
         self.quad_c = _require(quad, "c", float, "quadrature")
@@ -167,6 +163,10 @@ class RunConfig:
         if self.m < 0:
             raise ConfigError(f"config key 'sampling.m' must be >= 0, got {self.m}")
         self.seed = _require(samp, "seed", int, "sampling")
+        if not 0 <= self.seed < 2**128:  # the keys Philox takes
+            raise ConfigError(
+                f"config key 'sampling.seed' must lie in [0, 2**128), got {self.seed}"
+            )
         out = raw["outputs"]
         self.out_dir = Path(_require(out, "directory", str, "outputs"))
         self.formats = _list(out, "formats", str, "outputs")
@@ -195,7 +195,17 @@ class RunConfig:
     def check_command(self, command):
         """Checks of the keys whose valid values depend on the domain, made
         only for the command that reads them, so that the defaults of a key
-        a command ignores cannot fail it."""
+        a command ignores cannot fail it. Keeps the meshes the command reads
+        as ``meshes``: the three of convergence.levels, finest first, for
+        converge, else the one of domain.level."""
+        if command == "converge":
+            levels, key = sorted(set(self.levels), reverse=True), "'convergence.levels'"
+        else:
+            levels, key = [self.level], "'domain' block"
+        try:
+            self.meshes = [build_uniform(self.r_int, self.r_ext, lev) for lev in levels]
+        except MeshError as exc:
+            raise ConfigError(f"invalid {key}: {exc}") from exc
         if command == "covariance":
             outside = [x for x in self.slices if not -self.r_int <= x <= self.r_int]
             if outside:
@@ -213,16 +223,10 @@ class RunConfig:
                 if s <= 0.25:
                     raise ConfigError(f"invalid 'profile' block: its mean order over G must "
                                       f"exceed 1/4 for matern, got {s}")
-        if command == "converge":
-            if self.m < 1:
-                raise ConfigError(
-                    f"config key 'sampling.m' must be >= 1 for converge, got {self.m}"
-                )
-            for lev in self.levels:
-                try:
-                    build_uniform(self.r_int, self.r_ext, lev)
-                except MeshError as exc:
-                    raise ConfigError(f"invalid 'convergence.levels': {exc}") from exc
+        if command == "converge" and self.m < 1:
+            raise ConfigError(
+                f"config key 'sampling.m' must be >= 1 for converge, got {self.m}"
+            )
 
     def echo(self):
         """Resolved config dict written into every output file."""

@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .assembly import assemble_stiffness
-from .kernel import KernelContext
+from .assembly import assemble_stiffness  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import solve_with_factor
-from .mesh import build_uniform
 from .sampler import draw_noise
 
 __all__ = [
@@ -23,11 +21,9 @@ __all__ = [
     "RateReport",
     "injection",
     "coupled_loads",
-    "level_error",
     "level_error_samples",
     "error_mass",
     "rate_from_systems",
-    "estimate_rate",
 ]
 
 # Error norms rate_from_systems accepts, over D or over the whole mesh (error_mass).
@@ -103,13 +99,6 @@ def level_error_samples(fine_batch, coarse_batch, p, mass_fine):
     return np.sqrt(np.einsum("ik,ik->k", d, mass_fine @ d))
 
 
-def level_error(fine_batch, coarse_batch, p, mass_fine):
-    """Root-mean-square mass-norm distance between coupled level solutions."""
-    return float(
-        np.sqrt(np.mean(level_error_samples(fine_batch, coarse_batch, p, mass_fine) ** 2))
-    )
-
-
 def error_mass(system, norm_kind):
     """Gram matrix of the error norm on the interior unknowns of ``system``.
 
@@ -125,8 +114,10 @@ def error_mass(system, norm_kind):
     return full
 
 
-def rate_from_systems(systems, m, seed, norm_kind="mass_matrix", extra_config=None):
-    """Rate estimate from three prebuilt systems ordered fine to coarse."""
+def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
+    """Rate estimate from three systems of consecutive levels, ordered fine
+    to coarse: coupled loads by successive restriction, one solve per level
+    with its cached factor, and log2(E_{l-1} / E_l)."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     levels = [s.mesh.level for s in systems]
@@ -165,56 +156,4 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix", extra_config=No
             str(s.mesh.level): s.quad_meta["n_disjoint"] for s in systems
         },
     }
-    config.update(extra_config or {})
     return RateReport(levels, m, errors, r_hat, norm_kind, config, per_sample)
-
-
-def estimate_rate(
-    profile,
-    kappa,
-    mu,
-    r_int,
-    r_ext,
-    levels,
-    m,
-    seed,
-    *,
-    quad_c=1.0,
-    target_rate=None,
-    n_override=None,
-    n_min=4,
-    n_max=64,
-    norm_kind="mass_matrix",
-):
-    """Estimate the strong L2 rate from three consecutive levels.
-
-    Assembles one system per level (quadrature order grows with the level
-    so that the quadrature error stays subdominant), couples the noise by
-    successive restriction, and returns log2(E_{l-1} / E_l).
-    """
-    levels = sorted(set(int(l) for l in levels), reverse=True)
-    if len(levels) != 3 or levels[0] - levels[1] != 1 or levels[1] - levels[2] != 1:
-        raise ValueError(f"need three consecutive levels, got {levels}")
-    ctx = KernelContext(kappa, mu, profile)
-    systems = []
-    for lev in levels:
-        try:
-            mesh = build_uniform(r_int, r_ext, lev)
-            systems.append(
-                assemble_stiffness(
-                    mesh, ctx, n=n_override, c=quad_c, target_rate=target_rate,
-                    n_min=n_min, n_max=n_max,
-                )
-            )
-        except Exception as exc:
-            raise RuntimeError(f"assembly failed at level {lev}: {exc}") from exc
-    extra = {
-        "quad_c": quad_c,
-        "target_rate": target_rate,
-        "n_override": n_override,
-        "n_min": n_min,
-        "n_max": n_max,
-        "r_int": r_int,
-        "r_ext": r_ext,
-    }
-    return rate_from_systems(systems, m, seed, norm_kind, extra)

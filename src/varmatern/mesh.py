@@ -2,7 +2,7 @@
 
 D = [-r_int, r_int] carries the unknowns (closed-interval convention: the
 nodes at +-r_int are unknowns), the exterior band carries the volume
-constraint u = 0. Interior nodes come first in the dof numbering.
+constraint u = 0. The unknowns are numbered 0..N-1 in ascending order.
 
 Node coordinates are exact binary floats (integer multiples of h = 2^-level),
 so comparisons against 0 and +-r_int are exact.
@@ -101,18 +101,6 @@ class Mesh1D:
     @property
     def interior_coords(self):
         return self.nodes[self.interior_slice]
-
-    def dof_of_node(self, node):
-        """Interior-first dof numbering: unknowns 0..N-1, exterior after."""
-        lo, hi = self.first_interior_node, self.last_interior_node
-        node = np.asarray(node)
-        interior = (node >= lo) & (node <= hi)
-        n_left_ext = lo  # exterior nodes left of D come right after unknowns
-        ext_rank = np.where(node < lo, node, node - hi - 1 + n_left_ext)
-        out = np.where(interior, node - lo, self.interior_node_count + ext_rank)
-        if np.ndim(node) == 0:
-            return int(out)
-        return out
 
     def affine_map(self, e, reverse=False):
         """Map of element e; ``reverse=True`` puts the right endpoint at 0."""

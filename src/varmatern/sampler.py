@@ -74,18 +74,24 @@ def draw_noise(mass_lower, m, seed):
 
 
 def sample_fields(system, m, seed):
-    """Solve A u = b / mu for m coupled noise draws; returns a SampleBatch."""
+    """Solve A u = b / mu for m coupled noise draws; returns a SampleBatch.
+    Raises FloatingPointError when a value is not finite."""
     b = draw_noise(system.mass_cholesky, m, seed)
     if b.shape[1] == 0:
         return SampleBatch(system.mesh, seed, b)
     u = solve_with_factor(system.stiffness_cholesky, b) / system.ctx.mu
+    if not np.isfinite(u).all():
+        raise FloatingPointError(f"sampling: non-finite field values (mu = {system.ctx.mu})")
     return SampleBatch(system.mesh, seed, u)
 
 
 def analytic_covariance(system):
-    """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, from the cached factors."""
+    """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, from the cached factors.
+    Raises FloatingPointError when an entry is not finite."""
     c = inv_triple_product(system.stiffness_cholesky, system.mass_cholesky)
     c /= system.ctx.mu**2
+    if not np.isfinite(c).all():
+        raise FloatingPointError(f"covariance: non-finite entries (mu = {system.ctx.mu})")
     return CovarianceResult(
         "analytic", c, system.mesh.interior_coords, system.to_manifest()
     )

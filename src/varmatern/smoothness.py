@@ -114,6 +114,11 @@ def gaussian_bump(s_lower, s_upper, sigma, r_int):
             f"gaussian bump needs sigma > 0 and r_int > 0, got "
             f"sigma={sigma}, r_int={r_int}"
         )
+    ratio = float(r_int) / float(sigma)
+    if not np.isfinite(ratio * ratio):  # evaluate takes exp(-(r_int / sigma)**2)
+        raise ProfileError(
+            f"gaussian bump needs (r_int / sigma)**2 finite, got sigma={sigma}, r_int={r_int}"
+        )
     return SmoothnessProfile(
         "gaussian_bump",
         s_lower,

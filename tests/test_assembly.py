@@ -357,9 +357,13 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
     assert sum(shape[0] for shape in calls) == needed
     # each pass's grids take the order of its band
     bands = system.quad_meta["disjoint_orders"]
-    chunks = asm._offset_chunks(bands, lambda k0, order: max(1, asm._CHUNK_PAIRS // n_el),
-                                farfield.needed(cells, far))
-    assert [shape[1:] for shape in calls] == [(order, order) for _, order in chunks]
+    offsets = farfield.needed(cells, far)
+    width = max(1, asm._CHUNK_PAIRS // n_el)
+    orders = []
+    for k_first, k_last, order in bands:
+        passes = -(-np.count_nonzero(offsets[k_first : k_last + 1]) // width)
+        orders += [(order, order)] * passes
+    assert [shape[1:] for shape in calls] == orders
     assert bands[0][2] == n
 
 

@@ -19,15 +19,19 @@ def test_default_config_valid():
     cfg = load_config()
     assert cfg.ctx.kappa == 2.5
     assert cfg.profile.kind == "constant"
-    assert cfg.mesh.level == 6
+    assert cfg.level == 6
+    cfg.check_command("sample")
+    assert [mesh.level for mesh in cfg.meshes] == [6]
 
 
 def test_dotted_overrides():
     cfg = load_config(overrides={"kernel.kappa": 1.5, "domain.level": 3,
                                  "sampling.m": 10})
     assert cfg.ctx.kappa == 1.5
-    assert cfg.mesh.level == 3
+    assert cfg.level == 3
     assert cfg.m == 10
+    cfg.check_command("converge")  # its meshes are those of convergence.levels
+    assert [mesh.level for mesh in cfg.meshes] == [7, 6, 5]
 
 
 def test_unknown_key_named():
@@ -43,7 +47,7 @@ def test_invalid_values_name_key():
     with pytest.raises(ConfigError, match="sampling.m"):
         load_config(overrides={"sampling.m": -5})
     with pytest.raises(ConfigError, match="domain"):
-        load_config(overrides={"domain.r_int": 2.7, "domain.level": 1})
+        load_config(overrides={"domain.r_int": 2.7, "domain.level": 1}).check_command("sample")
     with pytest.raises(ConfigError, match="profile"):
         load_config(overrides={"profile": {"kind": "step", "s_lower": 0.9,
                                            "s_upper": 0.3}})
@@ -173,14 +177,16 @@ def test_cli_assemble_writes_dense_masses(tmp_path):
     out = tmp_path / "asm"
     assert _run(["assemble", "--level", "3", "--out", str(out)]) == 0
     cfg = load_config(overrides={"domain.level": 3})
-    h, n = cfg.mesh.h, cfg.mesh.interior_node_count
+    cfg.check_command("assemble")
+    mesh, = cfg.meshes
+    h, n = mesh.h, mesh.interior_node_count
     m_ref = (np.diag(np.full(n, 2 * h / 3)) + np.diag(np.full(n - 1, h / 6), 1)
              + np.diag(np.full(n - 1, h / 6), -1))
     m_ref[0, 0] = m_ref[-1, -1] = h / 3
     assert np.array_equal(fileio.read_matrix(out / "mass.vwm1")[0], m_ref)
     man = json.loads((out / "manifest.json").read_text())
     rule = gauss_legendre_01(man["system"]["quadrature"]["n_weighted_mass"])
-    a1_ref = assemble_weighted_mass(cfg.mesh, cfg.ctx, rule).toarray()
+    a1_ref = assemble_weighted_mass(mesh, cfg.ctx, rule).toarray()
     assert np.array_equal(fileio.read_matrix(out / "weighted_mass.vwm1")[0], a1_ref)
 
 
@@ -266,6 +272,7 @@ FRONT_END_ERRORS = {
     "unknown-command": (["bogus"], "command"),
     "dangling-flag": (["sample", "--level"], "--level"),
     "levels-item": (["converge", "--levels", "5,x,3"], "convergence.levels"),
+    "levels-gap": (["converge", "--levels", "5,3,2"], "convergence.levels"),
     "slices-item": (["covariance", "--slices", "a"], "slices.x0"),
     "domain-scalar": (["sample", "--domain", "3"], "'domain'"),
     "sampling-scalar": (["sample", "--sampling", "5"], "'sampling'"),
@@ -285,6 +292,12 @@ FRONT_END_ERRORS = {
     "matern-order-constant": (["matern", "--profile", "constant", "--s", "0.2"], "'profile.s'"),
     "matern-order-step": (["matern", "--profile", "step", "--s-lower", "0.1",
                            "--s-upper", "0.3"], "'profile' block"),
+    # the generator takes seeds in [0, 2**128)
+    "seed-negative": (["sample", "--seed", "-1"], "'sampling.seed'"),
+    "seed-2-128": (["sample", "--seed", str(2**128)], "'sampling.seed'"),
+    # exp(-(r_int / sigma)**2) overflows in the profile
+    "sigma-overflow": (["sample", "--profile", "gaussian_bump", "--s-lower", "0.3",
+                        "--s-upper", "0.6", "--profile.sigma", "1e-300"], "sigma=1e-300"),
 }
 
 
@@ -325,6 +338,49 @@ def test_domain_dependent_keys_checked_only_where_read(tmp_path):
     half = ["--domain.r_int", "0.5", "--domain.r_ext", "1", "--levels", "2,1,0"]
     assert _run(["matern", *half, "--slices", "0", "--out", str(tmp_path / "m")]) == 0
     assert _run(["converge", *half, "--out", str(tmp_path / "v")]) == 1
+
+
+def test_converge_reads_its_levels_not_domain_level(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert _run(["converge", "--level", "12", "--levels", "4,3,2", "--m", "3",
+                 "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["timings_s"]) == {"assemble", "converge"}
+    assert json.loads((out / "rate_report.json").read_text())["levels"] == [4, 3, 2]
+    # the other commands still read domain.level
+    assert _run(["sample", "--level", "12", "--m", "3", "--out", str(tmp_path / "s")]) == 1
+    assert "invalid 'domain' block: level=12" in capsys.readouterr().err
+
+
+def test_converge_assembly_failure_names_level(tmp_path, capsys, monkeypatch):
+    real = cli.assemble_stiffness
+
+    def failing(mesh, ctx, **kwargs):
+        if mesh.level == 3:
+            raise cli.AssemblyError("non-finite disjoint block for element pair (0, 2)")
+        return real(mesh, ctx, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_stiffness", failing)
+    out = tmp_path / "v"
+    assert _run(["converge", "--levels", "4,3,2", "--m", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "level 3" in err
+    assert "element pair (0, 2)" in err
+    assert not (out / "rate_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, stage, output", [
+    (["covariance", "--mu", "1e-200"], "covariance", "covariance_x0.csv"),
+    (["sample", "--m", "2", "--mu", "1e-320"], "sampling", "samples.csv"),
+])
+def test_non_finite_results_exit_2(tmp_path, capsys, argv, stage, output):
+    # mu**2 underflows to 0, or b / mu overflows
+    out = tmp_path / "x"
+    with np.errstate(divide="ignore", over="ignore"):
+        assert _run([*argv, "--level", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and stage in err
+    assert not (out / output).exists()
 
 
 def test_cli_level_zero_runs(tmp_path):
@@ -429,6 +485,11 @@ def test_string_keys_type_checked():
         load_config(overrides={"outputs.formats": [["csv"]]})
     with pytest.raises(ConfigError, match="convergence.norm"):
         load_config(overrides={"convergence.norm": ["quadrature"]})
+
+
+def test_largest_seed_is_kept_exactly():
+    # an integer key beyond 2**53 is no float, but still an int
+    assert load_config(overrides={"sampling.seed": 2**128 - 1}).seed == 2**128 - 1
 
 
 def test_non_finite_numbers_rejected():

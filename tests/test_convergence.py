@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +7,7 @@ import pytest
 from varmatern.convergence import (
     coupled_loads,
     error_mass,
-    estimate_rate,
     injection,
-    level_error,
     level_error_samples,
     rate_from_systems,
 )
@@ -16,8 +15,6 @@ from varmatern.assembly import assemble_plain_mass
 from varmatern.mesh import build_uniform
 from varmatern.quadrature import gauss_legendre_01
 from varmatern.sampler import draw_noise
-
-from conftest import PROFILES
 
 
 def test_injection_structure():
@@ -78,15 +75,16 @@ def test_level_error_identical_and_unit_vector(build_system):
     p = injection(coarse.mesh, fine.mesh)
     u_c = np.zeros((coarse.n, 3))
     u_f = p @ u_c
-    assert level_error(u_f, u_c, p, fine.m) == 0.0
+    assert np.array_equal(level_error_samples(u_f, u_c, p, fine.m), np.zeros(3))
     # d = e_i gives E^2 = M_ii
     i = 5
     d = np.zeros((fine.n, 1))
     d[i] = 1.0
-    e = level_error(p @ u_c[:, :1] + d, u_c[:, :1], p, fine.m)
-    assert e == pytest.approx(np.sqrt(fine.m[i, i]), rel=1e-13)
+    e = level_error_samples(p @ u_c[:, :1] + d, u_c[:, :1], p, fine.m)
+    assert e.shape == (1,)
+    assert e[0] == pytest.approx(np.sqrt(fine.m[i, i]), rel=1e-13)
     with pytest.raises(ValueError):
-        level_error(u_f, u_c[:, :2], p, fine.m)
+        level_error_samples(u_f, u_c[:, :2], p, fine.m)
 
 
 def test_quadrature_norm_close_to_mass_norm(build_system):
@@ -134,34 +132,33 @@ def test_quadrature_norm_reports_per_sample(build_system):
         assert rep.errors[lev] == np.sqrt(np.mean(rep.per_sample[lev] ** 2))
 
 
-def test_estimate_rate_report_contents():
-    report = estimate_rate(
-        PROFILES["const05"](), 2.5, 1.0, 3.0, 4.0, [5, 4, 3], 100, seed=19
-    )
-    assert report.levels == [5, 4, 3]
-    assert report.m == 100
-    assert all(v > 0 for v in report.errors.values())
-    assert report.r_hat == pytest.approx(
-        np.log2(report.errors[4] / report.errors[5]), abs=1e-14
-    )
-    d = report.to_dict()
-    assert set(d) == {"levels", "m", "errors", "r_hat", "norm_kind", "config"}
+def test_converge_rate_report_contents(tmp_path):
+    from varmatern import cli
+
+    out = tmp_path / "conv"
+    assert cli.main(["converge", "--levels", "5,4,3", "--m", "100", "--seed", "19",
+                     "--out", str(out)]) == 0
+    d = json.loads((out / "rate_report.json").read_text())
+    assert set(d) == {"levels", "m", "errors", "r_hat", "norm_kind", "config", "config_echo"}
+    assert d["levels"] == [5, 4, 3]
+    assert d["m"] == 100
+    assert all(v > 0 for v in d["errors"].values())
+    assert d["r_hat"] == pytest.approx(np.log2(d["errors"]["4"] / d["errors"]["5"]), abs=1e-14)
+    # the quadrature settings are in config_echo only
+    assert set(d["config"]) == {"kernel", "mesh", "seed", "quad_n_per_level"}
+    assert d["config"]["mesh"]["level"] == 5
+    assert d["config"]["seed"] == 19
     assert d["config"]["quad_n_per_level"]["5"] >= 4
-    assert report.per_sample[5].shape == (100,)
-
-
-def test_estimate_rate_validates_levels():
-    prof = PROFILES["const05"]()
-    with pytest.raises(ValueError):
-        estimate_rate(prof, 2.5, 1.0, 3.0, 4.0, [5, 3, 2], 10, seed=1)
-    with pytest.raises(ValueError):
-        estimate_rate(prof, 2.5, 1.0, 3.0, 4.0, [5, 4], 10, seed=1)
+    assert d["config_echo"]["quadrature"]["c"] == 1.0
+    per_sample = np.loadtxt(out / "per_sample_errors.csv", delimiter=",", skiprows=1)
+    assert per_sample.shape == (100, 3)
 
 
 def test_rate_from_systems_validates_order(build_system):
-    systems = [build_system("const05", 2.5, lev) for lev in (3, 4, 5)]
-    with pytest.raises(ValueError):
-        rate_from_systems(systems, 10, seed=1)
+    systems = {lev: build_system("const05", 2.5, lev) for lev in (5, 4, 3, 2)}
+    for levels in ((3, 4, 5), (5, 3, 2), (5, 4)):
+        with pytest.raises(ValueError, match="consecutive"):
+            rate_from_systems([systems[lev] for lev in levels], 10, seed=1)
 
 
 def test_stage_failure_names_stage(monkeypatch, build_system):

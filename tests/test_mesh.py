@@ -18,6 +18,7 @@ def test_coarse_mesh_counts():
     assert mesh.h == 1.0
     assert mesh.interior_node_count == 7  # nodes -3..3 are unknowns
     assert np.array_equal(mesh.interior_coords, np.arange(-3.0, 4.0))
+    assert mesh.interior_slice == slice(1, 9 - 1)
 
 
 def test_paper_scale_mesh_counts():
@@ -112,18 +113,6 @@ def test_adjacent_pair_orientation():
     assert t_left(0.0) == shared == t_right(0.0)
     with pytest.raises(MeshError):
         adjacent_pair_maps(mesh, 5, 7)
-
-
-def test_dof_numbering_interior_first():
-    mesh = build_uniform(3, 4, 0)
-    # interior nodes (coords -3..3) get dofs 0..6 in ascending order
-    lo = mesh.first_interior_node
-    for k in range(7):
-        assert mesh.dof_of_node(lo + k) == k
-    # exterior nodes numbered after all unknowns
-    assert mesh.dof_of_node(0) == 7  # node at -4
-    assert mesh.dof_of_node(mesh.n_nodes - 1) == 8  # node at +4
-    assert mesh.interior_slice == slice(1, 9 - 1)
 
 
 def test_mesh_immutable_and_serializable():

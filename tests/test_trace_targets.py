@@ -66,20 +66,21 @@ def test_main_dispatches_through_runner_table(tmp_path, monkeypatch):
     assert len(calls) == 1 and isinstance(calls[0], RunConfig)
 
 
-def test_benchmark_work_counters_read_real_arguments(monkeypatch):
+def test_benchmark_work_counters_read_real_arguments(tmp_path, monkeypatch):
     # Three counters read argument names and shapes; a change there leaves the
     # benchmark running with wrong work counts, so they are fed real calls here.
-    from varmatern import convergence, sampler, smoothness
+    from varmatern import cli, convergence, sampler
 
     spans = _spans()
-    assembled = _recorded(monkeypatch, convergence, "assemble_stiffness")
+    assembled = _recorded(monkeypatch, cli, "assemble_stiffness")
     products = _recorded(monkeypatch, sampler, "inv_triple_product")
     norms = _recorded(monkeypatch, convergence, "level_error_samples")
     m = 5
-    convergence.estimate_rate(smoothness.step(0.35, 0.85), 2.5, 1.0, 3.0, 4.0,
-                              [3, 2, 1], m, seed=1)
+    assert cli.main(["converge", "--profile", "step", "--s-lower", "0.35", "--s-upper", "0.85",
+                     "--levels", "3,2,1", "--m", str(m), "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert [call[2].mesh.level for call in assembled] == [3, 2, 1]
     system = assembled[0][2]
-    assert system.mesh.level == 3
     sampler.analytic_covariance(system)
     n = system.n
     order = system.quad_meta["n_disjoint"]
