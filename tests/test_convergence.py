@@ -154,11 +154,18 @@ def test_converge_rate_report_contents(tmp_path):
     assert per_sample.shape == (100, 3)
 
 
-def test_rate_from_systems_validates_order(build_system):
+def test_estimate_rate_validates_levels(build_system):
+    # a gap between levels and a two-level ladder are both refused
     systems = {lev: build_system("const05", 2.5, lev) for lev in (5, 4, 3, 2)}
-    for levels in ((3, 4, 5), (5, 3, 2), (5, 4)):
+    for levels in ((5, 3, 2), (5, 4)):
         with pytest.raises(ValueError, match="consecutive"):
             rate_from_systems([systems[lev] for lev in levels], 10, seed=1)
+
+
+def test_rate_from_systems_validates_order(build_system):
+    systems = [build_system("const05", 2.5, lev) for lev in (3, 4, 5)]
+    with pytest.raises(ValueError, match="consecutive"):
+        rate_from_systems(systems, 10, seed=1)
 
 
 def test_stage_failure_names_stage(monkeypatch, build_system):
