@@ -145,13 +145,16 @@ class AssembledSystem:
     """Assembled system: dense stiffness A = A1 + A2, with the plain mass M
     and the weighted mass A1 as tridiagonal CSR arrays, all on the N interior
     unknowns (ascending coordinates). The Cholesky factors, dense for A and
-    lower-bidiagonal CSR for M, are computed lazily and cached.
+    lower-bidiagonal CSR for M, are computed lazily and cached. A system holds
+    A until it is factored: ``stiffness_cholesky`` factors A in its own
+    storage, and ``a`` is gone from then on.
     """
 
     def __init__(self, mesh, ctx, a, m, a1, quad_meta):
         self.mesh = mesh
         self.ctx = ctx
-        self.a = a
+        self.n = a.shape[0]
+        self._a = a
         self.m = m
         self.a1 = a1
         self.quad_meta = dict(quad_meta)
@@ -159,13 +162,16 @@ class AssembledSystem:
         self._chol_m = None
 
     @property
-    def n(self):
-        return self.a.shape[0]
+    def a(self):
+        if self._a is None:
+            raise AttributeError("A is gone: stiffness_cholesky factored it in its own storage")
+        return self._a
 
     @property
     def stiffness_cholesky(self):
         if self._chol_a is None:
-            self._chol_a = cholesky(self.a)
+            a, self._a = self.a, None
+            self._chol_a = cholesky(a, overwrite_a=True)
         return self._chol_a
 
     @property

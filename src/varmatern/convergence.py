@@ -90,13 +90,18 @@ def coupled_loads(fine_system, coarser_meshes, m, seed):
 
 
 def level_error_samples(fine_batch, coarse_batch, p, mass_fine):
-    """Per-sample mass-norm distances between coupled level solutions."""
+    """Per-sample mass-norm distances between coupled level solutions, 128 at a time."""
     if fine_batch.shape[1] != coarse_batch.shape[1]:
         raise ValueError(
             f"sample count mismatch: {fine_batch.shape[1]} vs {coarse_batch.shape[1]}"
         )
-    d = fine_batch - p @ coarse_batch
-    return np.sqrt(np.einsum("ik,ik->k", d, mass_fine @ d))
+    sq = np.empty(fine_batch.shape[1])
+    for k0 in range(0, sq.size, 128):
+        cols = slice(k0, k0 + 128)
+        d = p @ coarse_batch[:, cols]
+        np.subtract(fine_batch[:, cols], d, out=d)
+        sq[cols] = np.einsum("ik,ik->k", d, mass_fine @ d)
+    return np.sqrt(sq)
 
 
 def error_mass(system, norm_kind):
@@ -130,10 +135,11 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
     except Exception as exc:
         raise RuntimeError(f"coupled load generation failed: {exc}") from exc
 
-    sols = []
+    sols = []  # each solved in its load's memory
     for sys_l, b in zip(systems, loads):
         try:
-            sols.append(solve_with_factor(sys_l.stiffness_cholesky, b) / mu)
+            sols.append(solve_with_factor(sys_l.stiffness_cholesky, b, overwrite_b=True))
+            sols[-1] /= mu
         except Exception as exc:
             raise RuntimeError(
                 f"solve failed at level {sys_l.mesh.level}: {exc}"

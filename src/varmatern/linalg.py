@@ -3,16 +3,18 @@
 Thin wrappers over LAPACK (scipy) that pin down the residual contracts and
 error reporting the rest of the package relies on. Inputs are row-major
 float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
-by the caller. Nothing here caches a factor: the solves and the sandwich take
-the factors the caller holds (``AssembledSystem`` for A and M). The sandwich
-takes 5/3 N^3: dpotri on A's factor, a sparse product with M's, one syrk.
+by the caller, except that ``overwrite_*`` reuses the input's memory for the
+output (LAPACK's in-place convention). Nothing here caches a factor: the solves
+and the sandwich take the factors the caller holds (``AssembledSystem`` for A
+and M). The sandwich takes 5/3 N^3: dpotri on A's factor, a sparse product
+with M's, one syrk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotri
 
 __all__ = [
@@ -40,7 +42,7 @@ def _mirror_upper(a):
         block[np.tril_indices(i1 - i0, -1)] = block.T[np.tril_indices(i1 - i0, -1)]
 
 
-def cholesky(mat):
+def cholesky(mat, overwrite_a=False):
     """Lower-triangular factor L with L L^T = mat.
 
     mat must be square, finite and symmetric within 1e-12 relative (else
@@ -48,6 +50,8 @@ def cholesky(mat):
     ||L L^T - mat||_max <= 1e-10 ||mat||_max for SPD input; a nonpositive
     pivot raises NotPositiveDefiniteError with the failing index. The checks
     take one pass over 256-row panels of the upper half and their mirrors.
+    With overwrite_a, a C-order float64 mat is factored in its own storage
+    after the checks: L is the Fortran-order view mat.T.
     """
     if sparse.issparse(mat):
         mat = mat.toarray()
@@ -55,7 +59,7 @@ def cholesky(mat):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     # copied first, so the check's panels are freed above the copy on the heap
-    c = np.array(mat, order="F")
+    c = mat.T if overwrite_a else np.array(mat, order="F")
     skew = scale = 0.0
     for i0 in range(0, mat.shape[0], 256):
         upper, lower = mat[i0 : i0 + 256, i0:], mat[i0:, i0 : i0 + 256].T
@@ -63,6 +67,7 @@ def cholesky(mat):
             raise ValueError("matrix has non-finite entries")
         diff = upper - lower
         skew = max(skew, np.abs(diff, out=diff).max())
+        del diff  # one panel alive at a time
         scale = max(scale, upper.max(), -upper.min(), lower.max(), -lower.min())
     if scale > 0 and skew > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")
@@ -74,9 +79,17 @@ def cholesky(mat):
     return c
 
 
-def solve_with_factor(lower, b):
-    """Solve using a precomputed lower Cholesky factor."""
-    return cho_solve((lower, True), np.asarray(b, dtype=float))
+def solve_with_factor(lower, b, overwrite_b=False):
+    """x = A^{-1} b from A's lower factor L; b is (N,) or (N, m) and finite (else
+    ValueError). Two BLAS dtrsm sweeps from the right, (b^T L^{-T}) L^{-1}, on
+    b.T; with overwrite_b, a C-order float64 b holds x in its own memory."""
+    b = np.asarray(b, dtype=float) if overwrite_b else np.array(b, dtype=float, order="C")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has non-finite entries")
+    rhs = b.reshape(b.shape[0], -1).T
+    rhs = dtrsm(1.0, lower, rhs, side=1, lower=1, trans_a=1, overwrite_b=1)
+    rhs = dtrsm(1.0, lower, rhs, side=1, lower=1, overwrite_b=1)
+    return rhs.T.reshape(b.shape)
 
 
 def inv_triple_product(lower, mass_lower):

@@ -79,7 +79,9 @@ def sample_fields(system, m, seed):
     b = draw_noise(system.mass_cholesky, m, seed)
     if b.shape[1] == 0:
         return SampleBatch(system.mesh, seed, b)
-    u = solve_with_factor(system.stiffness_cholesky, b) / system.ctx.mu
+    u = solve_with_factor(system.stiffness_cholesky, b, overwrite_b=True)
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        u /= system.ctx.mu
     if not np.isfinite(u).all():
         raise FloatingPointError(f"sampling: non-finite field values (mu = {system.ctx.mu})")
     return SampleBatch(system.mesh, seed, u)
@@ -89,7 +91,8 @@ def analytic_covariance(system):
     """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, from the cached factors.
     Raises FloatingPointError when an entry is not finite."""
     c = inv_triple_product(system.stiffness_cholesky, system.mass_cholesky)
-    c /= system.ctx.mu**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        c /= system.ctx.mu**2
     if not np.isfinite(c).all():
         raise FloatingPointError(f"covariance: non-finite entries (mu = {system.ctx.mu})")
     return CovarianceResult(

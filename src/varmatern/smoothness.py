@@ -261,7 +261,8 @@ def evaluate(profile, x):
     elif kind == "gaussian_bump":
         sig, r = p["sigma"], p["r_int"]
         edge = np.exp(-((r / sig) ** 2))
-        hump = (np.exp(-((x_arr / sig) ** 2)) - edge) / (1.0 - edge)
+        # |x| clipped to r: the hump is used only on [-r, r], and (r / sig)**2 is finite
+        hump = (np.exp(-((np.minimum(np.abs(x_arr), r) / sig) ** 2)) - edge) / (1.0 - edge)
         out = np.where(
             np.abs(x_arr) <= r,
             profile.s_lower + (profile.s_upper - profile.s_lower) * hump,

@@ -20,7 +20,9 @@ PROFILES = {
 
 @pytest.fixture(scope="session")
 def build_system():
-    """Session-cached assembled systems keyed by their full configuration."""
+    """Assembled systems keyed by their full configuration. The assembly is
+    session-cached; each call gets a system of its own with a copy of A, as
+    factoring a system overwrites its A."""
     cache = {}
 
     def build(profile_key, kappa, level, mu=1.0, r_int=3.0, r_ext=4.0, **kw):
@@ -30,7 +32,8 @@ def build_system():
             ctx = kernel.KernelContext(kappa, mu, PROFILES[profile_key]())
             msh = build_uniform(r_int, r_ext, level)
             cache[key] = assembly.assemble_stiffness(msh, ctx, **kw)
-        return cache[key]
+        s = cache[key]
+        return assembly.AssembledSystem(s.mesh, s.ctx, s.a.copy(), s.m, s.a1, s.quad_meta)
 
     return build
 

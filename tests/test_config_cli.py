@@ -376,11 +376,21 @@ def test_converge_assembly_failure_names_level(tmp_path, capsys, monkeypatch):
 def test_non_finite_results_exit_2(tmp_path, capsys, argv, stage, output):
     # mu**2 underflows to 0, or b / mu overflows
     out = tmp_path / "x"
-    with np.errstate(divide="ignore", over="ignore"):
-        assert _run([*argv, "--level", "3", "--out", str(out)]) == 2
+    assert _run([*argv, "--level", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and stage in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not (out / output).exists()
+
+
+def test_narrow_bump_samples_without_warnings(tmp_path, capsys):
+    # (4 / sigma)**2 overflows; the profile squares x / sigma only on [-r_int, r_int]
+    out = tmp_path / "narrow"
+    assert _run(["sample", "--level", "3", "--m", "2", "--profile", "gaussian_bump",
+                 "--s-lower", "0.3", "--s-upper", "0.6", "--profile.sigma", "2.5e-154",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "samples.csv").exists()
 
 
 def test_cli_level_zero_runs(tmp_path):

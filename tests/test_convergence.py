@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_stage_failure_names_stage(monkeypatch, build_system):
 def test_level_error_samples_matches_per_sample_loop(rng):
     from varmatern.convergence import level_error_samples
 
-    n_f, n_c, m = 9, 4, 7
+    n_f, n_c, m = 9, 4, 300  # m spans three blocks of samples
     a = rng.standard_normal((n_f, n_f))
     mass = a @ a.T + n_f * np.eye(n_f)  # dense SPD, not tridiagonal
     p = rng.standard_normal((n_f, n_c))
@@ -197,3 +198,19 @@ def test_level_error_samples_matches_per_sample_loop(rng):
     assert got.shape == (m,)
     assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
+
+def test_rate_from_systems_peak_memory_within_loads(build_system):
+    # the factors take A's memory and the solutions the loads'; beyond the loads,
+    # the largest array is one 256-row check panel of the fine A (or, just as
+    # large, one block of d and M d)
+    systems = [build_system("const05", 2.5, lev) for lev in (7, 6, 5)]
+    m = 200
+    loads = sum(s.n for s in systems) * m * 8
+    panel = 256 * systems[0].n * 8
+    tracemalloc.start()
+    try:
+        rate_from_systems(systems, m, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (loads + panel), peak / (loads + panel)

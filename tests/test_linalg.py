@@ -166,3 +166,69 @@ def test_cholesky_reports_non_finite_before_asymmetry(rng):
     a[599, 300] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         cholesky(a)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("profile", ["const05", "step", "bump"])
+def test_stiffness_factored_in_its_own_storage(build_system, profile, level):
+    # dpotrf on the Fortran-order view A.T of an exactly symmetric A reads the
+    # same numbers as the copy path, so the factors agree bitwise
+    system = build_system(profile, 2.5, level)
+    a = system.a
+    assert np.array_equal(a, a.T)
+    copied = cholesky(a)
+    lower = system.stiffness_cholesky
+    assert np.shares_memory(lower, a)
+    assert np.array_equal(lower, copied)
+
+
+def test_factored_system_no_longer_holds_a(build_system):
+    system = build_system("step", 2.5, 4)
+    n = system.a.shape[0]
+    system.stiffness_cholesky
+    with pytest.raises(AttributeError, match="stiffness_cholesky"):
+        system.a
+    assert system.n == n
+
+
+def _max_rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_solve_overwrite_b_solves_in_place(rng, m):
+    lower = cholesky(_spd(rng, 40))
+    b = rng.standard_normal((40, m))
+    ref = cho_solve((lower, True), b)
+    kept = b.copy()
+    assert _max_rel(solve_with_factor(lower, b), ref) <= 1e-14
+    assert np.array_equal(b, kept)
+    x = solve_with_factor(lower, b, overwrite_b=True)
+    assert np.shares_memory(x, b) and np.array_equal(x, b)
+    assert _max_rel(x, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["1d", "fortran", "int", "strided"])
+@pytest.mark.parametrize("overwrite_b", [False, True])
+def test_solve_matches_cho_solve(rng, kind, overwrite_b):
+    lower = cholesky(_spd(rng, 30))
+    b = {
+        "1d": rng.standard_normal(30),
+        "fortran": np.asfortranarray(rng.standard_normal((30, 5))),
+        "int": rng.integers(-9, 10, (30, 4)),
+        "strided": rng.standard_normal((30, 8))[:, ::2],
+    }[kind]
+    ref = cho_solve((lower, True), b.astype(float))
+    x = solve_with_factor(lower, b, overwrite_b=overwrite_b)
+    assert x.shape == b.shape
+    assert _max_rel(x, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_load(rng, bad):
+    lower = cholesky(_spd(rng, 10))
+    b = rng.standard_normal((10, 3))
+    b[4, 1] = bad
+    for overwrite_b in (False, True):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_with_factor(lower, b, overwrite_b=overwrite_b)
