@@ -145,9 +145,11 @@ class AssembledSystem:
     """Assembled system: dense stiffness A = A1 + A2, with the plain mass M
     and the weighted mass A1 as tridiagonal CSR arrays, all on the N interior
     unknowns (ascending coordinates). The Cholesky factors, dense for A and
-    lower-bidiagonal CSR for M, are computed lazily and cached. A system holds
-    A until it is factored: ``stiffness_cholesky`` factors A in its own
-    storage, and ``a`` is gone from then on.
+    lower-bidiagonal CSR for M, are computed lazily and cached. A's one N x N
+    array lives A -> L -> C: ``stiffness_cholesky`` factors A in its own
+    storage, and ``a`` is gone from then on; ``analytic_covariance`` takes
+    the factor over (``take_stiffness_cholesky``) and overwrites it with the
+    covariance, and ``stiffness_cholesky`` is gone from then on.
     """
 
     def __init__(self, mesh, ctx, a, m, a1, quad_meta):
@@ -170,9 +172,17 @@ class AssembledSystem:
     @property
     def stiffness_cholesky(self):
         if self._chol_a is None:
-            a, self._a = self.a, None
+            if self._a is None:
+                raise AttributeError("A's factor is gone: analytic_covariance overwrote it with C")
+            a, self._a = self._a, None
             self._chol_a = cholesky(a, overwrite_a=True)
         return self._chol_a
+
+    def take_stiffness_cholesky(self):
+        """A's factor, handed over to be overwritten; the system holds neither
+        A nor its factor from then on."""
+        lower, self._chol_a = self.stiffness_cholesky, None
+        return lower
 
     @property
     def mass_cholesky(self):

@@ -122,7 +122,8 @@ def error_mass(system, norm_kind):
 def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
     """Rate estimate from three systems of consecutive levels, ordered fine
     to coarse: coupled loads by successive restriction, one solve per level
-    with its cached factor, and log2(E_{l-1} / E_l)."""
+    with its cached factor, and log2(E_{l-1} / E_l). Raises
+    FloatingPointError when a solution is not finite."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     levels = [s.mesh.level for s in systems]
@@ -139,11 +140,16 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
     for sys_l, b in zip(systems, loads):
         try:
             sols.append(solve_with_factor(sys_l.stiffness_cholesky, b, overwrite_b=True))
-            sols[-1] /= mu
         except Exception as exc:
             raise RuntimeError(
                 f"solve failed at level {sys_l.mesh.level}: {exc}"
             ) from exc
+        with np.errstate(over="ignore"):  # the check below reports an overflow
+            sols[-1] /= mu
+        if not np.isfinite(sols[-1]).all():
+            raise FloatingPointError(
+                f"converge: non-finite solution at level {sys_l.mesh.level} (mu = {mu})"
+            )
 
     errors = {}
     per_sample = {}

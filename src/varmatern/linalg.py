@@ -4,10 +4,11 @@ Thin wrappers over LAPACK (scipy) that pin down the residual contracts and
 error reporting the rest of the package relies on. Inputs are row-major
 float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
 by the caller, except that ``overwrite_*`` reuses the input's memory for the
-output (LAPACK's in-place convention). Nothing here caches a factor: the solves
-and the sandwich take the factors the caller holds (``AssembledSystem`` for A
-and M). The sandwich takes 5/3 N^3: dpotri on A's factor, a sparse product
-with M's, one syrk.
+output (LAPACK's in-place convention) and the sandwich consumes A's factor.
+Nothing here caches a factor: the solves and the sandwich take the factors the
+caller holds (``AssembledSystem`` for A and M). One N x N array carries A, its
+factor L and then C: the sandwich takes 5/3 N^3 (dpotri on A's factor, a
+sparse product with M's, one panelled product Y Y^T) in L's own storage.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def _mirror_upper(a):
-    """Copy the upper triangle of a onto its lower one, 256 rows at a time."""
-    for i0 in range(0, a.shape[0], 256):
-        i1 = min(i0 + 256, a.shape[0])
-        a[i0:i1, :i0] = a[:i0, i0:i1].T
-        block = a[i0:i1, i0:i1]
-        block[np.tril_indices(i1 - i0, -1)] = block.T[np.tril_indices(i1 - i0, -1)]
+    """Copy the upper triangle of a onto its lower one, in 128 x 128 tiles."""
+    for i0 in range(0, a.shape[0], 128):
+        for j0 in range(0, i0, 128):
+            a[i0 : i0 + 128, j0 : j0 + 128] = a[j0 : j0 + 128, i0 : i0 + 128].T
+        block = a[i0 : i0 + 128, i0 : i0 + 128]
+        below = np.tril_indices(block.shape[0], -1)
+        block[below] = block.T[below]
 
 
 def cholesky(mat, overwrite_a=False):
@@ -93,20 +95,38 @@ def solve_with_factor(lower, b, overwrite_b=False):
 
 
 def inv_triple_product(lower, mass_lower):
-    """C = A^{-1} M A^{-1} from the lower Cholesky factors of A and M.
+    """C = A^{-1} M A^{-1} from the lower Cholesky factors of A and M, in the
+    storage of A's factor, which it consumes.
 
-    C = Y Y^T with Y = A^{-1} L_M, in 5/3 N^3: A^{-1} by LAPACK dpotri from
-    A's factor (2/3 N^3), Y as a sparse product (O(N^2) for M's bidiagonal
-    factor), y @ y.T by one BLAS syrk (N^3); C is exactly symmetric and PSD,
-    and at most two N x N arrays live at once. mass_lower may be dense or
-    scipy.sparse; a singular factor raises NotPositiveDefiniteError.
+    C = Y Y^T with Y = A^{-1} L_M, in 5/3 N^3. An F-order float64 factor (as
+    ``cholesky`` returns) is overwritten by A^{-1} (LAPACK dpotri, 2/3 N^3),
+    then by W = Y^T = L_M^T A^{-1} in 256-row panels, top-down (a sparse
+    product, O(N^2) for M's bidiagonal factor: as L_M^T is upper triangular,
+    rows I of W read only rows i0: of A^{-1}), then by C = W^T W in 256-column
+    panels, right to left (N^3: columns I of C's upper triangle read only
+    columns :i1 of W), then mirrored. C is the C-order array lower.T, exactly
+    symmetric and PSD; besides it, O(256 N) floats live at once. A factor of
+    another layout is copied first. mass_lower may be dense or scipy.sparse
+    and must be lower triangular (else ValueError); a singular factor raises
+    NotPositiveDefiniteError.
     """
-    inv, info = dpotri(lower, lower=1)
+    mass_t = sparse.csr_array(sparse.csr_array(mass_lower).T)
+    if sparse.tril(mass_t, -1).count_nonzero():
+        raise ValueError("mass factor is not lower triangular")
+    inv, info = dpotri(lower, lower=1, overwrite_c=1)
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotri")
-    _mirror_upper(inv.T)
-    y = (sparse.csr_array(mass_lower).T @ inv.T).T
-    del inv
-    return y @ y.T
+    c = inv.T  # C order: A^{-1}'s lower triangle is its upper one
+    _mirror_upper(c)
+    n = c.shape[0]
+    for i0 in range(0, n, 256):
+        c[i0 : i0 + 256] = mass_t[i0 : i0 + 256, i0:] @ c[i0:]
+    for i0 in reversed(range(0, n, 256)):
+        w = c[:, i0 : i0 + 256]
+        diag = w.T @ w  # by syrk, before the columns above it are overwritten
+        c[:i0, i0 : i0 + 256] = (w.T @ c[:, :i0]).T  # faster than its transpose
+        c[i0 : i0 + 256, i0 : i0 + 256] = diag
+    _mirror_upper(c)
+    return c

@@ -88,12 +88,14 @@ def sample_fields(system, m, seed):
 
 
 def analytic_covariance(system):
-    """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, from the cached factors.
-    Raises FloatingPointError when an entry is not finite."""
-    c = inv_triple_product(system.stiffness_cholesky, system.mass_cholesky)
+    """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, formed in
+    the storage of A's factor, which the system hands over: A -> L -> C share
+    one N x N array, and the system cannot sample afterwards. Raises
+    FloatingPointError when an entry is not finite."""
+    c = inv_triple_product(system.take_stiffness_cholesky(), system.mass_cholesky)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         c /= system.ctx.mu**2
-    if not np.isfinite(c).all():
+    if not np.isfinite([c.min(), c.max()]).all():  # NaN propagates; no N x N mask
         raise FloatingPointError(f"covariance: non-finite entries (mu = {system.ctx.mu})")
     return CovarianceResult(
         "analytic", c, system.mesh.interior_coords, system.to_manifest()
@@ -105,7 +107,8 @@ def empirical_covariance(batch, metadata=None):
     m = batch.m
     if m == 0:
         raise ValueError("empirical covariance needs at least one sample")
-    c = (batch.samples @ batch.samples.T) / m
+    c = batch.samples @ batch.samples.T
+    c /= m
     meta = dict(metadata or {})
     meta.update({"m": m, "seed": batch.seed})
     return CovarianceResult("empirical", c, batch.coords, meta)

@@ -372,6 +372,8 @@ def test_converge_assembly_failure_names_level(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, stage, output", [
     (["covariance", "--mu", "1e-200"], "covariance", "covariance_x0.csv"),
     (["sample", "--m", "2", "--mu", "1e-320"], "sampling", "samples.csv"),
+    (["converge", "--levels", "4,3,2", "--m", "3", "--mu", "1e-320"], "level 4",
+     "rate_report.json"),
 ])
 def test_non_finite_results_exit_2(tmp_path, capsys, argv, stage, output):
     # mu**2 underflows to 0, or b / mu overflows

@@ -11,6 +11,7 @@ from varmatern.linalg import (
     inv_triple_product,
     solve_with_factor,
 )
+from varmatern.sampler import analytic_covariance
 
 
 def _p1_mass(n, h):
@@ -96,8 +97,8 @@ def test_sparse_mass_accepted(build_system):
     system = build_system("const05", 2.5, 3)
     dense = system.m.toarray()
     assert np.array_equal(cholesky(system.m), cholesky(dense))
-    lower = system.stiffness_cholesky
-    assert np.array_equal(inv_triple_product(lower, system.mass_cholesky),
+    lower = system.stiffness_cholesky  # each call consumes its factor
+    assert np.array_equal(inv_triple_product(lower.copy(order="F"), system.mass_cholesky),
                           inv_triple_product(lower, system.mass_cholesky.toarray()))
 
 
@@ -115,16 +116,37 @@ def test_triple_product_matches_two_sweeps(build_system, profile, level):
 
 
 def test_triple_product_holds_two_dense_arrays(build_system):
-    system = build_system("step", 2.5, 6)
+    # at level 8 (N = 1537, six 256-row panels) C is formed in the factor's
+    # storage; besides it the call holds one panel of 256 x N floats (1.02
+    # measured), where holding A^{-1} and Y took 12.0 panels
+    system = build_system("step", 2.5, 8)
     lower, mass_lower = system.stiffness_cholesky, system.mass_cholesky
     n = lower.shape[0]
+    assert n == 1537
     tracemalloc.start()
     try:
-        inv_triple_product(lower, mass_lower)
+        c = inv_triple_product(lower, mass_lower)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * n * n * 8
+    assert np.shares_memory(c, lower)
+    assert peak <= 1.1 * 256 * n * 8
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 520])
+def test_triple_product_dense_mass_factor_across_panels(rng, n):
+    # a full lower-triangular mass factor: each row panel of W = L_M^T A^{-1}
+    # reads every later row of A^{-1}, and N falls on either side of a panel
+    # boundary
+    a = _spd(rng, n)
+    mass_lower = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    lower = cholesky(a)
+    y = cho_solve((lower, True), mass_lower)
+    ref = y @ y.T
+    c = inv_triple_product(lower, mass_lower)
+    assert np.shares_memory(c, lower) and c.flags.c_contiguous
+    assert np.array_equal(c, c.T)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_triple_product_singular_factor_raises():
@@ -133,6 +155,16 @@ def test_triple_product_singular_factor_raises():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         inv_triple_product(lower, np.eye(4))
     assert exc.value.index == 3
+
+
+def test_triple_product_needs_lower_triangular_mass_factor(rng):
+    # W = L_M^T A^{-1} is formed top-down, which needs L_M^T upper triangular;
+    # the check comes before the factor is overwritten
+    lower = cholesky(_spd(rng, 5))
+    kept = lower.copy()
+    with pytest.raises(ValueError, match="lower triangular"):
+        inv_triple_product(lower, np.eye(5) + np.eye(5, k=1))
+    assert np.array_equal(lower, kept)
 
 
 def _spd(rng, n):
@@ -180,6 +212,18 @@ def test_stiffness_factored_in_its_own_storage(build_system, profile, level):
     lower = system.stiffness_cholesky
     assert np.shares_memory(lower, a)
     assert np.array_equal(lower, copied)
+
+
+def test_covariance_takes_over_the_factor(build_system):
+    # one N x N array lives A -> L -> C
+    system = build_system("step", 2.5, 4)
+    a = system.a
+    cov = analytic_covariance(system)
+    assert np.shares_memory(cov.matrix, a)
+    with pytest.raises(AttributeError, match="analytic_covariance"):
+        system.stiffness_cholesky
+    with pytest.raises(AttributeError, match="stiffness_cholesky"):
+        system.a
 
 
 def test_factored_system_no_longer_holds_a(build_system):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from varmatern import assembly, linalg, smoothness
 from varmatern.kernel import KernelContext
 from varmatern.mesh import build_uniform
 from varmatern.sampler import (
+    SampleBatch,
     analytic_covariance,
     covariance_slice,
     draw_noise,
@@ -103,8 +106,8 @@ def test_analytic_covariance_mu_scaling(build_system):
 
 
 def test_empirical_matches_analytic(build_system):
-    system = build_system("const05", 2.5, 3)
-    cov = analytic_covariance(system)
+    cov = analytic_covariance(build_system("const05", 2.5, 3))
+    system = build_system("const05", 2.5, 3)  # the covariance took the first one's factor
     m = 2000
     emp = empirical_covariance(sample_fields(system, m, seed=3))
     stderr = np.sqrt(
@@ -114,13 +117,28 @@ def test_empirical_matches_analytic(build_system):
 
 
 def test_monte_carlo_consistency_shrinks(build_system):
-    system = build_system("const05", 2.5, 3)
-    ref = analytic_covariance(system).matrix
+    ref = analytic_covariance(build_system("const05", 2.5, 3)).matrix
+    system = build_system("const05", 2.5, 3)  # the covariance took the first one's factor
     devs = []
     for m in (100, 1000, 10_000):
         emp = empirical_covariance(sample_fields(system, m, seed=21)).matrix
         devs.append(np.linalg.norm(emp - ref))
     assert devs[0] > devs[1] > devs[2]
+
+
+def test_empirical_covariance_holds_one_array(rng):
+    # the product is scaled in its own memory: bitwise (s s^T) / m, one N x N array
+    mesh = build_uniform(3.0, 4.0, 7)
+    n, m = mesh.interior_node_count, 40
+    batch = SampleBatch(mesh, 0, rng.standard_normal((n, m)))
+    tracemalloc.start()
+    try:
+        c = empirical_covariance(batch).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(c, (batch.samples @ batch.samples.T) / m)
+    assert peak <= 1.02 * n * n * 8
 
 
 def test_covariance_even_symmetry(build_system):
