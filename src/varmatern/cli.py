@@ -7,6 +7,7 @@ import json
 import sys
 import textwrap
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -84,16 +85,23 @@ def _parse_args(argv):
     return command, config_path, overrides
 
 
+@contextmanager
+def _timed(timings, stage):
+    """Record the wall time of the block as ``timings[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - t0
+
+
 def _assembled(cfg, timings):
     """The system of each mesh the command reads (``cfg.meshes``), in order."""
-    t0 = time.perf_counter()
     systems = []
-    for mesh in cfg.meshes:
-        try:
-            systems.append(assemble_stiffness(mesh, cfg.ctx, **cfg.assemble_kwargs()))
-        except AssemblyError as exc:
-            raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
-    timings["assemble"] = time.perf_counter() - t0
+    with _timed(timings, "assemble"):
+        for mesh in cfg.meshes:
+            try:
+                systems.append(assemble_stiffness(mesh, cfg.ctx, **cfg.assemble_kwargs()))
+            except AssemblyError as exc:
+                raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
     return systems
 
 
@@ -116,11 +124,12 @@ def _cmd_assemble(cfg):
     system, = _assembled(cfg, timings)
     side = {"config": cfg.echo(), **system.to_manifest()}
     out = cfg.out_dir
-    outputs = [
-        write_matrix(out / "stiffness.vwm1", system.a, side),
-        write_matrix(out / "mass.vwm1", system.m.toarray(), side),
-        write_matrix(out / "weighted_mass.vwm1", system.a1.toarray(), side),
-    ]
+    with _timed(timings, "write"):
+        outputs = [
+            write_matrix(out / "stiffness.vwm1", system.a, side),
+            write_matrix(out / "mass.vwm1", system.m.toarray(), side),
+            write_matrix(out / "weighted_mass.vwm1", system.a1.toarray(), side),
+        ]
     _write_manifest(cfg, "assemble", outputs, timings, system=system.to_manifest())
     return 0
 
@@ -128,12 +137,11 @@ def _cmd_assemble(cfg):
 def _cmd_sample(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
-    t0 = time.perf_counter()
-    batch = sample_fields(system, cfg.m, cfg.seed)
-    timings["sample"] = time.perf_counter() - t0
+    with _timed(timings, "sample"):
+        batch = sample_fields(system, cfg.m, cfg.seed)
     names = ["node_x"] + [f"u_{k + 1}" for k in range(batch.m)]
-    cols = [batch.coords] + [batch.samples[:, k] for k in range(batch.m)]
-    path = write_csv(cfg.out_dir / "samples.csv", names, cols)
+    with _timed(timings, "write"):
+        path = write_csv(cfg.out_dir / "samples.csv", names, [batch.coords, batch.samples])
     _write_manifest(cfg, "sample", [path], timings, system=system.to_manifest())
     return 0
 
@@ -145,40 +153,41 @@ def _slice_tag(x0):
 def _cmd_covariance(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
-    t0 = time.perf_counter()
-    cov = analytic_covariance(system)
-    timings["covariance"] = time.perf_counter() - t0
+    with _timed(timings, "covariance"):
+        cov = analytic_covariance(system)
     outputs = []
-    for x0 in cfg.slices:
-        ys, vals = covariance_slice(cov, x0)
-        path = cfg.out_dir / f"covariance_x{_slice_tag(x0)}.csv"
-        outputs.append(write_csv(path, ["y", "C_x0_y"], [ys, vals]))
-    if "vwm1" in cfg.formats:
-        side = {"config": cfg.echo(), **system.to_manifest()}
-        outputs.append(write_matrix(cfg.out_dir / "covariance.vwm1", cov.matrix, side))
+    with _timed(timings, "write"):
+        for x0 in cfg.slices:
+            ys, vals = covariance_slice(cov, x0)
+            path = cfg.out_dir / f"covariance_x{_slice_tag(x0)}.csv"
+            outputs.append(write_csv(path, ["y", "C_x0_y"], [ys, vals]))
+        if "vwm1" in cfg.formats:
+            side = {"config": cfg.echo(), **system.to_manifest()}
+            outputs.append(write_matrix(cfg.out_dir / "covariance.vwm1", cov.matrix, side))
     _write_manifest(cfg, "covariance", outputs, timings, system=system.to_manifest())
     return 0
 
 
 def _cmd_matern(cfg):
-    t0 = time.perf_counter()
-    if cfg.profile.kind == "constant":
-        s = cfg.profile.params["s"]
-        params = MaternParams(
-            2.0 * s - 0.5,
-            cfg.ctx.kappa,
-            whittle_variance(s, cfg.ctx.kappa, cfg.ctx.mu),
-            {"s": s, "mu": cfg.ctx.mu, "d": 1},
-        )
-    else:
-        params = params_from_profile(
-            cfg.profile, cfg.ctx.kappa, cfg.ctx.mu, (-cfg.r_ext, cfg.r_ext)
-        )
-    h = cfg.meshes[0].h
-    rs = np.arange(0.0, 2.0 * cfg.r_int + h / 2, h)
-    vals = matern_cov(rs, params)
-    timings = {"matern": time.perf_counter() - t0}
-    path = write_csv(cfg.out_dir / "matern.csv", ["r", "matern_cov"], [rs, vals])
+    timings = {}
+    with _timed(timings, "matern"):
+        if cfg.profile.kind == "constant":
+            s = cfg.profile.params["s"]
+            params = MaternParams(
+                2.0 * s - 0.5,
+                cfg.ctx.kappa,
+                whittle_variance(s, cfg.ctx.kappa, cfg.ctx.mu),
+                {"s": s, "mu": cfg.ctx.mu, "d": 1},
+            )
+        else:
+            params = params_from_profile(
+                cfg.profile, cfg.ctx.kappa, cfg.ctx.mu, (-cfg.r_ext, cfg.r_ext)
+            )
+        h = cfg.meshes[0].h
+        rs = np.arange(0.0, 2.0 * cfg.r_int + h / 2, h)
+        vals = matern_cov(rs, params)
+    with _timed(timings, "write"):
+        path = write_csv(cfg.out_dir / "matern.csv", ["r", "matern_cov"], [rs, vals])
     _write_manifest(cfg, "matern", [path], timings, matern_params=params.to_dict())
     return 0
 
@@ -186,31 +195,31 @@ def _cmd_matern(cfg):
 def _cmd_converge(cfg):
     timings = {}
     systems = _assembled(cfg, timings)
-    t0 = time.perf_counter()
-    report = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
-    timings["converge"] = time.perf_counter() - t0
+    with _timed(timings, "converge"):
+        report = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
     payload = report.to_dict()
     payload["config_echo"] = cfg.echo()
     levels = sorted(report.per_sample, reverse=True)
     cols = [np.arange(1, report.m + 1)] + [report.per_sample[l] for l in levels]
     names = ["sample"] + [f"err_level_{l}" for l in levels]
-    outputs = [
-        write_json(cfg.out_dir / "rate_report.json", payload),
-        write_csv(cfg.out_dir / "per_sample_errors.csv", names, cols),
-    ]
+    with _timed(timings, "write"):
+        outputs = [
+            write_json(cfg.out_dir / "rate_report.json", payload),
+            write_csv(cfg.out_dir / "per_sample_errors.csv", names, cols),
+        ]
     _write_manifest(cfg, "converge", outputs, timings, r_hat=report.r_hat)
     return 0
 
 
 def _cmd_kernel_check(cfg):
-    t0 = time.perf_counter()
-    two_regime = two_regime_summary(
-        cfg.ctx, (-cfg.r_ext, cfg.r_ext), n_pairs=10_000, seed=cfg.seed
-    )
-    bounds = bessel_bound_summary(
-        nu_lo=0.5 + cfg.profile.s_lower, nu_hi=0.5 + cfg.profile.s_upper
-    )
-    timings = {"kernel_check": time.perf_counter() - t0}
+    timings = {}
+    with _timed(timings, "kernel_check"):
+        two_regime = two_regime_summary(
+            cfg.ctx, (-cfg.r_ext, cfg.r_ext), n_pairs=10_000, seed=cfg.seed
+        )
+        bounds = bessel_bound_summary(
+            nu_lo=0.5 + cfg.profile.s_lower, nu_hi=0.5 + cfg.profile.s_upper
+        )
     ok = bool(
         two_regime["near"]["min"] > 0
         and np.isfinite(two_regime["near"]["ratio"])
@@ -224,7 +233,8 @@ def _cmd_kernel_check(cfg):
         "bessel_bounds": bounds,
         "config_echo": cfg.echo(),
     }
-    path = write_json(cfg.out_dir / "kernel_check.json", payload)
+    with _timed(timings, "write"):
+        path = write_json(cfg.out_dir / "kernel_check.json", payload)
     _write_manifest(cfg, "kernel-check", [path], timings, passed=ok)
     return 0 if ok else 2
 

@@ -2,9 +2,12 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varmatern import cli, fileio
 from varmatern.assembly import assemble_weighted_mass
@@ -120,6 +123,19 @@ def test_read_matrix_header_larger_than_file(tmp_path, n):
         fileio.read_matrix(path)
 
 
+def test_read_matrix_holds_one_copy(tmp_path):
+    n = 1537  # level 8
+    path = fileio.write_matrix(tmp_path / "m.vwm1", np.eye(n), {})
+    tracemalloc.start()
+    try:
+        back, _ = fileio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, np.eye(n))
+    assert peak <= 1.1 * 8 * n * n
+
+
 def test_csv_full_precision_roundtrip(tmp_path):
     vals = np.array([math.pi, 1.0 / 3.0, 1e-300, 12345.678901234567])
     path = tmp_path / "c.csv"
@@ -149,6 +165,49 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
 
 
 # --------------------------------------------------------------------- CLI
+
+
+_PRE_POW10 = [math.nextafter(10.0**j, 0.0) for j in range(-3, 17)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40), n_cols=st.integers(1, 6))
+# the edges of the window [1e-4, 1e16) that is formatted in numpy
+@example(values=[1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0),
+                 float(2**53 - 1), float(2**53 + 1)], n_cols=3)
+# exact ties at the 17th digit round half to even: ...0.2 and ...0.8
+@example(values=[1000000000000000.25, 1000000000000000.75], n_cols=2)
+# 17-digit rounding that carries to the next power of ten (1e-14 and 1e98
+# print as such but lie below them), and log10 rounding up below 10**j
+@example(values=[1e-14, -1e98, *_PRE_POW10], n_cols=4)
+def test_csv_bytes_equal_format_float_join(tmp_path_factory, values, n_cols):
+    # taller than one block of rows; columns given as a 1d array and a 2d block
+    rows = fileio._BLOCK_VALUES // n_cols + 3
+    table = np.resize(np.array(values), (rows, n_cols))
+    names = [f"c{j}" for j in range(n_cols)]
+    cols = [table[:, 0]] + ([table[:, 1:]] if n_cols > 1 else [])
+    path = fileio.write_csv(tmp_path_factory.mktemp("csv") / "t.csv", names, cols)
+    lines = [",".join(names)] + [",".join(map(fileio.format_float, row)) for row in table]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_streams_rows_from_columns(tmp_path):
+    # samples.csv at level 6 as 1001 column views: copying the table alone
+    # would take 385 * 1001 * 8 B = 3.1 MB
+    table = np.random.default_rng(0).standard_normal((385, 1001))
+    names = [f"c{j}" for j in range(1001)]
+    cols = [table[:, j] for j in range(1001)]
+    tracemalloc.start()
+    try:
+        fileio.write_csv(tmp_path / "t.csv", names, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    with pytest.raises(ValueError, match="equal-length"):
+        fileio.write_csv(tmp_path / "r.csv", ["a", "b"], [table[:, 0], table[:-1, 1]])
+    with pytest.raises(ValueError, match="count mismatch"):
+        fileio.write_csv(tmp_path / "r.csv", ["a", "b"], [table[:, :3]])
 
 
 def _run(argv):
@@ -345,7 +404,7 @@ def test_converge_reads_its_levels_not_domain_level(tmp_path, capsys):
     assert _run(["converge", "--level", "12", "--levels", "4,3,2", "--m", "3",
                  "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
-    assert set(man["timings_s"]) == {"assemble", "converge"}
+    assert set(man["timings_s"]) == {"assemble", "converge", "write"}
     assert json.loads((out / "rate_report.json").read_text())["levels"] == [4, 3, 2]
     # the other commands still read domain.level
     assert _run(["sample", "--level", "12", "--m", "3", "--out", str(tmp_path / "s")]) == 1
@@ -421,6 +480,18 @@ def test_cli_dotted_override_equals_syntax(tmp_path):
                  "--out", str(out)]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["kernel"]["kappa"] == 1.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--m", "3"],
+    ["covariance", "--slices", "0"],
+    ["converge", "--levels", "4,3,2", "--m", "3"],
+])
+def test_manifest_times_the_data_writes(tmp_path, argv):
+    out = tmp_path / "o"
+    assert _run([*argv, "--level", "4", "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["timings_s"]["write"] >= 0
 
 
 def test_cli_manifest_reproducibility_fields(tmp_path):
