@@ -12,14 +12,15 @@ beta grids: each run of equal keys along the mesh is evaluated once, a few
 hundred rows at a time, and scattered back to its pairs, which on a
 piecewise-constant profile leaves a handful of integrands per level.
 
-Disjoint pairs are cell pairs of varmatern.farfield, on two cell sizes. The
-far cells of farfield.CELL_SIZE elements take the pairs
-farfield.CELL_SEPARATION or more cells apart whose kernel their Chebyshev
-interpolant resolves; every pair they leave is a pair of one-element cells
-under tensor Gauss, whose order falls with the offset k, min(n, n_far(k))
-with n_far from FAR_BREAKS and FAR_ORDERS, except where kappa h > 1, where
-every offset keeps n. Both sizes go through one loop (_passes): the cell
-offsets in bands of one order, in passes of whole offsets, each pass's pairs
+Disjoint pairs are cell pairs of varmatern.farfield. The far cells, of
+farfield.cell_sizes, take the blocks of the admissible partition whose
+kernel their Chebyshev interpolant resolves, from the largest cells down;
+every pair they leave is a pair of one-element cells under tensor Gauss,
+whose order falls with the offset k, min(n, n_far(k)) with n_far from
+FAR_BREAKS and FAR_ORDERS, except where kappa h > 1, where every offset
+keeps n. The element cells go over the offsets in bands of one order, in
+passes of whole offsets (_passes), the far cells of each size in passes of a
+bounded number of distinct grids (_far_passes); each pass's pairs are
 ordered by offset and then by first cell. On the uniform mesh the pairs of
 one offset share their distance grid, so a pair's kernel grid is set by its
 offset and by the runs of equal s, at its cells' nodes, that hold its two
@@ -32,8 +33,8 @@ its series chopped after the degree that the pass needs and summed by
 Clenshaw. The table holds the kernel with its growth in nu,
 max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that does not resolve
 the rest to BETA_TAIL_RTOL raises AssemblyError. The cross blocks of a cell
-offset go onto A at once, and the self blocks are summed per element and
-reach its band once.
+offset go onto A in one strided add per farfield._BLOCK_BYTES of them, and
+the self blocks are summed per element and reach its band once.
 
 A is summed in place over the N unknowns: entries of exterior nodes are
 dropped as they arrive, A2 is accumulated on its upper triangle and then
@@ -590,6 +591,20 @@ def _passes(cells, k_first, k_last, needed, drop):
             yield c, d
 
 
+def _far_passes(cells, c, d):
+    """The pairs (c, c + d) of far ``cells``, ordered by d, in passes whose
+    distinct kernel grids G hold at most _CHUNK_POINTS points and make at
+    most farfield._BLOCK_BYTES of W G, and at least one grid."""
+    p = cells.t.size
+    grids = max(1, min(_CHUNK_POINTS // p**2, farfield._BLOCK_BYTES // (8 * (cells.size + 1) * p)))
+    key = _distinct_rows(d, cells.runs[c], cells.runs[c + d])[1]
+    i = 0
+    while i < c.size:
+        j = int(np.searchsorted(key, key[i] + grids))
+        yield c[i:j], d[i:j]
+        i = j
+
+
 def _kept_finite(blocks, keep, what, first, second):
     """``blocks`` (leading axes those of ``keep``) with the skipped pairs
     zeroed. Raises naming the first kept pair whose block is not finite;
@@ -619,15 +634,12 @@ def assemble_stiffness(
     is derived from the log(1/h) rule with constant ``c`` and the target
     rate (defaulting to the expected strong rate of the profile).
 
-    The disjoint pairs are cell pairs (farfield): first the pairs of far
-    cells of CELL_SIZE elements CELL_SEPARATION or more cells apart, where
-    both cells are all interior or all exterior, hold no breakpoint of s
-    inside and the kernel's interpolant on CELL_ORDER Chebyshev points per
-    cell resolves it; then every element pair they leave, as a pair of
-    one-element cells under tensor Gauss of order min(n, n_far(k)) at offset
-    k, which holds each block to DISJOINT_BLOCK_RTOL of itself where kappa h
-    is small (where kappa h > 1 they keep n). Each pass of either takes at
-    most _CHUNK_PAIRS pairs and about _CHUNK_POINTS points of distinct
+    The disjoint pairs are cell pairs (farfield): first the far cell pairs,
+    as the module docstring and farfield say, then every element pair they
+    leave, as a pair of one-element cells under tensor Gauss of order
+    min(n, n_far(k)) at offset k, which holds each block to
+    DISJOINT_BLOCK_RTOL of itself where kappa h is small (where kappa h > 1
+    they keep n). Each pass takes about _CHUNK_POINTS points of distinct
     kernel grids, evaluated in one farfield.kernel_grids call: directly
     where they are few (a piecewise-constant profile), else from a
     Chebyshev table in beta of degree BETA_DEGREE, chopped where its tail
@@ -635,8 +647,10 @@ def assemble_stiffness(
 
     ``quad_meta`` records the table degree as "beta_degree", the bands as
     "disjoint_orders", [[k_first, k_last, order], ...], and the far field as
-    "far_cells", {"cell_size", "order", "separation", "cell_pairs": the
-    cell pairs interpolated, "element_pairs": the disjoint element pairs
+    "far_cells", {"cell_size": the smallest size, "order", "separation",
+    "cell_pairs": the cell pairs interpolated, "cell_pairs_by_size": the
+    same per size built, keyed by the size as a string, "element_pairs":
+    the disjoint element pairs
     left to the element path}; "n_disjoint" is n, the order of the nearest
     pairs. The identical and vertex-sharing pairs evaluate each run of equal
     integrands once; the run counts are "near_field_keys", {"identical":
@@ -681,31 +695,41 @@ def assemble_stiffness(
         for db in range(da, 3):
             _band_add(a, first, da, db, 2.0 * adj[:, da, db])
 
-    # disjoint pairs: the far cell pairs, then the element pairs they leave
-    # over the offsets k = 2 ... n_el - 1, in bands of one order
+    # disjoint pairs: far cell pairs from the largest cells down (``far`` marks
+    # their leaf blocks), then the element pairs they leave, in order bands
     table = _BetaTable(profile)
-    cells, regular = farfield.far_cells(mesh, profile, table)
-    count, size = cells.count, cells.size
-    far = np.zeros((count + 1,) * 2, dtype=bool)
+    sizes = farfield.cell_sizes(mesh, ctx.kappa)
+    cell_pairs = dict.fromkeys(map(str, sizes), 0)
+    far = np.zeros((n_el // farfield.CELL_SIZE + 1,) * 2, dtype=bool)
+    self_blocks = np.zeros((n_el, 2, 2))
+    for size in sizes[::-1]:
+        cells, regular = farfield.far_cells(mesh, profile, table, size)
+        scale = size // farfield.CELL_SIZE
 
-    def irregular(i, j):
-        return ~(regular[i] & regular[j]) | (cells.exterior[i] & cells.exterior[j])
+        def dropped(i, j):  # taken by larger cells, irregular, or both exterior
+            return (far[i * scale, j * scale] | ~(regular[i] & regular[j])
+                    | (cells.exterior[i] & cells.exterior[j]))
 
-    for cell, d in _passes(cells, farfield.CELL_SEPARATION, count - 1, np.ones(count, bool),
-                           irregular):
-        g, inverse = cells.grids(ctx, cell, d)
-        ok = farfield.resolved(g)[inverse]
-        cell, d = cell[ok], d[ok]
-        far[cell, cell + d] = True
-        cells.add(a, cell, d, g, inverse[ok])
+        gap = farfield.CELL_SEPARATION * (1 + (ctx.kappa * size * h > farfield.CELL_KAPPA_NEAR))
+        pairs = _pairs_left(cells.count, np.arange(gap, cells.count), dropped)
+        for cell, d in _far_passes(cells, *pairs):
+            g, inverse = cells.grids(ctx, cell, d)
+            ok = farfield.resolved(g)[inverse]
+            if not np.any(ok):
+                continue
+            cell, d = cell[ok], d[ok]
+            leaf = cell[:, None] * scale + np.arange(scale)
+            far[leaf[:, :, None], leaf[:, None, :] + (d * scale)[:, None, None]] = True
+            cells.add(a, cell, d, g, inverse[ok])
+            cell_pairs[str(size)] += cell.size
+        self_blocks += cells.self_blocks()
 
-    cell_of = np.minimum(elements // size, count)
+    cell_of = np.minimum(elements // farfield.CELL_SIZE, far.shape[0] - 1)
 
     def covered(e, f):
         return (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
 
-    needed = farfield.needed(cells, far)
-    self_blocks = cells.self_blocks()
+    needed = farfield.needed(cells, far) if sizes else np.ones(n_el, bool)
     element_pairs = 0
     bands = _disjoint_orders(n_el, n, ctx.kappa * h)
     for k_first, k_last, order in bands:
@@ -746,7 +770,8 @@ def assemble_stiffness(
             "cell_size": farfield.CELL_SIZE,
             "order": farfield.CELL_ORDER,
             "separation": farfield.CELL_SEPARATION,
-            "cell_pairs": int(np.count_nonzero(far)),
+            "cell_pairs": sum(cell_pairs.values()),
+            "cell_pairs_by_size": cell_pairs,
             "element_pairs": element_pairs,
         },
     }

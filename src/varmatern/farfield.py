@@ -11,14 +11,18 @@ and second cell: the degenerate-kernel step of hierarchical matrices (Boerm,
 Grasedyck & Hackbusch, Hierarchical Matrices, 2003, ch. 2-3; Ainsworth &
 Glusa use cluster methods for the integral fractional Laplacian, 2018).
 
-The engine serves two cell sizes. An element on the n nodes and weights of
-tensor Gauss is a cell of one element, with W[a, i] = w_i psi_a(x_i), mu_i =
-w_i and m2[0, a, b, i] = w_i psi_a(x_i) psi_b(x_i), and its cell pairs are
-the element pairs under tensor Gauss. The far cells hold CELL_SIZE elements
-on CELL_ORDER Chebyshev points, whose Lagrange functions give the moments: a
-pair of them CELL_SEPARATION or more cells apart takes g from its
-interpolant, where that resolves it. Every kernel grid comes from
-kernel_grids, the one evaluator of the disjoint pairs.
+An element on the n nodes and weights of tensor Gauss is a cell of one
+element, with W[a, i] = w_i psi_a(x_i), mu_i = w_i and m2[0, a, b, i] = w_i
+psi_a(x_i) psi_b(x_i), and its cell pairs are the element pairs under tensor
+Gauss. The far cells hold CELL_SIZE 2^l elements on CELL_ORDER Chebyshev
+points, whose Lagrange functions give the moments. They pair as the blocks of
+the admissible partition of a hierarchical matrix (Hackbusch, Hierarchical
+Matrices, 2015, ch. 5; Zhao, Hu, Cai & Karniadakis, CMAME 325, 2017, for 1D
+fractional stiffness): two cells of one size CELL_SEPARATION or more cells
+apart (twice that past kappa L = CELL_KAPPA_NEAR) that no larger pair holds
+take g from its interpolant where that resolves g, else split in four;
+cell_sizes stops where cells are too long to resolve exp(-kappa r). Every
+kernel grid comes from kernel_grids, the one evaluator of the disjoint pairs.
 """
 
 from __future__ import annotations
@@ -42,11 +46,27 @@ from .quadrature import gauss_legendre_01
 # coefficients in either variable exceed CELL_TAIL_RTOL of its smallest
 # kernel value keeps the element pairs. That estimate ran 50 to 1500 times
 # above the block error over the same profiles, kappa in {0.5, 10, 50}
-# and levels 4 to 8 (bumps as narrow as sigma = 0.1 too).
+# and levels 4 to 8 (bumps as narrow as sigma = 0.1 too). Larger cells pair
+# at the same distance in cell lengths; their check passes less often the
+# larger kappa L, L the cell's length (bumps, ramp, step and constant order,
+# levels 6 to 8): at cell offsets 3 to 5 a third to a half of the regular
+# pairs at kappa L = 2 and next to none at 2.5, over all offsets about 90 %
+# at 2.5 (those 6 to 8 or more cells apart) and none at 3. A failed pair costs
+# its grid on top of its children's: no cell is longer than
+# CELL_KAPPA_LENGTH / kappa, and cells longer than CELL_KAPPA_NEAR / kappa
+# pair only twice CELL_SEPARATION or more cells apart.
 CELL_SIZE = 16
 CELL_ORDER = 16
 CELL_SEPARATION = 3
 CELL_TAIL_RTOL = 1e-11
+CELL_KAPPA_LENGTH = 2.5
+CELL_KAPPA_NEAR = 2.0
+
+# Bytes of the cross blocks one _add_cell_blocks call receives (a pair's take
+# more from 256 elements per cell on) and of W G over a far pass's distinct
+# grids. With 2 MB the level-6 bump assembly kept 0.6 MB more free heap than
+# the one-level far field, which raised the peak RSS of the sampling after it.
+_BLOCK_BYTES = 2**19
 
 
 def _chebyshev(count):
@@ -154,22 +174,28 @@ class _Cells:
             at = (cells[:, None] * p + np.arange(p)).ravel()
             self.v += np.bincount(at, terms.reshape(-1, p)[inverse].ravel(),
                                   self.v.size).reshape(self.v.shape)
-        cross = ((self.w @ g).reshape(-1, p) @ self.w.T).reshape(-1, size + 1, size + 1)
-        cross *= -2.0 * self.mesh.h**2
+        wg = self.w @ g
         rows = c * size - self.mesh.first_interior_node
-        starts = np.flatnonzero(np.diff(d, prepend=-1))
-        for i0, i1 in zip(starts, np.append(starts[1:], d.size)):
-            _add_cell_blocks(a, rows[i0:i1], rows[i0:i1] + d[i0] * size, size,
-                             cross[inverse[i0:i1]])
+        step = max(1, _BLOCK_BYTES // (8 * (size + 1) ** 2))
+        j0, k0 = 0, -step
+        for i1 in np.append(np.flatnonzero(np.diff(d)) + 1, d.size):
+            while j0 < i1:  # the cross blocks of ``step`` grids at a time; inverse ascends
+                if inverse[j0] >= k0 + step:
+                    k0 = inverse[j0] // step * step
+                    cross = wg[k0 : k0 + step].reshape(-1, p) @ self.w.T
+                    cross *= -2.0 * self.mesh.h**2
+                j1 = min(j0 + step, i1, int(np.searchsorted(inverse, k0 + step)))
+                _add_cell_blocks(a, rows[j0:j1], rows[j0:j1] + d[j0] * size, size,
+                                 cross.reshape(-1, size + 1, size + 1)[inverse[j0:j1] - k0])
+                j0 = j1
 
     def self_blocks(self):
         """The self blocks the cell pairs added, summed per element: sxx of
         the pairs an element is first in and syy of those it is second in,
         shape (n_el, 2, 2)."""
         blocks = np.zeros((self.mesh.n_elements, 2, 2))
-        blocks[: self.count * self.size] = self.mesh.h**2 * np.einsum(
-            "jabi,ci->cjab", self.m2, self.v
-        ).reshape(-1, 2, 2)
+        m2 = self.m2.reshape(-1, self.t.size)
+        blocks[: self.count * self.size] = self.mesh.h**2 * (self.v @ m2.T).reshape(-1, 2, 2)
         return blocks
 
 
@@ -191,19 +217,30 @@ def _moments(size, to_coef):
     p = to_coef.shape[0]
     rule = gauss_legendre_01(p // 2 + 1)
     u = 2.0 * (np.arange(size)[:, None] + rule.nodes) / size - 1.0
-    lagrange = np.cos(np.arccos(u)[..., None] * np.arange(p)) @ to_coef
+    lagrange = np.polynomial.chebyshev.chebvander(u, p - 1) @ to_coef
     psi = np.stack([1.0 - rule.nodes, rule.nodes])
-    m1 = np.einsum("q,aq,jqi->jai", rule.weights, psi, lagrange)
-    m2 = np.einsum("q,aq,bq,jqi->jabi", rule.weights, psi, psi, lagrange)
-    return m1, m2
+    weighted = rule.weights * psi
+    m2 = (weighted[:, None] * psi).reshape(4, -1) @ lagrange
+    return weighted @ lagrange, m2.reshape(size, 2, 2, p)
 
 
-def far_cells(mesh, profile, table):
-    """The far field's cells, CELL_SIZE elements on CELL_ORDER Chebyshev
+def cell_sizes(mesh, kappa):
+    """The sizes of the far cells, ascending: CELL_SIZE 2^l elements for l =
+    0, 1, ... while kappa times a cell's length stays within
+    CELL_KAPPA_LENGTH and more than CELL_SEPARATION cells fit on the mesh."""
+    sizes = []
+    size = CELL_SIZE
+    while kappa * size * mesh.h <= CELL_KAPPA_LENGTH and mesh.n_elements // size > CELL_SEPARATION:
+        sizes.append(size)
+        size *= 2
+    return sizes
+
+
+def far_cells(mesh, profile, table, size=CELL_SIZE):
+    """The far field's cells of ``size`` elements on CELL_ORDER Chebyshev
     points, and which are regular: all interior or all exterior, with no
     breakpoint of s inside. Only a pair of regular cells, not both
     exterior, may join the far field."""
-    size = CELL_SIZE
     n = mesh.n_elements // size
     tau, to_coef = _chebyshev(CELL_ORDER)
     t = 0.5 * (1.0 + tau)
@@ -259,7 +296,8 @@ def _add_cell_blocks(a, rows, cols, size, blocks):
     and the parts of the blocks before their last row and column, in their
     last row, in their last column and in their corner, taken in turn, in
     none. Only the last block to start above row 0 and the first to end
-    past the last column are cut."""
+    past the last column are cut; where ``rows`` has gaps, each part goes
+    to the blocks' own places."""
     n = a.shape[0]
     shift = int(cols[0] - rows[0])
     i0, i1 = np.searchsorted(rows, (0, n - size - shift)).tolist()
@@ -273,13 +311,9 @@ def _add_cell_blocks(a, rows, cols, size, blocks):
     if i1 > i0:
         blocks = blocks[i0:i1]
         steps = (rows[i0:i1] - rows[i0]) // size
-        if steps[-1] >= steps.size:  # gaps: zero blocks fill them
-            dense = np.zeros((steps[-1] + 1,) + blocks.shape[1:])
-            dense[steps] = blocks
-            blocks = dense
+        at = slice(None) if steps[-1] < steps.size else steps
         corner = a[rows[i0] :, rows[i0] + shift :]
-        view = as_strided(
-            corner, blocks.shape, (size * (corner.strides[0] + corner.strides[1]),) + corner.strides
-        )
-        for part in np.s_[:, :-1, :-1], np.s_[:, -1, :-1], np.s_[:, :-1, -1], np.s_[:, -1, -1]:
-            view[part] += blocks[part]
+        view = as_strided(corner, (steps[-1] + 1,) + blocks.shape[1:],
+                          (size * (corner.strides[0] + corner.strides[1]),) + corner.strides)
+        for part in np.s_[:-1, :-1], np.s_[-1, :-1], np.s_[:-1, -1], np.s_[-1, -1]:
+            view[(at,) + part] += blocks[(slice(None),) + part]

@@ -11,8 +11,9 @@ k = floor(log10|x|), Dekker's two-product splits |x| * 10**(16 - k) into
 hi + lo exactly, hi is an even integer, and hi + rint(lo) is the significand
 rounded half to even, as CPython's dtoa rounds it. Each value outside that
 window (±0, |x| < 1e-4, |x| >= 1e16, inf, nan) is formatted on its own by
-``format_float``. Rows are written in blocks of about ``_BLOCK_VALUES``
-values taken straight from the columns, so no copy of the whole table is made.
+``format_float``. Rows are formatted in blocks of about ``_BLOCK_VALUES``
+values; from 16 or more column blocks (a slice each) they are copied in
+chunks of up to ``_GATHER_VALUES``. No copy of the whole table is made.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def format_float(x):
 
 
 _BLOCK_VALUES = 4096  # values formatted per block of rows
+_GATHER_VALUES = 2**14  # values copied from the columns per chunk of blocks
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact: 5**22 < 2**53
 _SPLIT = float(2**27 + 1)  # Veltkamp's constant: halves of 26 and 27 bits
 
@@ -203,16 +205,15 @@ def write_csv(path, names, columns):
     seps = np.full(len(names), ord(","), np.uint8)
     seps[-1] = ord("\n")
     rows = max(1, _BLOCK_VALUES // len(names))
-    vals = np.empty((rows, len(names)))
+    chunk = rows * max(1, min(len(blocks) // 16, _GATHER_VALUES // (rows * len(names))))
+    vals = np.empty((min(chunk, n_rows), len(names)))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        for r0 in range(0, n_rows, rows):
-            block = vals[:min(rows, n_rows - r0)]
-            c0 = 0
-            for c in blocks:
-                block[:, c0:c0 + c.shape[1]] = c[r0:r0 + len(block)]
-                c0 += c.shape[1]
-            fh.write(_format_block(block, seps))
+        for g0 in range(0, n_rows, chunk):
+            gathered = vals[:min(chunk, n_rows - g0)]
+            np.concatenate([c[g0:g0 + len(gathered)] for c in blocks], axis=1, out=gathered)
+            for r0 in range(0, len(gathered), rows):
+                fh.write(_format_block(gathered[r0:r0 + rows], seps))
     return Path(path)
 
 

@@ -623,12 +623,18 @@ def test_quad_metadata_recorded():
             json.dumps(meta)  # the manifest takes it as it is
             far = meta["far_cells"]
             assert set(far) == {"cell_size", "order", "separation", "cell_pairs",
-                                "element_pairs"}
+                                "cell_pairs_by_size", "element_pairs"}
             assert (far["cell_size"], far["order"], far["separation"]) == (
                 farfield.CELL_SIZE, farfield.CELL_ORDER, farfield.CELL_SEPARATION)
+            by_size = far["cell_pairs_by_size"]
             assert all(type(far[name]) is int for name in ("cell_pairs", "element_pairs"))
+            assert all(type(pairs) is int for pairs in by_size.values())
+            # the sizes built, each key the size as a string
+            assert list(by_size) == [str(size) for size in farfield.cell_sizes(mesh, 2.5)]
+            assert far["cell_pairs"] == sum(by_size.values())
             assert (far["cell_pairs"] > 0) == (level == 5)
-            assert far["element_pairs"] + far["cell_pairs"] * farfield.CELL_SIZE**2 == disjoint
+            assert far["element_pairs"] + sum(
+                pairs * int(size)**2 for size, pairs in by_size.items()) == disjoint
 
 
 # ------------------------------------------------------- near-field keys
@@ -681,15 +687,16 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
             return real(kappa, b, r)
         return call
 
-    real_grids = farfield.kernel_grids
+    real_grids = farfield._Cells.grids
 
-    def far_grids(kappa, table, r, beta, group, ks):
-        if beta.shape[-1] == farfield.CELL_ORDER:
-            far.append(beta.shape[0])
-        return real_grids(kappa, table, r, beta, group, ks)
+    def far_grids(self, ctx, c, d):
+        g, inverse = real_grids(self, ctx, c, d)
+        if self.size > 1:
+            far.append((self.size, g.shape[0], np.unique(d).size))
+        return g, inverse
 
     monkeypatch.setattr(asm, "_phi_from_beta", counted(seen))
-    monkeypatch.setattr(farfield, "kernel_grids", far_grids)
+    monkeypatch.setattr(farfield._Cells, "grids", far_grids)
     mesh = build_uniform(3, 4, 6)
     system = assemble_stiffness(mesh, _ctx(key))
     # the disjoint pairs evaluate their kernel in kernel_grids, directly on
@@ -697,17 +704,15 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     # the two halves of the vertex-sharing pairs, one row per distinct
     # integrand each
     assert seen == rows
-    # the far cells: one pass holds every cell offset, with one grid per
-    # offset and distinct pair of cell orders (s is constant on every cell
-    # of either profile)
-    cells, regular = farfield.far_cells(mesh, PROFILES[key](), asm._BetaTable(PROFILES[key]()))
-    ext = cells.exterior
-    offsets = np.unique(asm._pairs_left(
-        cells.count, np.arange(farfield.CELL_SEPARATION, cells.count),
-        lambda c, d: ~(regular[c] & regular[d]) | (ext[c] & ext[d]),
-    )[1]).size
-    assert len(far) == 1
-    assert (sum(far) == offsets if key == "const05" else offsets < sum(far) <= 3 * offsets)
+    # the far cells: one pass per cell size holds every cell offset of its
+    # candidate pairs, with one grid per offset and distinct pair of cell
+    # orders (s is constant on every cell of either profile)
+    sizes = farfield.cell_sizes(mesh, 2.5)
+    assert len(sizes) > 1
+    assert [size for size, _, _ in far] == sizes[::-1]
+    for _, grids, offsets in far:
+        assert (grids == offsets if key == "const05" else offsets <= grids <= 3 * offsets)
+    assert key == "const05" or sum(grids for _, grids, _ in far) > sum(offsets for *_, offsets in far)
     assert system.quad_meta["near_field_keys"] == {
         "identical": rows[0], "vertex_sharing": rows[2]
     }
@@ -929,7 +934,7 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
         c, inverse = c[resolved], inverse[resolved]
     if not c.size:
         return 0.0, 0
-    h, size = mesh.h, farfield.CELL_SIZE
+    h, size = mesh.h, cells.size
     j = np.array([0, size // 2, size - 1])
     m1 = farfield._moments(size, farfield._chebyshev(cells.t.size)[1])[0][j]
     m0, m2 = m1.sum(axis=1), cells.m2[j]
@@ -948,31 +953,36 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     return float(np.max(err)), c.size
 
 
-def _far_cell_sample(cells, regular, d):
+def _far_cell_sample(cells, regular, d, count=6):
     """Cell pairs (c, c + d) of the far field's kind spread over the mesh."""
     c = np.arange(cells.count - d)
     c = c[regular[c] & regular[c + d] & ~(cells.exterior[c] & cells.exterior[c + d])]
-    return c[np.unique(np.linspace(0, c.size - 1, 6).astype(int))]
+    return c[np.unique(np.linspace(0, c.size - 1, count).astype(int))] if c.size else c
 
 
 @pytest.mark.parametrize("key, kappa", FAR_CELL_CASES,
                          ids=[f"{key}-{kappa}" for key, kappa in FAR_CELL_CASES])
 def test_far_cells_hold_block_tolerance(key, kappa):
-    # every cell pair the far field takes, at the closest cell offsets and
-    # at some farther ones, against order-24 element-pair blocks
+    # every cell pair the far field takes, of every cell size it builds at
+    # levels 7 to 9, at the closest cell offsets and at a farther one,
+    # against order-24 element-pair blocks
     import varmatern.assembly as asm
 
     ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
-    taken = 0
-    for level in (7, 8):
+    table = asm._BetaTable(ctx.profile)
+    gap = farfield.CELL_SEPARATION
+    taken = {}
+    for level in (7, 8, 9):
         mesh = build_uniform(3, 4, level)
-        cells, regular = farfield.far_cells(mesh, ctx.profile, asm._BetaTable(ctx.profile))
-        gap = farfield.CELL_SEPARATION
-        for d in (gap, gap + 1, 2 * gap, cells.count // 2):
-            err, count = _cell_pair_errors(ctx, mesh, cells, d, _far_cell_sample(cells, regular, d))
-            assert err <= asm.DISJOINT_BLOCK_RTOL, (level, d, err)
-            taken += count
-    assert taken > 0
+        for size in farfield.cell_sizes(mesh, kappa):
+            cells, regular = farfield.far_cells(mesh, ctx.profile, table, size)
+            for d in sorted({gap, gap + 2, max(gap, cells.count // 2)} & set(range(cells.count))):
+                sample = _far_cell_sample(cells, regular, d, 3)
+                err, count = _cell_pair_errors(ctx, mesh, cells, d, sample)
+                assert err <= asm.DISJOINT_BLOCK_RTOL, (level, size, d, err)
+                taken[size] = taken.get(size, 0) + count
+    # cells of 16 to 128 elements take pairs at every kappa
+    assert {16, 32, 64, 128} <= {size for size, count in taken.items() if count}, taken
 
 
 def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
@@ -1079,6 +1089,52 @@ def test_irregular_cells_keep_the_element_path(monkeypatch):
     scale = np.max(np.abs(elementwise.a))
     assert np.max(np.abs(cellular.a - elementwise.a)) <= 1e-14 * scale
     assert np.array_equal(cellular.a, cellular.a.T)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.5, 10.0])
+def test_far_cells_match_the_element_path(monkeypatch, kappa):
+    # A with the far cells of every size against A from the element cells
+    # alone, on profiles whose cells all are regular and on a bump
+    by_size = {}
+    for key, level in [(key, level) for key in ("step", "bump") for level in (5, 6)]:
+        mesh = build_uniform(3, 4, level)
+        ctx = _ctx(key, kappa=kappa)
+        cellular = assemble_stiffness(mesh, ctx)
+        for size, pairs in cellular.quad_meta["far_cells"]["cell_pairs_by_size"].items():
+            by_size[int(size)] = by_size.get(int(size), 0) + pairs
+        with monkeypatch.context() as m:
+            m.setattr(farfield, "CELL_SEPARATION", mesh.n_elements)
+            elementwise = assemble_stiffness(mesh, ctx)
+        assert elementwise.quad_meta["far_cells"]["cell_pairs"] == 0
+        scale = np.max(np.abs(elementwise.a))
+        err = np.max(np.abs(cellular.a - elementwise.a))
+        assert err <= 1e-12 * scale, (key, level, err / scale)
+    # cells of 32 elements or more take part wherever kappa lets them
+    assert (max(size for size, pairs in by_size.items() if pairs) >= 32) == (kappa < 10), by_size
+
+
+def test_far_cells_skip_sizes_too_long_for_kappa(monkeypatch):
+    # kappa L <= CELL_KAPPA_LENGTH, L the cell's length: at level 5 with
+    # kappa = 10 (kappa L = 5 for cells of 16 elements) no cell is built and
+    # no far-cell grid reaches the kernel
+    mesh = build_uniform(3, 4, 5)
+    assert farfield.cell_sizes(mesh, 10.0) == []
+    assert farfield.cell_sizes(mesh, 2.5) == [16, 32]
+    # at small kappa the mesh bounds them: 4 cells of 64 elements fit, and
+    # 2 of 128 are fewer than CELL_SEPARATION + 1
+    assert farfield.cell_sizes(mesh, 0.1) == [16, 32, 64]
+    shapes = []
+    real = farfield.kernel_grids
+
+    def kernel_grids(kappa, table, r, beta, group, ks):
+        shapes.append(beta.shape[1:])
+        return real(kappa, table, r, beta, group, ks)
+
+    monkeypatch.setattr(farfield, "kernel_grids", kernel_grids)
+    system = assemble_stiffness(mesh, _ctx("const05", kappa=10.0))
+    assert shapes and (farfield.CELL_ORDER,) * 2 not in shapes
+    assert system.quad_meta["far_cells"]["cell_pairs_by_size"] == {}
+    assert system.quad_meta["far_cells"]["cell_pairs"] == 0
 
 
 @pytest.mark.parametrize("key", ["step", "bump"])

@@ -4,7 +4,7 @@ symmetric, finite and positive definite, and meets criterion 8's coercivity
 floor against the mass M. A mirror-symmetric profile (constant, or the
 gaussian bump, which is centred at 0) gives A equal to its mirror image.
 Levels 4 and 5 reach the far cells for small enough kappa; the explicit
-examples make sure that some run takes them."""
+examples make sure that some run takes them, and cells of 32 elements."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -42,21 +42,32 @@ def _profiles(draw):
     return smoothness.tabulated(sorted(x), s)
 
 
-# profiles of the explicit examples, which take the far cells at level 5
-_FAR_EXAMPLES = (smoothness.gaussian_bump(0.35, 0.85, 0.9, R_INT), smoothness.step(0.2, 0.9))
+# profiles of the explicit examples, which take the far cells at level 5;
+# all but the first take cells of 32 elements too
+_FAR_EXAMPLES = (
+    smoothness.gaussian_bump(0.35, 0.85, 0.9, R_INT),
+    smoothness.step(0.2, 0.9),
+    smoothness.gaussian_bump(0.35, 0.85, 0.9, R_INT),
+    smoothness.tabulated([-3.0, 0.0, 3.0], [0.3, 0.6, 0.4]),
+)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_profiles(), st.floats(-3.0, 2.0), st.integers(3, 5))
 @example(_FAR_EXAMPLES[0], 0.4, 5)
 @example(_FAR_EXAMPLES[1], -1.0, 5)
+@example(_FAR_EXAMPLES[2], -0.5, 5)
+@example(_FAR_EXAMPLES[3], -1.0, 5)
 def test_assembled_system_invariants(profile, log_kappa, level):
     kappa = 10.0**log_kappa
     system = assemble_stiffness(
         build_uniform(R_INT, R_EXT, level), KernelContext(kappa, 1.0, profile)
     )
-    if any(profile is far for far in _FAR_EXAMPLES):
-        assert system.quad_meta["far_cells"]["cell_pairs"] > 0
+    far = system.quad_meta["far_cells"]
+    if any(profile is p for p in _FAR_EXAMPLES):
+        assert far["cell_pairs"] > 0
+    if any(profile is p for p in _FAR_EXAMPLES[1:]):
+        assert sum(pairs for size, pairs in far["cell_pairs_by_size"].items() if int(size) >= 32)
     a = system.a
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, a.T)
