@@ -710,8 +710,7 @@ def assemble_stiffness(
             return (far[i * scale, j * scale] | ~(regular[i] & regular[j])
                     | (cells.exterior[i] & cells.exterior[j]))
 
-        gap = farfield.CELL_SEPARATION * (1 + (ctx.kappa * size * h > farfield.CELL_KAPPA_NEAR))
-        pairs = _pairs_left(cells.count, np.arange(gap, cells.count), dropped)
+        pairs = _pairs_left(cells.count, np.arange(farfield.CELL_SEPARATION, cells.count), dropped)
         for cell, d in _far_passes(cells, *pairs):
             g, inverse = cells.grids(ctx, cell, d)
             ok = farfield.resolved(g)[inverse]
@@ -729,7 +728,7 @@ def assemble_stiffness(
     def covered(e, f):
         return (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
 
-    needed = farfield.needed(cells, far) if sizes else np.ones(n_el, bool)
+    needed = farfield.needed(mesh, far)
     element_pairs = 0
     bands = _disjoint_orders(n_el, n, ctx.kappa * h)
     for k_first, k_last, order in bands:

@@ -19,10 +19,10 @@ points, whose Lagrange functions give the moments. They pair as the blocks of
 the admissible partition of a hierarchical matrix (Hackbusch, Hierarchical
 Matrices, 2015, ch. 5; Zhao, Hu, Cai & Karniadakis, CMAME 325, 2017, for 1D
 fractional stiffness): two cells of one size CELL_SEPARATION or more cells
-apart (twice that past kappa L = CELL_KAPPA_NEAR) that no larger pair holds
-take g from its interpolant where that resolves g, else split in four;
-cell_sizes stops where cells are too long to resolve exp(-kappa r). Every
-kernel grid comes from kernel_grids, the one evaluator of the disjoint pairs.
+apart that no larger pair holds take g from its interpolant where that
+resolves g, else split in four; cell_sizes stops where cells are too long to
+resolve exp(-kappa r). Every kernel grid comes from kernel_grids, the one
+evaluator of the disjoint pairs.
 """
 
 from __future__ import annotations
@@ -52,15 +52,16 @@ from .quadrature import gauss_legendre_01
 # levels 6 to 8): at cell offsets 3 to 5 a third to a half of the regular
 # pairs at kappa L = 2 and next to none at 2.5, over all offsets about 90 %
 # at 2.5 (those 6 to 8 or more cells apart) and none at 3. A failed pair costs
-# its grid on top of its children's: no cell is longer than
-# CELL_KAPPA_LENGTH / kappa, and cells longer than CELL_KAPPA_NEAR / kappa
-# pair only twice CELL_SEPARATION or more cells apart.
+# its grid on top of its children's. Below the largest size only cells 3 to 5
+# apart pair, so larger cells are no longer than CELL_KAPPA_LENGTH / kappa;
+# those of CELL_SIZE elements, which also take the farther pairs that no
+# larger pair holds, no longer than CELL_KAPPA_LEAF / kappa.
 CELL_SIZE = 16
 CELL_ORDER = 16
 CELL_SEPARATION = 3
 CELL_TAIL_RTOL = 1e-11
-CELL_KAPPA_LENGTH = 2.5
-CELL_KAPPA_NEAR = 2.0
+CELL_KAPPA_LENGTH = 2.0
+CELL_KAPPA_LEAF = 2.5
 
 # Bytes of the cross blocks one _add_cell_blocks call receives (a pair's take
 # more from 256 elements per cell on) and of W G over a far pass's distinct
@@ -226,13 +227,14 @@ def _moments(size, to_coef):
 
 def cell_sizes(mesh, kappa):
     """The sizes of the far cells, ascending: CELL_SIZE 2^l elements for l =
-    0, 1, ... while kappa times a cell's length stays within
-    CELL_KAPPA_LENGTH and more than CELL_SEPARATION cells fit on the mesh."""
+    0, 1, ... while more than CELL_SEPARATION cells fit on the mesh and kappa
+    times a cell's length stays within CELL_KAPPA_LENGTH, for l = 0 within
+    CELL_KAPPA_LEAF."""
     sizes = []
-    size = CELL_SIZE
-    while kappa * size * mesh.h <= CELL_KAPPA_LENGTH and mesh.n_elements // size > CELL_SEPARATION:
+    size, bound = CELL_SIZE, CELL_KAPPA_LEAF
+    while kappa * size * mesh.h <= bound and mesh.n_elements // size > CELL_SEPARATION:
         sizes.append(size)
-        size *= 2
+        size, bound = 2 * size, CELL_KAPPA_LENGTH
     return sizes
 
 
@@ -269,16 +271,14 @@ def resolved(g):
     return tail <= CELL_TAIL_RTOL * np.min(g, axis=(1, 2))
 
 
-def needed(cells, far):
+def needed(mesh, far):
     """Per element offset k = 0 ... n_el - 1, whether some pair (e, e + k)
-    may lie outside the cell pairs marked in ``far``, (count + 1) square,
-    its last index standing for the elements past the last cell: the pairs
-    of offset k lie in cell pairs k // size and k // size + 1 cells apart."""
-    mesh, size = cells.mesh, cells.size
-    n_el = mesh.n_elements
-    ext = cells.exterior
-    if cells.count * size < n_el:
-        ext = np.append(ext, np.all(~mesh.element_interior[cells.count * size :]))
+    may lie outside the pairs of CELL_SIZE cells marked in ``far``, (count
+    + 1) square, its last index standing for the elements past the last
+    cell: the pairs of offset k lie in cell pairs k // CELL_SIZE and
+    k // CELL_SIZE + 1 cells apart."""
+    size, n_el = CELL_SIZE, mesh.n_elements
+    ext = np.logical_and.reduceat(~mesh.element_interior, np.arange(0, n_el, size))
     m = ext.size
     open_ = np.zeros(m + 1, dtype=bool)
     for d in range(m):

@@ -12,8 +12,9 @@ hi + lo exactly, hi is an even integer, and hi + rint(lo) is the significand
 rounded half to even, as CPython's dtoa rounds it. Each value outside that
 window (±0, |x| < 1e-4, |x| >= 1e16, inf, nan) is formatted on its own by
 ``format_float``. Rows are formatted in blocks of about ``_BLOCK_VALUES``
-values; from 16 or more column blocks (a slice each) they are copied in
-chunks of up to ``_GATHER_VALUES``. No copy of the whole table is made.
+values, copied from the columns a few blocks at a time, so that each column
+block (a 1d column or a 2d block of columns) gives ``_SLICE_VALUES`` or more
+values per copy; no copy of the whole table is made.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def format_float(x):
 
 
 _BLOCK_VALUES = 4096  # values formatted per block of rows
-_GATHER_VALUES = 2**14  # values copied from the columns per chunk of blocks
+_SLICE_VALUES = 16  # least values copied per column block and chunk of rows
 _POW10 = np.array([float(10**p) for p in range(23)])  # exact: 5**22 < 2**53
 _SPLIT = float(2**27 + 1)  # Veltkamp's constant: halves of 26 and 27 bits
 
@@ -205,7 +206,7 @@ def write_csv(path, names, columns):
     seps = np.full(len(names), ord(","), np.uint8)
     seps[-1] = ord("\n")
     rows = max(1, _BLOCK_VALUES // len(names))
-    chunk = rows * max(1, min(len(blocks) // 16, _GATHER_VALUES // (rows * len(names))))
+    chunk = rows * -(-_SLICE_VALUES * len(blocks) // (rows * len(names)))
     vals = np.empty((min(chunk, n_rows), len(names)))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())

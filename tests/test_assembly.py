@@ -311,22 +311,22 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
 
 
 def _far_field(monkeypatch, mesh, ctx):
-    """An assembly of ``mesh``, its far cells and the cell pairs it marks in
+    """An assembly of ``mesh`` and the pairs of leaf cells it marks in
     ``far``, as farfield.needed receives them."""
     seen = []
     real = farfield.needed
-    monkeypatch.setattr(farfield, "needed", lambda cells, far: seen.append((cells, far))
-                        or real(cells, far))
+    monkeypatch.setattr(farfield, "needed", lambda mesh, far: seen.append(far)
+                        or real(mesh, far))
     system = assemble_stiffness(mesh, ctx)
     monkeypatch.setattr(farfield, "needed", real)
-    return system, *seen[0]
+    return system, seen[0]
 
 
-def _covered(mesh, cells, far):
+def _covered(mesh, far):
     """What the assembly drops of the element pairs (e, f): both exterior,
-    or in a cell pair marked in ``far``."""
+    or in a pair of leaf cells marked in ``far``."""
     ext = ~mesh.element_interior
-    cell_of = np.minimum(np.arange(mesh.n_elements) // cells.size, cells.count)
+    cell_of = np.minimum(np.arange(mesh.n_elements) // farfield.CELL_SIZE, far.shape[0] - 1)
     return lambda e, f: (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
 
 
@@ -345,19 +345,19 @@ def test_grouped_path_one_bessel_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(farfield, "_phi_from_beta", counted)
     mesh = build_uniform(3, 4, 7)
-    system, cells, far = _far_field(monkeypatch, mesh, _ctx("const05"))
+    system, far = _far_field(monkeypatch, mesh, _ctx("const05"))
     n_el = mesh.n_elements
     assert 0 < len(calls) < (n_el - 2) / 8
     n = system.quad_meta["n_disjoint"]
     # one grid per offset with a pair left to the element cells, none
     # repeated
-    covered = _covered(mesh, cells, far)
+    covered = _covered(mesh, far)
     needed = sum(asm._pairs_left(n_el, np.array([k]), covered)[0].size > 0
                  for k in range(2, n_el))
     assert sum(shape[0] for shape in calls) == needed
     # each pass's grids take the order of its band
     bands = system.quad_meta["disjoint_orders"]
-    offsets = farfield.needed(cells, far)
+    offsets = farfield.needed(mesh, far)
     width = max(1, asm._CHUNK_PAIRS // n_el)
     orders = []
     for k_first, k_last, order in bands:
@@ -470,8 +470,8 @@ def test_add_cell_blocks_of_one_element_match_dense_loop(monkeypatch):
     import varmatern.assembly as asm
 
     mesh = build_uniform(2.75, 4, 5)
-    _, cells, far = _far_field(monkeypatch, mesh, _ctx("const05", kappa=0.5))
-    covered = _covered(mesh, cells, far)
+    far = _far_field(monkeypatch, mesh, _ctx("const05", kappa=0.5))[1]
+    covered = _covered(mesh, far)
     n, first = mesh.interior_node_count, mesh.first_interior_node
     rng = np.random.default_rng(5)
     gaps = cut = 0
@@ -964,8 +964,9 @@ def _far_cell_sample(cells, regular, d, count=6):
                          ids=[f"{key}-{kappa}" for key, kappa in FAR_CELL_CASES])
 def test_far_cells_hold_block_tolerance(key, kappa):
     # every cell pair the far field takes, of every cell size it builds at
-    # levels 7 to 9, at the closest cell offsets and at a farther one,
-    # against order-24 element-pair blocks
+    # levels 7 to 9, at the closest cell offsets and at farther ones,
+    # against order-24 element-pair blocks: six pairs per offset for the
+    # cells of 16 elements at levels 7 and 8, three for the other cases
     import varmatern.assembly as asm
 
     ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
@@ -976,13 +977,17 @@ def test_far_cells_hold_block_tolerance(key, kappa):
         mesh = build_uniform(3, 4, level)
         for size in farfield.cell_sizes(mesh, kappa):
             cells, regular = farfield.far_cells(mesh, ctx.profile, table, size)
-            for d in sorted({gap, gap + 2, max(gap, cells.count // 2)} & set(range(cells.count))):
-                sample = _far_cell_sample(cells, regular, d, 3)
+            samples = 6 if size == farfield.CELL_SIZE and level < 9 else 3
+            for d in sorted({gap, gap + 1, gap + 2, 2 * gap, cells.count // 2}
+                            & set(range(gap, cells.count))):
+                sample = _far_cell_sample(cells, regular, d, samples)
                 err, count = _cell_pair_errors(ctx, mesh, cells, d, sample)
                 assert err <= asm.DISJOINT_BLOCK_RTOL, (level, size, d, err)
                 taken[size] = taken.get(size, 0) + count
-    # cells of 16 to 128 elements take pairs at every kappa
-    assert {16, 32, 64, 128} <= {size for size, count in taken.items() if count}, taken
+    # cells of 16 to 64 elements take pairs at every kappa, of 128 where
+    # kappa L <= CELL_KAPPA_LENGTH at level 9 (kappa < 10)
+    wanted = {16, 32, 64} | ({128} if kappa < 10 else set())
+    assert wanted <= {size for size, count in taken.items() if count}, taken
 
 
 def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
@@ -1114,12 +1119,15 @@ def test_far_cells_match_the_element_path(monkeypatch, kappa):
 
 
 def test_far_cells_skip_sizes_too_long_for_kappa(monkeypatch):
-    # kappa L <= CELL_KAPPA_LENGTH, L the cell's length: at level 5 with
-    # kappa = 10 (kappa L = 5 for cells of 16 elements) no cell is built and
-    # no far-cell grid reaches the kernel
+    # kappa L <= CELL_KAPPA_LEAF for the cells of 16 elements and
+    # CELL_KAPPA_LENGTH for larger ones, L the cell's length: at level 5
+    # with kappa = 10 (kappa L = 5 for cells of 16 elements) no cell is built
+    # and no far-cell grid reaches the kernel
     mesh = build_uniform(3, 4, 5)
     assert farfield.cell_sizes(mesh, 10.0) == []
-    assert farfield.cell_sizes(mesh, 2.5) == [16, 32]
+    assert farfield.cell_sizes(build_uniform(3, 4, 6), 10.0) == [16]  # kappa L = 2.5
+    assert farfield.cell_sizes(mesh, 2.5) == [16]  # 32 elements: kappa L = 2.5
+    assert farfield.cell_sizes(mesh, 1.25) == [16, 32]
     # at small kappa the mesh bounds them: 4 cells of 64 elements fit, and
     # 2 of 128 are fewer than CELL_SEPARATION + 1
     assert farfield.cell_sizes(mesh, 0.1) == [16, 32, 64]
@@ -1158,13 +1166,12 @@ def test_needed_offsets_hold_every_pair_left_to_the_element_path():
     import varmatern.assembly as asm
 
     mesh = build_uniform(3, 4, 5)  # 16 cells
-    profile = smoothness.constant(0.5)
-    cells = farfield.far_cells(mesh, profile, asm._BetaTable(profile))[0]
+    count = mesh.n_elements // farfield.CELL_SIZE
     rng = np.random.default_rng(3)
     for _ in range(10):
-        far = np.triu(rng.random((cells.count + 1,) * 2) < 0.97, farfield.CELL_SEPARATION)
-        needed = farfield.needed(cells, far)
-        covered = _covered(mesh, cells, far)
+        far = np.triu(rng.random((count + 1,) * 2) < 0.97, farfield.CELL_SEPARATION)
+        needed = farfield.needed(mesh, far)
+        covered = _covered(mesh, far)
         held = [asm._pairs_left(mesh.n_elements, np.array([k]), covered)[0].size > 0
                 for k in range(2, mesh.n_elements)]
         assert np.all(needed[2:] | ~np.array(held))
