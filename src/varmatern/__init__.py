@@ -26,7 +26,7 @@ from . import (  # noqa: F401
     smoothness,
 )
 from .assembly import AssembledSystem, assemble_stiffness  # noqa: F401
-from .kernel import KernelContext, bessel_k, gamma_kernel, phi  # noqa: F401
+from .kernel import KernelContext, bessel_k, gamma_kernel  # noqa: F401
 from .mesh import Mesh1D, build_uniform  # noqa: F401
 from .sampler import analytic_covariance, sample_fields  # noqa: F401
 from .smoothness import SmoothnessProfile  # noqa: F401

@@ -66,7 +66,7 @@ from .farfield import _chebyshev, _distinct_rows
 from .kernel import _phi_from_beta
 from .kernel import bessel_k  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import _mirror_upper, cholesky
-from .mesh import adjacent_pair_maps, classify_pair, hat_eval
+from .mesh import adjacent_pair_maps, hat_eval
 from .quadrature import gauss_legendre_01, quadrature_order
 
 __all__ = [
@@ -74,9 +74,6 @@ __all__ = [
     "AssembledSystem",
     "assemble_plain_mass",
     "assemble_weighted_mass",
-    "pair_block_identical",
-    "pair_block_adjacent",
-    "pair_block_disjoint",
     "assemble_stiffness",
 ]
 
@@ -324,23 +321,6 @@ def _identical_q_signs(mesh, e):
     )
 
 
-def pair_block_identical(mesh, ctx, e, n):
-    """Local 2x2 block of an element with itself, both triangle halves.
-
-    One half is evaluated from each element endpoint and doubled; the two
-    anchored values are averaged (the anchors parameterize the same
-    integral; averaging keeps mirror symmetry exact for even profiles).
-    Returns (block, (node, node+1)). Row sums vanish: the basis difference
-    of the constant function is zero.
-    """
-    rule = gauss_legendre_01(n)
-    s_up = _element_order_max(ctx.profile, mesh.h, mesh.nodes[e : e + 1])
-    vals, _ = _identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e : e + 2])
-    q = _identical_q_signs(mesh, e)
-    block = np.outer(q, q) * float(vals[0])
-    return block, (e, e + 1)
-
-
 def _adjacent_delta_coeffs(mesh, e_left):
     """(alpha_a, delta_a) of the affine basis difference for a shared-vertex pair.
 
@@ -410,72 +390,6 @@ def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
         return blocks
 
     return _by_rows(blocks_of, first.size)[inverse], first.size
-
-
-def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
-    """Local 3x3 block of a vertex-sharing pair over its shared-support nodes.
-
-    Maps are oriented so both send 0 to the shared vertex; violations raise.
-    Returns (block, (e_left, e_left+1, e_left+2)) in geometric node indices.
-    """
-    if classify_pair(mesh, e_left, e_right) != "vertex_sharing":
-        raise AssemblyError(f"elements ({e_left}, {e_right}) do not share a vertex")
-    rule = gauss_legendre_01(n)
-    el_max = _element_order_max(ctx.profile, mesh.h, mesh.nodes[[e_left, e_right]])
-    s_up = np.array([0.5 * (el_max[0] + el_max[1])])
-    alpha, delta = _adjacent_delta_coeffs(mesh, e_left)
-    shared = np.array([mesh.nodes[e_left + 1]])
-    blocks, _ = _adjacent_blocks(ctx, mesh.h, rule, s_up, shared, alpha, delta)
-    block = blocks[0]
-    return block, (e_left, e_left + 1, e_left + 2)
-
-
-def _blocks_from_kernel(g, h, rule):
-    """2x2 blocks (sxx, sxy, syy) along axis 1, shape (P, 3, 2, 2), from
-    kernel values g[p, a, b] at (x_a, y_b): one matrix product of the P
-    kernel grids with the tensor-Gauss weights of the twelve entries."""
-    xq, wq = rule.nodes, rule.weights
-    psi = np.stack([1.0 - xq, xq])
-    weights = np.stack(
-        [
-            np.einsum("a,b,ia,ja->abij", wq, wq, psi, psi),
-            -np.einsum("a,b,ia,jb->abij", wq, wq, psi, psi),
-            np.einsum("a,b,ib,jb->abij", wq, wq, psi, psi),
-        ],
-        axis=2,
-    ).reshape(rule.n * rule.n, 12)
-    return (h * h * (g.reshape(-1, rule.n * rule.n) @ weights)).reshape(-1, 3, 2, 2)
-
-
-def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
-    """(sxx, sxy, syy) 2x2 blocks for disjoint pairs, direct tensor Gauss."""
-    xq = rule.nodes
-    x = lefts_x[:, None] + h * xq[None, :]
-    y = lefts_y[:, None] + h * xq[None, :]
-    s_x = smoothness.evaluate(ctx.profile, x)
-    s_y = smoothness.evaluate(ctx.profile, y)
-    b = 0.5 * (s_x[:, :, None] + s_y[:, None, :])
-    r = np.abs(x[:, :, None] - y[:, None, :])
-    nu = 0.5 + b
-    g = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
-    return tuple(_blocks_from_kernel(g, h, rule).transpose(1, 0, 2, 3))
-
-
-def pair_block_disjoint(mesh, ctx, e1, e2, n):
-    """Local symmetric block of a disjoint pair over its four supporting nodes.
-
-    Layout: rows/cols (e1, e1+1, e2, e2+1) in geometric node indices. The
-    kernel is evaluated directly; disjoint pairs keep r >= h away from the
-    singularity.
-    """
-    if classify_pair(mesh, e1, e2) != "disjoint":
-        raise AssemblyError(f"elements ({e1}, {e2}) are not disjoint")
-    rule = gauss_legendre_01(n)
-    sxx, sxy, syy = _disjoint_blocks_direct(
-        ctx, mesh.h, np.array([mesh.nodes[e1]]), np.array([mesh.nodes[e2]]), rule
-    )
-    block = np.block([[sxx[0], sxy[0]], [sxy[0].T, syy[0]]])
-    return block, (e1, e1 + 1, e2, e2 + 1)
 
 
 def _band_add(a, first, dr, dc, vec):

@@ -155,16 +155,23 @@ def _cmd_covariance(cfg):
     system, = _assembled(cfg, timings)
     with _timed(timings, "covariance"):
         cov = analytic_covariance(system)
-    outputs = []
+    outputs, snapped = [], []
     with _timed(timings, "write"):
         for x0 in cfg.slices:
-            ys, vals = covariance_slice(cov, x0)
+            node = float(cov.coords[np.argmin(np.abs(cov.coords - x0))])
+            if node != x0:
+                print(f"note: slice location {x0} is not a node; using the node at {node}",
+                      file=sys.stderr)
+                snapped.append({"requested": x0, "node": node})
+            ys, vals = covariance_slice(cov, node)
             path = cfg.out_dir / f"covariance_x{_slice_tag(x0)}.csv"
             outputs.append(write_csv(path, ["y", "C_x0_y"], [ys, vals]))
         if "vwm1" in cfg.formats:
             side = {"config": cfg.echo(), **system.to_manifest()}
             outputs.append(write_matrix(cfg.out_dir / "covariance.vwm1", cov.matrix, side))
-    _write_manifest(cfg, "covariance", outputs, timings, system=system.to_manifest())
+    # recorded only where a slice moved, so on-node runs keep their manifest
+    extra = {"snapped_slices": snapped} if snapped else {}
+    _write_manifest(cfg, "covariance", outputs, timings, system=system.to_manifest(), **extra)
     return 0
 
 

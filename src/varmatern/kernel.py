@@ -24,10 +24,7 @@ __all__ = [
     "KernelContext",
     "bessel_k",
     "abs_gamma_neg",
-    "prefactor",
-    "phi",
     "gamma_kernel",
-    "w_tilde",
 ]
 
 # Supported order window for bessel_k: covers nu(x, y) in (1/2, 3/2) with
@@ -130,20 +127,11 @@ def _prefactor_from_beta(kappa, b):
     return (1.0 / (2.0 * _SQRT_PI)) * 2.0**nu / (_gamma_fn(1.0 - b) / b) * kappa**nu
 
 
-def prefactor(ctx, x, y):
-    """Smooth positive prefactor of the kernel (symmetric, singularity-free)."""
-    b = ctx.beta(x, y)
-    out = _prefactor_from_beta(ctx.kappa, np.asarray(b, dtype=float))
-    if np.ndim(b) == 0:
-        return float(out)
-    return out
-
-
 def _phi_from_beta(kappa, b, r):
-    """phi given precomputed beta and r arrays (assembly entry point).
-
-    Passing r directly avoids the cancellation in |x - y| when transformed
-    quadrature already knows r in product form.
+    """phi from precomputed beta and r arrays: the direct product for r > 0,
+    its finite limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) below
+    kappa*r < PHI_SMALL_Z. Passing r directly avoids the cancellation in
+    |x - y| when transformed quadrature already knows r in product form.
     """
     b = np.asarray(b, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -157,24 +145,6 @@ def _phi_from_beta(kappa, b, r):
     z_safe = np.where(tiny, 1.0, z)
     direct = pref * bessel_k(nu, z_safe) * r**nu
     return np.where(tiny, limit, direct)
-
-
-def phi(ctx, x, y, r=None):
-    """Regularized kernel factor, smooth up to the diagonal.
-
-    Equal to prefactor * K_nu(kappa r) * r**nu for r > 0 and to its finite
-    limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) as r -> 0; the limit
-    branch engages below kappa*r < PHI_SMALL_Z.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    b = ctx.beta(x_arr, y_arr)
-    if r is None:
-        r = np.abs(x_arr - y_arr)
-    out = _phi_from_beta(ctx.kappa, b, r)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(out)
-    return out
 
 
 def gamma_kernel(ctx, x, y):
@@ -192,29 +162,6 @@ def gamma_kernel(ctx, x, y):
     b = ctx.beta(x_arr, y_arr)
     nu = 0.5 + b
     out = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
-def w_tilde(ctx, x, y):
-    """Bessel weight of the kernel, evaluated from its own closed form.
-
-    Independent arrangement used by the consistency check
-    2 * gamma_kernel * r**(1 + 2 beta) == w_tilde.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    r = np.abs(x_arr - y_arr)
-    b = ctx.beta(x_arr, y_arr)
-    nu = 0.5 + b
-    out = (
-        2.0 ** (0.5 + b)
-        / (_SQRT_PI * abs_gamma_neg(b))
-        * ctx.kappa**nu
-        * r**nu
-        * bessel_k(nu, ctx.kappa * r)
-    )
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(out)
     return out

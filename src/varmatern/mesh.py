@@ -19,7 +19,6 @@ __all__ = [
     "AffineMap",
     "Mesh1D",
     "build_uniform",
-    "classify_pair",
     "hat_eval",
     "adjacent_pair_maps",
 ]
@@ -158,18 +157,6 @@ def build_uniform(r_int, r_ext, level):
     lo = int(np.argmax(interior_nodes))
     hi = int(len(nodes) - 1 - np.argmax(interior_nodes[::-1]))
     return Mesh1D(r_int, r_ext, level, h, nodes, element_interior, lo, hi)
-
-
-def classify_pair(mesh, e1, e2):
-    """'identical', 'vertex_sharing', or 'disjoint' for an element pair."""
-    for e in (e1, e2):
-        if not 0 <= e < mesh.n_elements:
-            raise MeshError(f"element index {e} out of range")
-    if e1 == e2:
-        return "identical"
-    if abs(e1 - e2) == 1:
-        return "vertex_sharing"
-    return "disjoint"
 
 
 def hat_eval(mesh, node, x):

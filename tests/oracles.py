@@ -1,11 +1,19 @@
-"""Independent numerical oracles used by the test suite.
+"""Numerical oracles and single-pair blocks used by the test suite.
 
-Each oracle takes a different route than the production code: the Bessel
+The oracles take a different route than the production code: the Bessel
 oracle integrates the integral representation with composite Gauss panels,
 the gamma oracle is a self-contained Lanczos approximation, and the
 singular-block oracles integrate the untransformed element-pair triangles
 with dyadic refinement toward the singularity plus a Richardson tail
 correction with the known exponent.
+
+The single-pair blocks and kernel arrangements after them, which no command
+runs, do not. pair_block_identical and pair_block_adjacent run one pair
+through the shipped near field (assembly._identical_common and
+assembly._adjacent_blocks), so the tests that hold them against the oracles
+test what assembly computes. pair_block_disjoint (direct tensor Gauss),
+prefactor and phi evaluate the shipped kernel factors pointwise; only
+w_tilde takes the kernel's own closed form.
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from varmatern.kernel import _phi_from_beta
-from varmatern.mesh import adjacent_pair_maps, hat_eval
+from varmatern import assembly, smoothness
+from varmatern.kernel import _phi_from_beta, _prefactor_from_beta, abs_gamma_neg, bessel_k
+from varmatern.mesh import MeshError, adjacent_pair_maps, hat_eval
+from varmatern.quadrature import gauss_legendre_01
 from varmatern.smoothness import beta as beta_of
 
 
@@ -200,8 +210,155 @@ def identical_block_oracle(mesh, ctx, e, n_shells=50, n_gauss=24):
     return total + last + last * lam / (1.0 - lam)
 
 
-def disjoint_block_oracle(mesh, ctx, e1, e2, n=64):
-    """Reference disjoint block: the production formula at the oracle order."""
-    from varmatern.assembly import pair_block_disjoint
+# ------------------------------------------------------- single-pair blocks
 
-    return pair_block_disjoint(mesh, ctx, e1, e2, n)[0]
+
+def classify_pair(mesh, e1, e2):
+    """'identical', 'vertex_sharing', or 'disjoint' for an element pair."""
+    for e in (e1, e2):
+        if not 0 <= e < mesh.n_elements:
+            raise MeshError(f"element index {e} out of range")
+    if e1 == e2:
+        return "identical"
+    if abs(e1 - e2) == 1:
+        return "vertex_sharing"
+    return "disjoint"
+
+
+def pair_block_identical(mesh, ctx, e, n):
+    """Local 2x2 block of an element with itself, both triangle halves.
+
+    One half is evaluated from each element endpoint and doubled; the two
+    anchored values are averaged (the anchors parameterize the same
+    integral; averaging keeps mirror symmetry exact for even profiles).
+    Returns (block, (node, node+1)). Row sums vanish: the basis difference
+    of the constant function is zero.
+    """
+    rule = gauss_legendre_01(n)
+    s_up = assembly._element_order_max(ctx.profile, mesh.h, mesh.nodes[e : e + 1])
+    vals, _ = assembly._identical_common(ctx, mesh.h, rule, s_up, mesh.nodes[e : e + 2])
+    q = assembly._identical_q_signs(mesh, e)
+    block = np.outer(q, q) * float(vals[0])
+    return block, (e, e + 1)
+
+
+def pair_block_adjacent(mesh, ctx, e_left, e_right, n):
+    """Local 3x3 block of a vertex-sharing pair over its shared-support nodes.
+
+    Maps are oriented so both send 0 to the shared vertex; violations raise.
+    Returns (block, (e_left, e_left+1, e_left+2)) in geometric node indices.
+    """
+    if classify_pair(mesh, e_left, e_right) != "vertex_sharing":
+        raise assembly.AssemblyError(f"elements ({e_left}, {e_right}) do not share a vertex")
+    rule = gauss_legendre_01(n)
+    el_max = assembly._element_order_max(ctx.profile, mesh.h, mesh.nodes[[e_left, e_right]])
+    s_up = np.array([0.5 * (el_max[0] + el_max[1])])
+    alpha, delta = assembly._adjacent_delta_coeffs(mesh, e_left)
+    shared = np.array([mesh.nodes[e_left + 1]])
+    blocks, _ = assembly._adjacent_blocks(ctx, mesh.h, rule, s_up, shared, alpha, delta)
+    block = blocks[0]
+    return block, (e_left, e_left + 1, e_left + 2)
+
+
+def _blocks_from_kernel(g, h, rule):
+    """2x2 blocks (sxx, sxy, syy) along axis 1, shape (P, 3, 2, 2), from
+    kernel values g[p, a, b] at (x_a, y_b): one matrix product of the P
+    kernel grids with the tensor-Gauss weights of the twelve entries."""
+    xq, wq = rule.nodes, rule.weights
+    psi = np.stack([1.0 - xq, xq])
+    weights = np.stack(
+        [
+            np.einsum("a,b,ia,ja->abij", wq, wq, psi, psi),
+            -np.einsum("a,b,ia,jb->abij", wq, wq, psi, psi),
+            np.einsum("a,b,ib,jb->abij", wq, wq, psi, psi),
+        ],
+        axis=2,
+    ).reshape(rule.n * rule.n, 12)
+    return (h * h * (g.reshape(-1, rule.n * rule.n) @ weights)).reshape(-1, 3, 2, 2)
+
+
+def _disjoint_blocks_direct(ctx, h, lefts_x, lefts_y, rule):
+    """(sxx, sxy, syy) 2x2 blocks for disjoint pairs, direct tensor Gauss."""
+    xq = rule.nodes
+    x = lefts_x[:, None] + h * xq[None, :]
+    y = lefts_y[:, None] + h * xq[None, :]
+    s_x = smoothness.evaluate(ctx.profile, x)
+    s_y = smoothness.evaluate(ctx.profile, y)
+    b = 0.5 * (s_x[:, :, None] + s_y[:, None, :])
+    r = np.abs(x[:, :, None] - y[:, None, :])
+    nu = 0.5 + b
+    g = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
+    return tuple(_blocks_from_kernel(g, h, rule).transpose(1, 0, 2, 3))
+
+
+def pair_block_disjoint(mesh, ctx, e1, e2, n=64):
+    """Local symmetric block of a disjoint pair over its four supporting nodes;
+    at the default n = 64 it is the reference disjoint block.
+
+    Layout: rows/cols (e1, e1+1, e2, e2+1) in geometric node indices. The
+    kernel is evaluated directly; disjoint pairs keep r >= h away from the
+    singularity.
+    """
+    if classify_pair(mesh, e1, e2) != "disjoint":
+        raise assembly.AssemblyError(f"elements ({e1}, {e2}) are not disjoint")
+    rule = gauss_legendre_01(n)
+    sxx, sxy, syy = _disjoint_blocks_direct(
+        ctx, mesh.h, np.array([mesh.nodes[e1]]), np.array([mesh.nodes[e2]]), rule
+    )
+    block = np.block([[sxx[0], sxy[0]], [sxy[0].T, syy[0]]])
+    return block, (e1, e1 + 1, e2, e2 + 1)
+
+
+# ------------------------------------------------------ kernel arrangements
+
+_SQRT_PI = float(np.sqrt(np.pi))
+
+
+def prefactor(ctx, x, y):
+    """Smooth positive prefactor of the kernel (symmetric, singularity-free)."""
+    b = ctx.beta(x, y)
+    out = _prefactor_from_beta(ctx.kappa, np.asarray(b, dtype=float))
+    if np.ndim(b) == 0:
+        return float(out)
+    return out
+
+
+def phi(ctx, x, y, r=None):
+    """Regularized kernel factor, smooth up to the diagonal.
+
+    Equal to prefactor * K_nu(kappa r) * r**nu for r > 0 and to its finite
+    limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) as r -> 0; the limit
+    branch engages below kappa*r < PHI_SMALL_Z.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    b = ctx.beta(x_arr, y_arr)
+    if r is None:
+        r = np.abs(x_arr - y_arr)
+    out = _phi_from_beta(ctx.kappa, b, r)
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return float(out)
+    return out
+
+
+def w_tilde(ctx, x, y):
+    """Bessel weight of the kernel, evaluated from its own closed form.
+
+    Independent arrangement used by the consistency check
+    2 * gamma_kernel * r**(1 + 2 beta) == w_tilde.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    r = np.abs(x_arr - y_arr)
+    b = ctx.beta(x_arr, y_arr)
+    nu = 0.5 + b
+    out = (
+        2.0 ** (0.5 + b)
+        / (_SQRT_PI * abs_gamma_neg(b))
+        * ctx.kappa**nu
+        * r**nu
+        * bessel_k(nu, ctx.kappa * r)
+    )
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return float(out)
+    return out

@@ -13,11 +13,7 @@ import pytest
 import scipy.linalg
 
 from varmatern import checks, smoothness
-from varmatern.assembly import (
-    assemble_stiffness,
-    pair_block_adjacent,
-    pair_block_identical,
-)
+from varmatern.assembly import assemble_stiffness
 from varmatern.convergence import rate_from_systems
 from varmatern.kernel import KernelContext, bessel_k
 from varmatern.linalg import cholesky
@@ -29,6 +25,8 @@ from oracles import (
     adjacent_block_oracle,
     bessel_k_integral,
     identical_block_oracle,
+    pair_block_adjacent,
+    pair_block_identical,
 )
 
 SECTION51_PROFILES = ("const05", "step", "bump", "ramp")

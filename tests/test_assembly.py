@@ -9,19 +9,25 @@ from varmatern.assembly import (
     assemble_plain_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    pair_block_adjacent,
-    pair_block_disjoint,
-    pair_block_identical,
     _adjacent_delta_coeffs,
 )
 from varmatern.kernel import KernelContext
 from varmatern.linalg import cholesky
-from varmatern.mesh import build_uniform, classify_pair
+from varmatern.mesh import build_uniform
 from varmatern.quadrature import gauss_legendre_01
 from varmatern.sampler import analytic_covariance
 
 from conftest import PROFILES
-from oracles import adjacent_block_oracle, identical_block_oracle
+from oracles import (
+    _blocks_from_kernel,
+    _disjoint_blocks_direct,
+    adjacent_block_oracle,
+    classify_pair,
+    identical_block_oracle,
+    pair_block_adjacent,
+    pair_block_disjoint,
+    pair_block_identical,
+)
 
 
 def _ctx(key, kappa=2.5, mu=1.0):
@@ -168,6 +174,26 @@ def test_identical_block_matches_oracle():
     oracle = identical_block_oracle(mesh, ctx, e)
     assert np.max(np.abs(block - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
+
+
+def test_single_pair_blocks_run_the_shipped_near_field(monkeypatch):
+    # criteria 3 and 4 hold these wrappers against the oracles: they must
+    # reach assembly's own near-field integrands, not an independent copy
+    import varmatern.assembly as asm
+
+    calls = []
+    for name in ("_identical_common", "_adjacent_blocks"):
+        def counted(*args, _real=getattr(asm, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(asm, name, counted)
+    mesh = build_uniform(3, 4, 3)
+    ctx = _ctx("step")
+    pair_block_identical(mesh, ctx, 20, 8)
+    assert calls == ["_identical_common"]
+    pair_block_adjacent(mesh, ctx, 20, 21, 8)
+    assert calls == ["_identical_common", "_adjacent_blocks"]
 
 # ------------------------------------------------------- global assembly
 
@@ -406,9 +432,7 @@ def _kept(mesh, ks):
 
 
 def _direct_blocks(ctx, mesh, e, f, rule):
-    import varmatern.assembly as asm
-
-    return np.stack(asm._disjoint_blocks_direct(ctx, mesh.h, mesh.nodes[e], mesh.nodes[f], rule),
+    return np.stack(_disjoint_blocks_direct(ctx, mesh.h, mesh.nodes[e], mesh.nodes[f], rule),
                     axis=1)
 
 
@@ -417,8 +441,6 @@ def _direct_blocks(ctx, mesh, e, f, rule):
 def test_grouped_weights_match_pair_loop(monkeypatch, key, level):
     # every pair reads a grid that is its own: with the kernel replaced by
     # beta + k, the element cells' sums match those of each pair's own grid
-    import varmatern.assembly as asm
-
     mesh = build_uniform(3, 4, level)
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
@@ -434,7 +456,7 @@ def test_grouped_weights_match_pair_loop(monkeypatch, key, level):
     got = _element_sums(_ctx(key), mesh, ks, rule.n)
     s_q = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
     own = 0.5 * (s_q[e, :, None] + s_q[f, None, :]) + (f - e)[:, None, None]
-    ref = _pair_reference(mesh, e, f, asm._blocks_from_kernel(own, mesh.h, rule))
+    ref = _pair_reference(mesh, e, f, _blocks_from_kernel(own, mesh.h, rule))
     for part, part_ref in zip(got, ref):
         assert np.max(np.abs(part - part_ref)) <= 1e-14 * np.max(np.abs(part_ref))
 
@@ -840,7 +862,7 @@ def test_far_orders_hold_block_tolerance(key, kappa):
                 e = np.unique(np.linspace(0, n_el - 1 - k, 65).astype(int))
                 lefts = (mesh.nodes[e], mesh.nodes[e + k])
                 got, ref = (
-                    np.stack(asm._disjoint_blocks_direct(ctx, mesh.h, *lefts, rule), 1)
+                    np.stack(_disjoint_blocks_direct(ctx, mesh.h, *lefts, rule), 1)
                     for rule in (gauss_legendre_01(order), ref_rule)
                 )
                 err = np.max(np.abs(got - ref), axis=(1, 2, 3))
@@ -926,8 +948,6 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     direct blocks: the pairs of the first, middle and last elements of
     each cell. Only the pairs the far field takes, unless told otherwise;
     returns the error and how many cell pairs it covers."""
-    import varmatern.assembly as asm
-
     g, inverse = cells.grids(ctx, c, np.full(c.size, d))
     if resolved_only:
         resolved = farfield.resolved(g)[inverse]
@@ -946,7 +966,7 @@ def _cell_pair_errors(ctx, mesh, cells, d, c, resolved_only=True):
     ], axis=3)
     first = (c[:, None, None] * size + j[None, :, None]) + 0 * j[None, None, :]
     second = ((c + d)[:, None, None] * size + j[None, None, :]) + 0 * j[None, :, None]
-    ref = np.stack(asm._disjoint_blocks_direct(
+    ref = np.stack(_disjoint_blocks_direct(
         ctx, h, mesh.nodes[first.ravel()], mesh.nodes[second.ravel()], gauss_legendre_01(24)
     ), axis=1).reshape(got.shape)
     err = np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
@@ -1014,8 +1034,6 @@ def _row_oracle(mesh, ctx, nodes, n):
     """Rows of A at the mesh ``nodes`` over the unknowns, rebuilt from
     single-pair blocks: identical and vertex-sharing pairs at order n,
     disjoint pairs by direct tensor Gauss of order 24."""
-    import varmatern.assembly as asm
-
     n_el = mesh.n_elements
     ext = ~mesh.element_interior
     pairs = sorted({(min(e, f), max(e, f)) for node in nodes for e in (node - 1, node)
@@ -1027,7 +1045,7 @@ def _row_oracle(mesh, ctx, nodes, n):
     s_q = smoothness.evaluate(ctx.profile, mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
     _, first, inverse = np.unique(np.column_stack([f - e, s_q[e], s_q[f]]), axis=0,
                                   return_index=True, return_inverse=True)
-    sxx, sxy, syy = (part[inverse.ravel()] for part in asm._disjoint_blocks_direct(
+    sxx, sxy, syy = (part[inverse.ravel()] for part in _disjoint_blocks_direct(
         ctx, mesh.h, mesh.nodes[e[first]], mesh.nodes[f[first]], rule
     ))
     a1 = assemble_weighted_mass(mesh, ctx, gauss_legendre_01(n))

@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ def test_cli_covariance_slices(tmp_path):
     assert man["config"]["domain"]["level"] == 3
     header = (out / files[0]).read_text().splitlines()[0]
     assert header == "y,C_x0_y"
+
+
+def test_cli_covariance_off_node_slice_prints_one_note(tmp_path, capsys):
+    # an off-node slice is one plain line on stderr, not a Python warning with
+    # its source line, and the manifest records the node each moved slice used
+    out = tmp_path / "cov"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["covariance", "--level", "4", "--slices", "0.1,0.125", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "note: slice location 0.1 is not a node; using the node at 0.125\n"
+    )
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["snapped_slices"] == [{"requested": 0.1, "node": 0.125}]
+    snapped_row = (out / "covariance_x0p1.csv").read_bytes()
+    assert snapped_row == (out / "covariance_x0p125.csv").read_bytes()
+    on_node = tmp_path / "on_node"
+    assert _run(["covariance", "--level", "3", "--slices", "0", "--out", str(on_node)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "snapped_slices" not in json.loads((on_node / "manifest.json").read_text())
 
 
 def test_cli_assemble_writes_dense_masses(tmp_path):

@@ -9,13 +9,17 @@ from varmatern.kernel import (
     abs_gamma_neg,
     bessel_k,
     gamma_kernel,
+)
+
+from conftest import RAMP_PARAMS
+from oracles import (
+    bessel_k_asymptotic,
+    bessel_k_integral,
+    lanczos_gamma,
     phi,
     prefactor,
     w_tilde,
 )
-
-from conftest import RAMP_PARAMS
-from oracles import bessel_k_asymptotic, bessel_k_integral, lanczos_gamma
 
 
 def _k_half(z):

@@ -6,9 +6,10 @@ from varmatern.mesh import (
     MeshError,
     adjacent_pair_maps,
     build_uniform,
-    classify_pair,
     hat_eval,
 )
+
+from oracles import classify_pair
 
 
 def test_coarse_mesh_counts():
