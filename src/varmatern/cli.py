@@ -20,7 +20,7 @@ from .fileio import write_csv, write_json, write_matrix
 from .linalg import NotPositiveDefiniteError
 from .mesh import MeshError
 from .reference import MaternParams, matern_cov, params_from_profile, whittle_variance
-from .sampler import analytic_covariance, covariance_slice, sample_fields
+from .sampler import analytic_covariance, covariance_slice, nearest_node, sample_fields
 from .smoothness import ProfileError
 
 COMMANDS = ("assemble", "sample", "covariance", "matern", "converge", "kernel-check")
@@ -158,7 +158,7 @@ def _cmd_covariance(cfg):
     outputs, snapped = [], []
     with _timed(timings, "write"):
         for x0 in cfg.slices:
-            node = float(cov.coords[np.argmin(np.abs(cov.coords - x0))])
+            node = float(cov.coords[nearest_node(cov, x0)])
             if node != x0:
                 print(f"note: slice location {x0} is not a node; using the node at {node}",
                       file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Thin wrappers over LAPACK (scipy) that pin down the residual contracts and
 error reporting the rest of the package relies on. Inputs are row-major
-float64 arrays, except M's factor, which may be scipy.sparse; outputs are owned
+float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
 by the caller, except that ``overwrite_*`` reuses the input's memory for the
 output (LAPACK's in-place convention) and the sandwich consumes A's factor.
 Nothing here caches a factor: the solves and the sandwich take the factors the
@@ -48,13 +48,15 @@ def cholesky(mat, overwrite_a=False):
     """Lower-triangular factor L with L L^T = mat.
 
     mat must be square, finite and symmetric within 1e-12 relative (else
-    ValueError). Reconstruction satisfies ||L L^T - mat||_max <= 1e-10
-    ||mat||_max for SPD input; a nonpositive pivot raises
-    NotPositiveDefiniteError with the failing index. The checks take one
-    pass over 256-row panels of the upper half and their mirrors.
+    ValueError); a scipy.sparse one is densified. Reconstruction satisfies
+    ||L L^T - mat||_max <= 1e-10 ||mat||_max for SPD input; a nonpositive
+    pivot raises NotPositiveDefiniteError with the failing index. The checks
+    take one pass over 256-row panels of the upper half and their mirrors.
     With overwrite_a, a C-order float64 mat is factored in its own storage
     after the checks: L is the Fortran-order view mat.T.
     """
+    if sparse.issparse(mat):
+        mat = mat.toarray()
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")

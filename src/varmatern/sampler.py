@@ -21,6 +21,7 @@ __all__ = [
     "sample_fields",
     "analytic_covariance",
     "empirical_covariance",
+    "nearest_node",
     "covariance_slice",
 ]
 
@@ -114,6 +115,15 @@ def empirical_covariance(batch, metadata=None):
     return CovarianceResult("empirical", c, batch.coords, meta)
 
 
+def nearest_node(cov, x0):
+    """Index of the node nearest to x0, which must lie inside D (else ValueError)."""
+    coords = cov.coords
+    x0 = float(x0)
+    if x0 < coords[0] or x0 > coords[-1]:
+        raise ValueError(f"slice location {x0} lies outside D = [{coords[0]}, {coords[-1]}]")
+    return int(np.argmin(np.abs(coords - x0)))
+
+
 def covariance_slice(cov, x0):
     """Row of the covariance at the node nearest to x0.
 
@@ -121,10 +131,7 @@ def covariance_slice(cov, x0):
     warning. Returns (node coordinates, covariance values).
     """
     coords = cov.coords
-    x0 = float(x0)
-    if x0 < coords[0] or x0 > coords[-1]:
-        raise ValueError(f"slice location {x0} lies outside D = [{coords[0]}, {coords[-1]}]")
-    idx = int(np.argmin(np.abs(coords - x0)))
+    idx = nearest_node(cov, x0)
     if coords[idx] != x0:
         warnings.warn(
             f"slice location {x0} is not a node; snapping to {coords[idx]}",

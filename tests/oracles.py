@@ -22,7 +22,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from varmatern import assembly, smoothness
-from varmatern.kernel import _phi_from_beta, _prefactor_from_beta, abs_gamma_neg, bessel_k
+from varmatern.kernel import (
+    _SQRT_PI,
+    _phi_from_beta,
+    _prefactor_from_beta,
+    abs_gamma_neg,
+    bessel_k,
+)
 from varmatern.mesh import MeshError, adjacent_pair_maps, hat_eval
 from varmatern.quadrature import gauss_legendre_01
 from varmatern.smoothness import beta as beta_of
@@ -310,9 +316,6 @@ def pair_block_disjoint(mesh, ctx, e1, e2, n=64):
 
 
 # ------------------------------------------------------ kernel arrangements
-
-_SQRT_PI = float(np.sqrt(np.pi))
-
 
 def prefactor(ctx, x, y):
     """Smooth positive prefactor of the kernel (symmetric, singularity-free)."""

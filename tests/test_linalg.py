@@ -93,8 +93,10 @@ def test_triple_product_symmetry_and_psd(rng):
 
 
 def test_sparse_mass_accepted(build_system):
-    # the system holds M's factor as a sparse array; the sandwich reads it as it is
+    # the system holds M and its factor as sparse arrays; the wrappers densify them
     system = build_system("const05", 2.5, 3)
+    dense = system.m.toarray()
+    assert np.array_equal(cholesky(system.m), cholesky(dense))
     lower = system.stiffness_cholesky  # each call consumes its factor
     assert np.array_equal(inv_triple_product(lower.copy(order="F"), system.mass_cholesky),
                           inv_triple_product(lower, system.mass_cholesky.toarray()))
