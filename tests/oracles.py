@@ -330,8 +330,9 @@ def phi(ctx, x, y, r=None):
     """Regularized kernel factor, smooth up to the diagonal.
 
     Equal to prefactor * K_nu(kappa r) * r**nu for r > 0 and to its finite
-    limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) as r -> 0; the limit
-    branch engages below kappa*r < PHI_SMALL_Z.
+    limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) at r = 0: Temme's
+    series up to kappa*r = kernel.Z_SERIES (within 4e-15 relative of 30-digit
+    values, the limit included), bessel_k above it.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varmatern import farfield, smoothness
+from varmatern import farfield, kernel, smoothness
 from varmatern.assembly import (
     AssemblyError,
     assemble_plain_mass,
@@ -1161,6 +1161,36 @@ def test_far_cells_skip_sizes_too_long_for_kappa(monkeypatch):
     assert shapes and (farfield.CELL_ORDER,) * 2 not in shapes
     assert system.quad_meta["far_cells"]["cell_pairs_by_size"] == {}
     assert system.quad_meta["far_cells"]["cell_pairs"] == 0
+
+
+@pytest.mark.parametrize("kappa, levels", [(0.5, (3, 4, 5, 6, 6)), (2.5, (6, 3, 4, 5, 6)),
+                                           (10.0, (5, 6, 3, 4, 6))])
+def test_series_and_bessel_k_assemble_the_same_a(monkeypatch, kappa, levels):
+    # with Z_SERIES = 0 every point with r > 0 goes through bessel_k; A must
+    # not tell the two routes apart
+    profiles = {key: PROFILES[key] for key in ("const05", "step", "bump", "ramp")}
+    profiles["tabulated"] = lambda: smoothness.tabulated([-3.0, 0.0, 3.0], [0.3, 0.6, 0.4])
+    points = []
+    real = kernel.bessel_k
+
+    def counted(nu, z):
+        points[-1] += np.size(z)
+        return real(nu, z)
+
+    monkeypatch.setattr(kernel, "bessel_k", counted)
+    for (key, make), level in zip(profiles.items(), levels):
+        mesh = build_uniform(3, 4, level)
+        ctx = KernelContext(kappa, 1.0, make())
+        points.append(0)
+        series = assemble_stiffness(mesh, ctx).a
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "Z_SERIES", 0.0)
+            points.append(0)
+            direct = assemble_stiffness(mesh, ctx).a
+        assert points[-1] > points[-2], (key, level, points[-2:])
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(series - direct)) <= 1e-13 * scale, (key, level)
+        assert np.array_equal(series, series.T) and np.array_equal(direct, direct.T)
 
 
 @pytest.mark.parametrize("key", ["step", "bump"])

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varmatern import checks, smoothness
 from varmatern.kernel import (
+    Z_SERIES,
     KernelContext,
+    _phi_from_beta,
     abs_gamma_neg,
     bessel_k,
     gamma_kernel,
@@ -135,8 +139,58 @@ def test_prefactor_step_spot(ctx_step):
 def test_phi_diagonal_limit(ctx_const):
     # constant s = 0.5, kappa = 1: the r -> 0 limit is 1 / (2 pi)
     assert phi(ctx_const, 0.2, 0.2) == pytest.approx(1 / (2 * math.pi), rel=1e-13)
-    # below the documented switch the limit branch engages smoothly
+    # just off the diagonal the series meets the limit
     assert phi(ctx_const, 0.2, 0.2 + 1e-9) == pytest.approx(1 / (2 * math.pi), rel=1e-8)
+
+
+def _prefactor_oracle(kappa, b):
+    nu = 0.5 + b
+    return 2.0**nu / (2.0 * math.sqrt(math.pi)) * b / math.gamma(1.0 - b) * kappa**nu
+
+
+def _phi_oracle(kappa, b, r):
+    """prefactor * K_nu(kappa r) * r**nu with K_nu from the integral oracle
+    and the prefactor from math.gamma."""
+    nu = 0.5 + b
+    return _prefactor_oracle(kappa, b) * bessel_k_integral(nu, kappa * r) * r**nu
+
+
+@pytest.mark.parametrize("b", [0.01, 0.35, 0.5, 0.99])
+@pytest.mark.parametrize("z", [1e-8, 1e-7, 9.9e-7, 1.01e-6])
+def test_phi_small_argument_matches_integral_oracle(b, z):
+    # phi holds the O(z^(2 nu)) terms down to z = 1e-8, not only its limit
+    kappa = 2.5
+    r = z / kappa
+    assert _phi_from_beta(kappa, b, r) == pytest.approx(_phi_oracle(kappa, b, r), rel=1e-13)
+
+
+@pytest.mark.parametrize("b", [0.01, 0.35, 0.5, 0.99])
+def test_phi_at_zero_is_its_limit(b):
+    kappa, nu = 2.5, 0.5 + b
+    limit = _prefactor_oracle(kappa, b) * 2.0 ** (nu - 1.0) * math.gamma(nu) * kappa**-nu
+    assert _phi_from_beta(kappa, b, 0.0) == pytest.approx(limit, rel=1e-14)
+
+
+# orders at nu = 1 and 1 +- 10^-k, k = 1 ... 12, where the series pairs the
+# terms whose poles cancel
+_NEAR_ORDER_ONE = [0.5] + [0.5 + sign * 10.0**-k for k in range(1, 13) for sign in (-1, 1)]
+_SEAM = [Z_SERIES * (1.0 - 1e-12), Z_SERIES, Z_SERIES * (1.0 + 1e-12)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.floats(0.01, 0.99), st.sampled_from(_NEAR_ORDER_ONE)),
+    st.one_of(st.floats(math.log(1e-8), math.log(Z_SERIES)).map(math.exp), st.sampled_from(_SEAM)),
+    st.sampled_from([0.5, 2.5, 10.0]),
+)
+@example(0.5, Z_SERIES, 2.5)
+@example(0.5 + 1e-12, Z_SERIES * (1.0 - 1e-12), 2.5)
+@example(0.5 - 1e-12, Z_SERIES * (1.0 + 1e-12), 2.5)
+@example(0.01, 1e-8, 10.0)
+@example(0.99, 1e-8, 0.5)
+def test_phi_matches_integral_oracle_on_both_sides_of_the_seam(b, z, kappa):
+    r = z / kappa
+    assert _phi_from_beta(kappa, b, r) == pytest.approx(_phi_oracle(kappa, b, r), rel=1e-13)
 
 
 def test_phi_symmetric(ctx_step, rng):
