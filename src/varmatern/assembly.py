@@ -37,9 +37,10 @@ offset go onto A in one strided add per farfield._BLOCK_BYTES of them, and
 the self blocks are summed per element and reach its band once.
 
 A is summed in place over the N unknowns: entries of exterior nodes are
-dropped as they arrive, A2 is accumulated on its upper triangle and then
-mirrored, and A1 is added by its three diagonals, both off-diagonals taking
-the upper entry of its local blocks, so A is exactly symmetric.
+dropped as they arrive, A2 is accumulated on its upper triangle, and A1 adds
+its diagonal and superdiagonal. A stays on its upper triangle, which is all
+that linalg.cholesky reads, until AssembledSystem.a is first read: that
+mirrors it in place, so A read there is exactly symmetric.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
 pairs enter with factor 2 (the ordered double sum visits them twice). Pairs
@@ -142,12 +143,16 @@ class AssemblyError(RuntimeError):
 class AssembledSystem:
     """Assembled system: dense stiffness A = A1 + A2, with the plain mass M
     and the weighted mass A1 as tridiagonal CSR arrays, all on the N interior
-    unknowns (ascending coordinates). The Cholesky factors, dense for A and
-    lower-bidiagonal CSR for M, are computed lazily and cached. A's one N x N
-    array lives A -> L -> C: ``stiffness_cholesky`` factors A in its own
-    storage, and ``a`` is gone from then on; ``analytic_covariance`` takes
-    the factor over (``take_stiffness_cholesky``) and overwrites it with the
-    covariance, and ``stiffness_cholesky`` is gone from then on.
+    unknowns (ascending coordinates). A is held on the upper triangle of its
+    array, and ``a`` mirrors it in place on its first read, so ``a`` is
+    exactly symmetric (a full symmetric A passed in reads back bitwise
+    unchanged). The Cholesky factors, dense for A and lower-bidiagonal CSR
+    for M, are computed lazily and cached; A's factor reads only the upper
+    triangle, so factoring never mirrors. A's one N x N array lives
+    A -> L -> C: ``stiffness_cholesky`` factors A in its own storage, and
+    ``a`` is gone from then on; ``analytic_covariance`` takes the factor over
+    (``take_stiffness_cholesky``) and overwrites it with the covariance, and
+    ``stiffness_cholesky`` is gone from then on.
     """
 
     def __init__(self, mesh, ctx, a, m, a1, quad_meta):
@@ -155,6 +160,7 @@ class AssembledSystem:
         self.ctx = ctx
         self.n = a.shape[0]
         self._a = a
+        self._a_mirrored = False
         self.m = m
         self.a1 = a1
         self.quad_meta = dict(quad_meta)
@@ -165,6 +171,9 @@ class AssembledSystem:
     def a(self):
         if self._a is None:
             raise AttributeError("A is gone: stiffness_cholesky factored it in its own storage")
+        if not self._a_mirrored:
+            _mirror_upper(self._a)
+            self._a_mirrored = True
         return self._a
 
     @property
@@ -252,6 +261,15 @@ def _by_rows(fn, count):
     return np.concatenate([fn(slice(i, i + _NEAR_ROWS)) for i in range(0, count, _NEAR_ROWS)])
 
 
+def _phi_both(kappa, betas, r):
+    """The two beta grids of a row chunk and phi on each at the distances r
+    (both of r's shape), from one _phi_from_beta call on the grids stacked
+    along the leading axis: the series costs a fixed time per call."""
+    b = np.concatenate(betas)
+    ph = _phi_from_beta(kappa, b, np.concatenate((r, r)))
+    return np.split(b, 2), np.split(ph, 2)
+
+
 def _identical_common(ctx, h, rule, s_up, ends):
     """Transformed identical-pair integrands, summed per element.
 
@@ -291,9 +309,7 @@ def _identical_common(ctx, h, rule, s_up, ends):
     log_zeta = np.log(zeta)[None, :, None]
     log_t = np.log(t)[None, None, :]
 
-    def summed(b, e):
-        ph = _phi_from_beta(ctx.kappa, b, r[e])
-        s = s_up[e]
+    def anchored(b, ph, s):
         common = (
             1.0
             / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
@@ -306,8 +322,11 @@ def _identical_common(ctx, h, rule, s_up, ends):
         )
         return np.einsum("i,j,eij->e", rule.weights, rule.weights, common)
 
-    left, right = (_by_rows(lambda e: summed(beta[first[e]], e), first.size) for beta in betas)
-    return (left + right)[inverse], first.size
+    def summed(e):
+        b, ph = _phi_both(ctx.kappa, [beta[first[e]] for beta in betas], r[e])
+        return anchored(b[0], ph[0], s_up[e]) + anchored(b[1], ph[1], s_up[e])
+
+    return _by_rows(summed, first.size)[inverse], first.size
 
 
 def _identical_q_signs(mesh, e):
@@ -373,8 +392,8 @@ def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
         s = s_up[p]
         r = h * xi[p] * (1.0 + eta[None, None, :])  # same for both halves
         blocks = np.zeros((r.shape[0], 3, 3))
-        for b, p_fac in zip((beta[first[p]] for beta in betas), (p_half1, p_half2)):
-            ph = _phi_from_beta(ctx.kappa, b, r)
+        b_halves, ph_halves = _phi_both(ctx.kappa, [beta[first[p]] for beta in betas], r)
+        for b, ph, p_fac in zip(b_halves, ph_halves, (p_half1, p_half2)):
             common = (
                 1.0
                 / (3.0 - 2.0 * s)
@@ -570,8 +589,9 @@ def assemble_stiffness(
     integrands once; the run counts are "near_field_keys", {"identical":
     ..., "vertex_sharing": ...}. The blocks and kernel grids are checked
     where they reach the pairs, so a failure names the first kept pair. A is
-    summed on its upper triangle, over the N unknowns only, mirrored, and A1
-    added by its three diagonals. Raises AssemblyError when a kept pair's
+    summed on its upper triangle, over the N unknowns only, with A1's
+    diagonal and superdiagonal, and left there: the system mirrors it when
+    ``a`` is first read. Raises AssemblyError when a kept pair's
     block is not finite or the beta table does not resolve the kernel.
     """
     profile = ctx.profile
@@ -587,7 +607,7 @@ def assemble_stiffness(
     el_max = _element_order_max(profile, h, mesh.nodes[:n_el])
     ext = ~mesh.element_interior
     elements = np.arange(n_el)
-    # A2 on its upper triangle and over the unknowns only; mirrored below
+    # A on its upper triangle and over the unknowns only
     a = np.zeros((mesh.interior_node_count,) * 2)
 
     # identical pairs: one value per element, both anchors averaged
@@ -660,13 +680,11 @@ def assemble_stiffness(
     for da, db in ((0, 0), (0, 1), (1, 1)):
         _band_add(a, first, da, db, 2.0 * self_blocks[:, da, db])
 
-    _mirror_upper(a)
     a1 = assemble_weighted_mass(mesh, ctx, rule)
     n_int = a.shape[0]
     diagonals = a.ravel()
     diagonals[:: n_int + 1] += a1.diagonal()
     diagonals[1 :: n_int + 1] += a1.diagonal(1)
-    diagonals[n_int :: n_int + 1] += a1.diagonal(-1)
     _check_finite(a, "stiffness")
     m = assemble_plain_mass(mesh)
     quad_meta = {

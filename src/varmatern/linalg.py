@@ -6,9 +6,13 @@ float64 arrays or scipy.sparse arrays, which are densified; outputs are owned
 by the caller, except that ``overwrite_*`` reuses the input's memory for the
 output (LAPACK's in-place convention) and the sandwich consumes A's factor.
 Nothing here caches a factor: the solves and the sandwich take the factors the
-caller holds (``AssembledSystem`` for A and M). One N x N array carries A, its
-factor L and then C: the sandwich takes 5/3 N^3 (dpotri on A's factor, a
-sparse product with M's, one panelled product Y Y^T) in L's own storage.
+caller holds (``AssembledSystem`` for A and M). ``cholesky`` reads one triangle
+of a symmetric matrix, the upper one of a C-order input, so A is factored as
+assembly leaves it, on its upper triangle, with no mirror and no symmetry
+check. One N x N array carries A, its factor L and then C: the sandwich takes
+5/3 N^3 (dpotri on A's factor, a sparse product with M's, one panelled product
+Y Y^T) in L's own storage, and a scale on M's factor (1/mu) reaches C through
+it, with no pass over C.
 """
 
 from __future__ import annotations
@@ -45,34 +49,29 @@ def _mirror_upper(a):
 
 
 def cholesky(mat, overwrite_a=False):
-    """Lower-triangular factor L with L L^T = mat.
+    """Lower-triangular factor L with L L^T = S, where S is the symmetric
+    matrix held in the upper triangle of mat (the lower triangle of mat.T).
 
-    mat must be square, finite and symmetric within 1e-12 relative (else
-    ValueError); a scipy.sparse one is densified. Reconstruction satisfies
-    ||L L^T - mat||_max <= 1e-10 ||mat||_max for SPD input; a nonpositive
-    pivot raises NotPositiveDefiniteError with the failing index. The checks
-    take one pass over 256-row panels of the upper half and their mirrors.
-    With overwrite_a, a C-order float64 mat is factored in its own storage
-    after the checks: L is the Fortran-order view mat.T.
+    Only that triangle is read: dpotrf factors the lower triangle of mat.T
+    on the copy path and with overwrite_a alike, so the two paths agree
+    bitwise and mat's strictly lower triangle may hold anything finite. mat
+    must be square and finite in both triangles (else ValueError), checked
+    in one pass over contiguous 256-row panels; a scipy.sparse one is
+    densified and factored in the dense copy. Reconstruction satisfies
+    ||L L^T - S||_max <= 1e-10 ||S||_max for SPD S; a nonpositive pivot
+    raises NotPositiveDefiniteError with the failing index. With
+    overwrite_a, a C-order float64 mat is factored in its own storage after
+    the checks: L is the Fortran-order view mat.T.
     """
     if sparse.issparse(mat):
-        mat = mat.toarray()
+        mat, overwrite_a = mat.toarray(), True
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    # copied first, so the check's panels are freed above the copy on the heap
-    c = mat.T if overwrite_a else np.array(mat, order="F")
-    skew = scale = 0.0
     for i0 in range(0, mat.shape[0], 256):
-        upper, lower = mat[i0 : i0 + 256, i0:], mat[i0:, i0 : i0 + 256].T
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        if not np.isfinite(mat[i0 : i0 + 256]).all():
             raise ValueError("matrix has non-finite entries")
-        diff = upper - lower
-        skew = max(skew, np.abs(diff, out=diff).max())
-        del diff  # one panel alive at a time
-        scale = max(scale, upper.max(), -upper.min(), lower.max(), -lower.min())
-    if scale > 0 and skew > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
+    c = mat.T if overwrite_a else np.array(mat.T, order="F")
     c, info = dpotrf(c, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(info)

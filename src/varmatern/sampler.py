@@ -91,11 +91,12 @@ def sample_fields(system, m, seed):
 def analytic_covariance(system):
     """Exact covariance (1/mu^2) A^{-1} M A^{-1} of the discrete field, formed in
     the storage of A's factor, which the system hands over: A -> L -> C share
-    one N x N array, and the system cannot sample afterwards. Raises
+    one N x N array, and the system cannot sample afterwards. 1/mu enters
+    through M's factor, L_M / mu, so no pass over C scales it. Raises
     FloatingPointError when an entry is not finite."""
-    c = inv_triple_product(system.take_stiffness_cholesky(), system.mass_cholesky)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        c /= system.ctx.mu**2
+        c = inv_triple_product(system.take_stiffness_cholesky(),
+                               system.mass_cholesky / system.ctx.mu)
     if not np.isfinite([c.min(), c.max()]).all():  # NaN propagates; no N x N mask
         raise FloatingPointError(f"covariance: non-finite entries (mu = {system.ctx.mu})")
     return CovarianceResult(

@@ -696,7 +696,8 @@ def test_near_field_keys_match_row_by_row(key, level):
     assert np.array_equal(blocks, np.concatenate(rows))
 
 
-@pytest.mark.parametrize("key, rows", [("const05", [1, 1, 1, 1]), ("step", [2, 2, 3, 3])])
+# rows: the distinct integrands of the identical and vertex-sharing pairs
+@pytest.mark.parametrize("key, rows", [("const05", [1, 1]), ("step", [2, 3])])
 def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     import varmatern.assembly as asm
 
@@ -722,10 +723,10 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     mesh = build_uniform(3, 4, 6)
     system = assemble_stiffness(mesh, _ctx(key))
     # the disjoint pairs evaluate their kernel in kernel_grids, directly on
-    # these profiles: these are the two anchors of the identical pairs, then
-    # the two halves of the vertex-sharing pairs, one row per distinct
-    # integrand each
-    assert seen == rows
+    # these profiles: these are one call for the two anchors of the identical
+    # pairs, then one for the two halves of the vertex-sharing pairs, with
+    # one row per distinct integrand and anchor or half
+    assert seen == [2 * rows[0], 2 * rows[1]]
     # the far cells: one pass per cell size holds every cell offset of its
     # candidate pairs, with one grid per offset and distinct pair of cell
     # orders (s is constant on every cell of either profile)
@@ -736,7 +737,7 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
         assert (grids == offsets if key == "const05" else offsets <= grids <= 3 * offsets)
     assert key == "const05" or sum(grids for _, grids, _ in far) > sum(offsets for *_, offsets in far)
     assert system.quad_meta["near_field_keys"] == {
-        "identical": rows[0], "vertex_sharing": rows[2]
+        "identical": rows[0], "vertex_sharing": rows[1]
     }
 
 

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from varmatern import assembly, linalg, sampler
+from varmatern.kernel import KernelContext
 from varmatern.linalg import (
     NotPositiveDefiniteError,
     cholesky,
     inv_triple_product,
     solve_with_factor,
 )
-from varmatern.sampler import analytic_covariance
+from varmatern.mesh import build_uniform
+from varmatern.sampler import analytic_covariance, sample_fields
+
+from conftest import PROFILES
 
 
 def _p1_mass(n, h):
@@ -44,8 +49,9 @@ def test_cholesky_failure_reports_index():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         cholesky(bad)
     assert exc.value.index == 2
-    with pytest.raises(ValueError):
-        cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
+    # only the upper triangle is read: this is the factor of [[1, .5], [.5, 1]]
+    assert np.array_equal(cholesky(np.array([[1.0, 0.5], [0.0, 1.0]])),
+                          cholesky(np.array([[1.0, 0.5], [0.5, 1.0]])))
     with pytest.raises(ValueError):
         cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
@@ -172,27 +178,34 @@ def _spd(rng, n):
     return q @ q.T + n * np.eye(n)
 
 
+def _factors(mat):
+    """The factor of mat from the copy path and from overwrite_a, on a copy."""
+    return cholesky(mat), cholesky(mat.copy(), overwrite_a=True)
+
+
 @pytest.mark.parametrize("at", [(255, 400), (256, 400), (400, 255), (400, 256),
                                 (255, 256), (256, 255), (599, 0)])
 def test_cholesky_checks_across_panels(rng, at):
-    # the checks run in 256-row panels of the upper half against their mirror
-    # columns; an entry on either side of a panel boundary, in either half
+    # the finiteness check runs over contiguous 256-row panels: an entry on
+    # either side of a panel boundary, in either triangle, on either path.
+    # Only the upper triangle is factored, so a skewed entry changes the
+    # factor where it lies in the upper triangle and nowhere else.
     a = _spd(rng, 600)
-    scale = np.max(np.abs(a))
-    ok = a.copy()
-    ok[at] += 0.5e-12 * scale
-    cholesky(ok)
+    ref = cholesky(a)
     skewed = a.copy()
-    skewed[at] += 2e-12 * scale
-    with pytest.raises(ValueError, match="not symmetric"):
-        cholesky(skewed)
-    bad = a.copy()
-    bad[at] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        cholesky(bad)
+    skewed[at] += 2e-12 * np.max(np.abs(a))
+    for lower in _factors(skewed):
+        assert np.array_equal(lower, ref) == (at[0] > at[1])
+    for bad in (np.nan, np.inf, -np.inf):
+        a_bad = a.copy()
+        a_bad[at] = bad
+        for overwrite_a in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky(a_bad, overwrite_a=overwrite_a)
 
 
 def test_cholesky_reports_non_finite_before_asymmetry(rng):
+    # a NaN in the triangle the factor never reads still raises
     a = _spd(rng, 600)
     a[0, 599] += 1.0
     a[599, 300] = np.nan
@@ -200,11 +213,34 @@ def test_cholesky_reports_non_finite_before_asymmetry(rng):
         cholesky(a)
 
 
+def test_cholesky_paths_agree_bitwise_on_skewed_input(rng):
+    # a skew of 0.5e-12 of max|a| in the lower triangle: both paths factor the
+    # upper one, so they agree bitwise
+    a = _spd(rng, 50)
+    a[40, 3] += 0.5e-12 * np.max(np.abs(a))
+    copied, in_place = _factors(a)
+    assert np.array_equal(copied, in_place)
+    assert np.array_equal(copied, cholesky(np.triu(a) + np.triu(a, 1).T))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+@pytest.mark.parametrize("overwrite_a", [False, True])
+def test_cholesky_reads_only_the_upper_triangle(rng, n, overwrite_a):
+    # a strictly lower triangle of arbitrary finite values factors bitwise like
+    # the mirrored upper triangle, on either side of a panel boundary
+    a = _spd(rng, n)
+    ref = cholesky(a)
+    junk = np.triu(a) + np.tril(rng.uniform(-1e300, 1e300, (n, n)), -1)
+    lower = cholesky(junk, overwrite_a=overwrite_a)
+    assert np.shares_memory(lower, junk) == overwrite_a
+    assert np.array_equal(lower, ref)
+
+
 @pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("profile", ["const05", "step", "bump"])
 def test_stiffness_factored_in_its_own_storage(build_system, profile, level):
-    # dpotrf on the Fortran-order view A.T of an exactly symmetric A reads the
-    # same numbers as the copy path, so the factors agree bitwise
+    # both paths factor the upper triangle of A (the lower one of the
+    # Fortran-order view A.T), so the factors agree bitwise
     system = build_system(profile, 2.5, level)
     a = system.a
     assert np.array_equal(a, a.T)
@@ -212,6 +248,45 @@ def test_stiffness_factored_in_its_own_storage(build_system, profile, level):
     lower = system.stiffness_cholesky
     assert np.shares_memory(lower, a)
     assert np.array_equal(lower, copied)
+
+
+def test_fresh_system_mirrors_a_on_its_first_read():
+    # assembly leaves A on its upper triangle; ``a`` mirrors it, and factoring
+    # the unread upper triangle gives the factor of the symmetric A bitwise
+    ctx = KernelContext(2.5, 1.0, PROFILES["step"]())
+    mesh = build_uniform(3, 4, 5)
+    read = assembly.assemble_stiffness(mesh, ctx)
+    a = read.a.copy()
+    assert np.array_equal(a, a.T)
+    assert np.array_equal(read.stiffness_cholesky, cholesky(a))
+    unread = assembly.assemble_stiffness(mesh, ctx)
+    assert np.array_equal(unread.stiffness_cholesky, cholesky(a))
+
+
+def test_sampling_and_covariance_mirror_only_in_triple_product(monkeypatch):
+    calls, inside = [], []
+    real_mirror, real_triple = linalg._mirror_upper, sampler.inv_triple_product
+
+    def mirror(a):
+        calls.append(bool(inside))
+        real_mirror(a)
+
+    def triple(*args):
+        inside.append(True)
+        try:
+            return real_triple(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "_mirror_upper", mirror)
+    monkeypatch.setattr(assembly, "_mirror_upper", mirror)
+    monkeypatch.setattr(sampler, "inv_triple_product", triple)
+    ctx = KernelContext(2.5, 1.0, PROFILES["bump"]())
+    system = assembly.assemble_stiffness(build_uniform(3, 4, 4), ctx)
+    sample_fields(system, 3, seed=1)
+    assert calls == []
+    analytic_covariance(system)
+    assert calls == [True, True]
 
 
 def test_covariance_takes_over_the_factor(build_system):

@@ -100,9 +100,13 @@ def test_analytic_covariance_symmetric_and_matches_dense(build_system, profile, 
 
 
 def test_analytic_covariance_mu_scaling(build_system):
+    # 1/mu scales M's factor: a power of two commutes with every rounding
     c1 = analytic_covariance(build_system("const05", 2.5, 3, mu=1.0)).matrix
     c2 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.0)).matrix
-    assert np.allclose(c1, 4.0 * c2, rtol=1e-12)
+    assert np.array_equal(c1, 4.0 * c2)
+    c25 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.5)).matrix
+    assert np.array_equal(c25, c25.T)
+    assert np.max(np.abs(6.25 * c25 - c1)) <= 1e-14 * np.max(np.abs(c1))
 
 
 def test_empirical_matches_analytic(build_system):
