@@ -148,7 +148,9 @@ class AssembledSystem:
     exactly symmetric (a full symmetric A passed in reads back bitwise
     unchanged). The Cholesky factors, dense for A and lower-bidiagonal CSR
     for M, are computed lazily and cached; A's factor reads only the upper
-    triangle, so factoring never mirrors. A's one N x N array lives
+    triangle, so factoring never mirrors, and A is checked for finiteness
+    there, once (a non-finite entry raises AssemblyError naming the
+    stiffness). A's one N x N array lives
     A -> L -> C: ``stiffness_cholesky`` factors A in its own storage, and
     ``a`` is gone from then on; ``analytic_covariance`` takes the factor over
     (``take_stiffness_cholesky``) and overwrites it with the covariance, and
@@ -182,7 +184,10 @@ class AssembledSystem:
             if self._a is None:
                 raise AttributeError("A's factor is gone: analytic_covariance overwrote it with C")
             a, self._a = self._a, None
-            self._chol_a = cholesky(a, overwrite_a=True)
+            try:
+                self._chol_a = cholesky(a, overwrite_a=True)
+            except ValueError as exc:  # a non-finite entry, the one check of A
+                raise AssemblyError(f"stiffness: {exc}") from exc
         return self._chol_a
 
     def take_stiffness_cholesky(self):
@@ -422,11 +427,6 @@ def _band_add(a, first, dr, dc, vec):
         a.ravel()[start : start + (e1 - e0) * (n + 1) : n + 1] += vec[e0:e1]
 
 
-def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise AssemblyError(f"non-finite entries while assembling {what}")
-
-
 class _BetaTable:
     """Chebyshev nodes of [s_lower, s_upper] in beta and the map from kernel
     values at those nodes to Chebyshev coefficients (first kind)."""
@@ -592,7 +592,8 @@ def assemble_stiffness(
     summed on its upper triangle, over the N unknowns only, with A1's
     diagonal and superdiagonal, and left there: the system mirrors it when
     ``a`` is first read. Raises AssemblyError when a kept pair's
-    block is not finite or the beta table does not resolve the kernel.
+    block is not finite or the beta table does not resolve the kernel; A
+    itself is checked where it is factored (``stiffness_cholesky``).
     """
     profile = ctx.profile
     if n is None:
@@ -685,7 +686,6 @@ def assemble_stiffness(
     diagonals = a.ravel()
     diagonals[:: n_int + 1] += a1.diagonal()
     diagonals[1 :: n_int + 1] += a1.diagonal(1)
-    _check_finite(a, "stiffness")
     m = assemble_plain_mass(mesh)
     quad_meta = {
         "n_identical": n,

@@ -122,6 +122,8 @@ def _write_manifest(cfg, command, outputs, timings, **extra):
 def _cmd_assemble(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
+    if not np.isfinite(system.a).all():  # the other commands check A where it is factored
+        raise AssemblyError("stiffness: matrix has non-finite entries")
     side = {"config": cfg.echo(), **system.to_manifest()}
     out = cfg.out_dir
     with _timed(timings, "write"):

@@ -5,7 +5,9 @@ oracle integrates the integral representation with composite Gauss panels,
 the gamma oracle is a self-contained Lanczos approximation, and the
 singular-block oracles integrate the untransformed element-pair triangles
 with dyadic refinement toward the singularity plus a Richardson tail
-correction with the known exponent.
+correction with the known exponent. The rate-estimator oracle at the end,
+expected_level_errors, gives the exact expected strong errors from its own
+injection, Gram matrices and scipy solves.
 
 The single-pair blocks and kernel arrangements after them, which no command
 runs, do not. pair_block_identical and pair_block_adjacent run one pair
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from varmatern import assembly, smoothness
 from varmatern.kernel import (
@@ -366,3 +369,45 @@ def w_tilde(ctx, x, y):
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(out)
     return out
+
+
+def _p1_gram(x):
+    """Exact Gram matrix of the P1 hats at the ascending nodes x over
+    [x[0], x[-1]], dense: (h_left + h_right) / 3 on the diagonal, h / 6 off."""
+    dx = np.diff(x)
+    gram = np.diag((np.append(0.0, dx) + np.append(dx, 0.0)) / 3.0)
+    idx = np.arange(dx.size)
+    gram[idx, idx + 1] = gram[idx + 1, idx] = dx / 6.0
+    return gram
+
+
+def _hat_injection(coarse_x, fine_x):
+    """Coarse P1 hats evaluated at the fine nodes, dense (fine x coarse)."""
+    spacing = coarse_x[1] - coarse_x[0]
+    return np.maximum(0.0, 1.0 - np.abs(fine_x[:, None] - coarse_x[None, :]) / spacing)
+
+
+def expected_level_errors(systems):
+    """Exact E||e_l||_M^2 of the coupled-noise rate estimator, keyed by the
+    two finer levels of ``systems`` (three systems of consecutive levels,
+    fine to coarse, each still holding A).
+
+    The fine load is b_0 = L z with L L^T = M_0, the coarser ones
+    b_{l+1} = P^T b_l, so e_l = (A_l^{-1} - P A_{l+1}^{-1} P^T) b_l / mu and
+    E||e_l||_M^2 = ||M_l^{1/2} D_l||_F^2 / mu^2 with
+    D_l = A_l^{-1} L_l - P A_{l+1}^{-1} P^T L_l, where L_0 = L and
+    L_{l+1} = P^T L_l. Nothing is shared with varmatern.convergence: P is
+    the coarse hats at the fine node coordinates, M_l the exact P1 Gram
+    matrix over D, and the solves are scipy's cho_solve on cho_factor(A).
+    """
+    coords = [s.mesh.interior_coords for s in systems]
+    mu = systems[0].ctx.mu
+    factors = [cho_factor(s.a, lower=True) for s in systems]
+    load = cholesky(_p1_gram(coords[0]), lower=True)
+    expected = {}
+    for l in (0, 1):
+        p = _hat_injection(coords[l + 1], coords[l])
+        d = cho_solve(factors[l], load) - p @ cho_solve(factors[l + 1], p.T @ load)
+        expected[systems[l].mesh.level] = float(np.sum(d * (_p1_gram(coords[l]) @ d))) / mu**2
+        load = p.T @ load
+    return expected

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varmatern import cli, fileio
+from varmatern import assembly, cli, fileio
 from varmatern.assembly import assemble_weighted_mass
 from varmatern.config import ConfigError, default_config_dict, load_config
 from varmatern.quadrature import gauss_legendre_01
@@ -448,6 +448,31 @@ def test_converge_assembly_failure_names_level(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure:") and "level 3" in err
     assert "element pair (0, 2)" in err
     assert not (out / "rate_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["assemble"], "stiffness.vwm1"),
+    (["sample", "--m", "2"], "samples.csv"),
+    (["covariance"], "covariance_x0.csv"),
+    (["converge", "--levels", "4,3,2", "--m", "3"], "rate_report.json"),
+])
+def test_non_finite_stiffness_exits_2(tmp_path, capsys, monkeypatch, argv, output):
+    # an inf in A1 reaches A unchecked by assembly; A is checked once, where
+    # it is factored (assemble checks the matrix it writes)
+    real = assembly.assemble_weighted_mass
+
+    def poisoned(*args):
+        a1 = real(*args)
+        a1.data[0] = np.inf
+        return a1
+
+    monkeypatch.setattr(assembly, "assemble_weighted_mass", poisoned)
+    out = tmp_path / "x"
+    assert _run([*argv, "--level", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "stiffness" in err
+    assert "non-finite" in err and err.count("\n") == 1
+    assert not (out / output).exists()
 
 
 @pytest.mark.parametrize("argv, stage, output", [

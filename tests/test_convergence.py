@@ -17,6 +17,8 @@ from varmatern.mesh import build_uniform
 from varmatern.quadrature import gauss_legendre_01
 from varmatern.sampler import draw_noise
 
+from oracles import expected_level_errors
+
 
 def test_injection_structure():
     coarse = build_uniform(3, 4, 2)
@@ -214,3 +216,17 @@ def test_rate_from_systems_peak_memory_within_loads(build_system):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * (loads + panel), peak / (loads + panel)
+
+
+@pytest.mark.parametrize("profile", ["const05", "const03", "step_high"])
+def test_level_errors_match_the_exact_expectation(build_system, profile):
+    # seed-free oracle of the estimator: each Monte Carlo E_l = mean(e_l^2)
+    # lies within 3 standard errors, from the run's own per-sample errors, of
+    # the exact ||M^{1/2} D||_F^2 / mu^2 (oracles.expected_level_errors)
+    systems = [build_system(profile, 2.5, lev) for lev in (7, 6, 5)]
+    exact = expected_level_errors(systems)
+    report = rate_from_systems(systems, 500, seed=814)
+    for level in (7, 6):
+        sq = report.per_sample[level] ** 2
+        stderr = sq.std(ddof=1) / np.sqrt(sq.size)
+        assert abs(sq.mean() - exact[level]) <= 3.0 * stderr, (level, sq.mean(), exact[level])

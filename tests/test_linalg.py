@@ -351,3 +351,58 @@ def test_solve_rejects_non_finite_load(rng, bad):
     for overwrite_b in (False, True):
         with pytest.raises(ValueError, match="non-finite"):
             solve_with_factor(lower, b, overwrite_b=overwrite_b)
+
+
+def _loads(rng, n):
+    """A 1-D load, then (n, m) loads for m in {1, 3, 130}, in C and F order."""
+    yield rng.standard_normal(n)
+    for m in (1, 3, 130):
+        b = rng.standard_normal((n, m))
+        yield b
+        yield np.asfortranarray(b)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 385])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_solve_across_block_boundaries(rng, n, order):
+    # the sweeps take L in row blocks of linalg._SOLVE_BLOCK = 128: N inside
+    # one block, on either side of one boundary and past two, each load
+    # layout, and a factor in either layout
+    lower = np.asarray(cholesky(_spd(rng, n)), order=order)
+    for b in _loads(rng, n):
+        ref = cho_solve((lower, True), b)
+        for overwrite_b in (False, True):
+            b_in = b.copy(order="K")
+            x = solve_with_factor(lower, b_in, overwrite_b=overwrite_b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+            in_place = overwrite_b and b_in.flags.c_contiguous
+            assert np.shares_memory(x, b_in) == in_place
+            if not overwrite_b:
+                assert np.array_equal(b_in, b)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 385])
+def test_solve_identity_and_zero_across_block_boundaries(rng, n):
+    b = rng.standard_normal((n, 3))
+    assert np.array_equal(solve_with_factor(np.eye(n), b), b)
+    assert np.array_equal(solve_with_factor(np.eye(n, order="F"), b[:, 0]), b[:, 0])
+    zero = np.zeros((n, 130))
+    assert np.array_equal(solve_with_factor(cholesky(_spd(rng, n)), zero), zero)
+
+
+def test_solve_reads_only_the_lower_triangle(rng):
+    # dtrtri leaves a diagonal block's strictly upper triangle as it was; the
+    # inverse is zeroed there before it enters a GEMM
+    lower = cholesky(_spd(rng, 300))
+    b = rng.standard_normal((300, 4))
+    junk = np.asfortranarray(lower + np.triu(rng.uniform(-1e3, 1e3, (300, 300)), 1))
+    assert np.array_equal(solve_with_factor(junk, b), solve_with_factor(lower, b))
+
+
+def test_solve_zero_pivot_raises():
+    lower = np.tril(np.ones((300, 300)))
+    lower[200, 200] = 0.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        solve_with_factor(lower, np.ones(300))
+    assert exc.value.index == 201
