@@ -59,6 +59,7 @@ never frozen per element.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.linalg import cholesky_banded
 
@@ -524,6 +525,24 @@ def _passes(cells, k_first, k_last, needed, drop):
             yield c, d
 
 
+def _far_candidates(cells, regular, taken):
+    """The pairs (c, c + d) of far ``cells`` CELL_SEPARATION or more cells
+    apart that are both ``regular``, not both exterior and not ``taken``
+    (count, count) by larger cells, ordered by d and then by c. The
+    condition is one mask over the cell pairs, stored with ``count`` zero
+    columns after it and read along its diagonals: row d of the skewed view
+    holds the pairs (c, c + d), and nothing past the last cell."""
+    n = cells.count
+    mask = np.zeros((n, 2 * n), dtype=bool)
+    pairs = mask[:, :n]
+    np.logical_and(regular[:, None], regular[None, :], out=pairs)
+    pairs &= ~(cells.exterior[:, None] & cells.exterior[None, :])
+    pairs &= ~taken
+    diagonals = as_strided(mask, (n, n), (mask.strides[1], mask.strides[0] + mask.strides[1]))
+    d, c = np.nonzero(diagonals[farfield.CELL_SEPARATION :])
+    return c, d + farfield.CELL_SEPARATION
+
+
 def _far_passes(cells, c, d):
     """The pairs (c, c + d) of far ``cells``, ordered by d, in passes whose
     distinct kernel grids G hold at most _CHUNK_POINTS points and make at
@@ -568,9 +587,10 @@ def assemble_stiffness(
     rate (defaulting to the expected strong rate of the profile).
 
     The disjoint pairs are cell pairs (farfield): first the far cell pairs,
-    as the module docstring and farfield say, then every element pair they
-    leave, as a pair of one-element cells under tensor Gauss of order
-    min(n, n_far(k)) at offset k, which holds each block to
+    as the module docstring and farfield say (cells of 8, 16, 32, ...
+    elements, pairs of the smallest from 24 elements apart), then every
+    element pair they leave, as a pair of one-element cells under tensor
+    Gauss of order min(n, n_far(k)) at offset k, which holds each block to
     DISJOINT_BLOCK_RTOL of itself where kappa h is small (where kappa h > 1
     they keep n). Each pass takes about _CHUNK_POINTS points of distinct
     kernel grids, evaluated in one farfield.kernel_grids call: directly
@@ -640,12 +660,8 @@ def assemble_stiffness(
     for size in sizes[::-1]:
         cells, regular = farfield.far_cells(mesh, profile, table, size)
         scale = size // farfield.CELL_SIZE
-
-        def dropped(i, j):  # taken by larger cells, irregular, or both exterior
-            return (far[i * scale, j * scale] | ~(regular[i] & regular[j])
-                    | (cells.exterior[i] & cells.exterior[j]))
-
-        pairs = _pairs_left(cells.count, np.arange(farfield.CELL_SEPARATION, cells.count), dropped)
+        leaves = slice(0, cells.count * scale, scale)
+        pairs = _far_candidates(cells, regular, far[leaves, leaves])
         for cell, d in _far_passes(cells, *pairs):
             g, inverse = cells.grids(ctx, cell, d)
             ok = farfield.resolved(g)[inverse]

@@ -14,14 +14,14 @@ Glusa use cluster methods for the integral fractional Laplacian, 2018).
 An element on the n nodes and weights of tensor Gauss is a cell of one
 element, with W[a, i] = w_i psi_a(x_i), mu_i = w_i and m2[0, a, b, i] = w_i
 psi_a(x_i) psi_b(x_i), and its cell pairs are the element pairs under tensor
-Gauss. The far cells hold CELL_SIZE 2^l elements on CELL_ORDER Chebyshev
-points, whose Lagrange functions give the moments. They pair as the blocks of
-the admissible partition of a hierarchical matrix (Hackbusch, Hierarchical
-Matrices, 2015, ch. 5; Zhao, Hu, Cai & Karniadakis, CMAME 325, 2017, for 1D
-fractional stiffness): two cells of one size CELL_SEPARATION or more cells
-apart that no larger pair holds take g from its interpolant where that
-resolves g, else split in four; cell_sizes stops where cells are too long to
-resolve exp(-kappa r). Every kernel grid comes from kernel_grids, the one
+Gauss. The far cells hold CELL_SIZE 2^l elements (8, 16, 32, ...) on
+CELL_ORDER Chebyshev points, whose Lagrange functions give the moments. They
+pair as the blocks of the admissible partition of a hierarchical matrix
+(Hackbusch, Hierarchical Matrices, 2015, ch. 5; Zhao, Hu, Cai & Karniadakis,
+CMAME 325, 2017, for 1D fractional stiffness): two cells of one size
+CELL_SEPARATION or more cells apart that no larger pair holds take g from its
+interpolant where that resolves g, else split in four; cell_sizes stops where
+cells are too long to resolve exp(-kappa r). Every kernel grid comes from kernel_grids, the one
 evaluator of the disjoint pairs.
 """
 
@@ -37,10 +37,17 @@ from .quadrature import gauss_legendre_01
 # The far field: cells of CELL_SIZE elements, a pair of cells CELL_SEPARATION
 # or more cells apart interpolated on CELL_ORDER Chebyshev points per cell.
 # Against order-24 direct blocks (gaussian bumps on [0.35, 0.85] and [0.01,
-# 0.99], the oscillatory ramp, kappa in {0.5, 2.5, 10}, levels 7 and 8) the
-# element-pair blocks of cell pairs 3 and 4 apart stay within 2.9e-13 of
-# themselves at order 16; order 14 gives 1.5e-11 and order 12 1.1e-9, and
-# cells 2 apart give 2.9e-10 at order 16 and 2.9e-13 only at order 20.
+# 0.99], the oscillatory ramp, kappa in {0.5, 2.5, 10}, levels 7 and 8, 12
+# regular cell pairs of 8 elements per offset) the element-pair blocks of
+# cell pairs 3 and 4 apart stay within 2.5e-14 of themselves at order 16;
+# order 14 gives 2.4e-12 and order 12 1.4e-10, and cells 2 apart give
+# 7.7e-11 at order 16 and 7.7e-14 only at order 20. Leaves of 8 elements
+# pair from 24 elements apart, where leaves of 16 started at 48, and halve
+# the element pairs (28 607 against 59 903 at level 8). On the coarsest
+# meshes the leaves take pairs that the element path takes at the capped
+# order n: at level 3 (n = 4) with kappa = 0.5, A moves 5.4e-14 of max|A|
+# from the element path's, and agrees within 2.5e-16 of it with order-24
+# element pairs.
 # Where kappa CELL_SIZE h is large, or s changes fast across a cell, a
 # fixed order does not suffice: a cell pair whose last two Chebyshev
 # coefficients in either variable exceed CELL_TAIL_RTOL of its smallest
@@ -53,15 +60,20 @@ from .quadrature import gauss_legendre_01
 # pairs at kappa L = 2 and next to none at 2.5, over all offsets about 90 %
 # at 2.5 (those 6 to 8 or more cells apart) and none at 3. A failed pair costs
 # its grid on top of its children's. Below the largest size only cells 3 to 5
-# apart pair, so larger cells are no longer than CELL_KAPPA_LENGTH / kappa;
-# those of CELL_SIZE elements, which also take the farther pairs that no
-# larger pair holds, no longer than CELL_KAPPA_LEAF / kappa.
-CELL_SIZE = 16
+# apart pair, so those sizes are no longer than CELL_KAPPA_LENGTH / kappa.
+# The largest also takes the farther pairs, so it may reach
+# CELL_KAPPA_LARGEST / kappa where more than 2 (CELL_SEPARATION + 1) of its
+# cells fit: with 8 cells at kappa L = 2.5 (every level at kappa = 2.5) it
+# took no pair, with 32 (kappa = 10) it takes about 300, which the smaller
+# sizes would take as about 1800 pairs (bump, level 6: 152 against 235 ms).
+# So leaves of 8 elements appear where kappa h <= 0.25, and up to 0.31 where
+# more than 8 of them fit.
+CELL_SIZE = 8
 CELL_ORDER = 16
 CELL_SEPARATION = 3
 CELL_TAIL_RTOL = 1e-11
 CELL_KAPPA_LENGTH = 2.0
-CELL_KAPPA_LEAF = 2.5
+CELL_KAPPA_LARGEST = 2.5
 
 # Bytes of the cross blocks one _add_cell_blocks call receives (a pair's take
 # more from 256 elements per cell on) and of W G over a far pass's distinct
@@ -228,13 +240,17 @@ def _moments(size, to_coef):
 def cell_sizes(mesh, kappa):
     """The sizes of the far cells, ascending: CELL_SIZE 2^l elements for l =
     0, 1, ... while more than CELL_SEPARATION cells fit on the mesh and kappa
-    times a cell's length stays within CELL_KAPPA_LENGTH, for l = 0 within
-    CELL_KAPPA_LEAF."""
+    times a cell's length stays within CELL_KAPPA_LENGTH; then one more, the
+    largest, where kappa times its length stays within CELL_KAPPA_LARGEST
+    and more than 2 (CELL_SEPARATION + 1) of its cells fit, so that it has
+    pairs 6 to 8 or more cells apart to take."""
     sizes = []
-    size, bound = CELL_SIZE, CELL_KAPPA_LEAF
-    while kappa * size * mesh.h <= bound and mesh.n_elements // size > CELL_SEPARATION:
+    size, n_el = CELL_SIZE, mesh.n_elements
+    while kappa * size * mesh.h <= CELL_KAPPA_LENGTH and n_el // size > CELL_SEPARATION:
         sizes.append(size)
-        size, bound = 2 * size, CELL_KAPPA_LENGTH
+        size *= 2
+    if kappa * size * mesh.h <= CELL_KAPPA_LARGEST and n_el // size > 2 * (CELL_SEPARATION + 1):
+        sizes.append(size)
     return sizes
 
 
@@ -281,9 +297,8 @@ def needed(mesh, far):
     ext = np.logical_and.reduceat(~mesh.element_interior, np.arange(0, n_el, size))
     m = ext.size
     open_ = np.zeros(m + 1, dtype=bool)
-    for d in range(m):
-        c = np.arange(m - d)
-        open_[d] = np.any(~far[c, c + d] & ~(ext[c] & ext[c + d]))
+    c, f = np.nonzero(np.triu(~far[:m, :m] & ~(ext[:, None] & ext[None, :])))
+    open_[f - c] = True
     k = np.arange(n_el)
     q = k // size
     return open_[q] | ((k % size > 0) & open_[q + 1])
@@ -298,6 +313,8 @@ def _add_cell_blocks(a, rows, cols, size, blocks):
     none. Only the last block to start above row 0 and the first to end
     past the last column are cut; where ``rows`` has gaps, each part goes
     to the blocks' own places."""
+    if not rows.size:
+        return
     n = a.shape[0]
     shift = int(cols[0] - rows[0])
     i0, i1 = np.searchsorted(rows, (0, n - size - shift)).tolist()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import inv_triple_product, solve_with_factor
 
@@ -59,19 +60,41 @@ class CovarianceResult:
         self.metadata = dict(metadata)
 
 
+# bytes of the rows of L z formed per step of draw_noise
+_NOISE_BLOCK_BYTES = 2**16
+
+
 def _standard_normal(n, m, seed):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     return rng.standard_normal((n, m))
 
 
 def draw_noise(mass_lower, m, seed):
-    """m white-noise load vectors b = L z with z ~ N(0, I); E[b b^T] = M."""
+    """m white-noise load vectors b = L z with z ~ N(0, I); E[b b^T] = M.
+
+    L is M's lower-bidiagonal factor, sparse or dense. b is formed in z's
+    memory, bottom-up in blocks of about _NOISE_BLOCK_BYTES, as
+    b_i = l_(i,i-1) z_(i-1) + l_ii z_i, which is bitwise L @ z; so a draw
+    holds one N x m array. Raises ValueError when L has an entry off its
+    two diagonals."""
     n = mass_lower.shape[0]
     m = int(m)
     if m == 0:
         return np.zeros((n, 0))
+    diag, sub = mass_lower.diagonal(), mass_lower.diagonal(-1)
+    entries = (mass_lower.count_nonzero() if sparse.issparse(mass_lower)
+               else np.count_nonzero(mass_lower))
+    if entries > np.count_nonzero(diag) + np.count_nonzero(sub):
+        raise ValueError("draw_noise takes a lower-bidiagonal factor of M")
     z = _standard_normal(n, m, seed)
-    return mass_lower @ z
+    rows = max(1, _NOISE_BLOCK_BYTES // (8 * m))
+    for i1 in range(n, 0, -rows):
+        i0 = max(i1 - rows, 1)
+        above = sub[i0 - 1 : i1 - 1, None] * z[i0 - 1 : i1 - 1]
+        z[i0:i1] *= diag[i0:i1, None]
+        z[i0:i1] += above
+    z[:1] *= diag[:1, None]
+    return z
 
 
 def sample_fields(system, m, seed):

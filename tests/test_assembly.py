@@ -486,18 +486,20 @@ def test_grouped_chunk_blocks_match_direct(key, kappa):
 
 
 def test_add_cell_blocks_of_one_element_match_dense_loop(monkeypatch):
-    # D = [-2.75, 2.75] ends inside a cell, whose pairs keep the element
-    # cells, so blocks are cut at -+r_int; offsets 33-47 lie in cell pairs 2
-    # and 3 apart, so the far cell pairs take some of their element pairs
+    # D = [-r_int, r_int] ends inside a cell, 4.5 cells from either end of
+    # G, whose pairs keep the element cells, so blocks are cut at -+r_int;
+    # offsets 2 size + 1 to 3 size - 1 lie in cell pairs 2 and 3 apart, so
+    # the far cell pairs take some of their element pairs
     import varmatern.assembly as asm
 
-    mesh = build_uniform(2.75, 4, 5)
+    size = farfield.CELL_SIZE
+    mesh = build_uniform(4 - 4.5 * size / 32, 4, 5)
     far = _far_field(monkeypatch, mesh, _ctx("const05", kappa=0.5))[1]
     covered = _covered(mesh, far)
     n, first = mesh.interior_node_count, mesh.first_interior_node
     rng = np.random.default_rng(5)
     gaps = cut = 0
-    for k in range(33, 48):
+    for k in range(2 * size + 1, 3 * size):
         rows = asm._pairs_left(mesh.n_elements, np.array([k]), covered)[0] - first
         blocks = rng.standard_normal((rows.size, 2, 2))
         a = np.zeros((n, n))
@@ -512,6 +514,47 @@ def test_add_cell_blocks_of_one_element_match_dense_loop(monkeypatch):
         gaps += np.any(np.diff(rows) > 1)
         cut += np.any(rows == -1) and np.any(rows + k == n - 1)
     assert gaps and cut
+
+
+def test_add_cell_blocks_of_an_empty_pass_add_nothing():
+    # a pass whose pairs the far cells all took leaves no block to add
+    a = np.ones((6, 6))
+    empty = np.zeros(0, dtype=int)
+    farfield._add_cell_blocks(a, empty, empty + 3, 1, np.zeros((0, 2, 2)))
+    assert np.array_equal(a, np.ones((6, 6)))
+
+
+def _needed_by_offset(mesh, far):
+    """farfield.needed as one scan per cell offset d: the pairs (c, c + d)
+    not marked in ``far`` and not both exterior."""
+    size, n_el = farfield.CELL_SIZE, mesh.n_elements
+    ext = np.logical_and.reduceat(~mesh.element_interior, np.arange(0, n_el, size))
+    m = ext.size
+    open_ = np.zeros(m + 1, dtype=bool)
+    for d in range(m):
+        c = np.arange(m - d)
+        open_[d] = np.any(~far[c, c + d] & ~(ext[c] & ext[c + d]))
+    k = np.arange(n_el)
+    return open_[k // size] | ((k % size > 0) & open_[k // size + 1])
+
+
+@pytest.mark.parametrize("r_int, r_ext, level, key, kappa", [
+    (3, 4, 5, "bump", 2.5), (3, 4, 6, "step", 0.5), (3, 4, 6, "ramp", 10.0),
+    (4 - 36 / 32, 4, 5, "const05", 0.5), (3, 4 - 1 / 32, 6, "bump", 2.5),
+])
+def test_needed_offsets_match_the_scan_by_cell_offset(monkeypatch, r_int, r_ext, level, key,
+                                                      kappa):
+    # the leaf pairs an assembly marks, the leaf pairs of one cell offset
+    # struck out, and random marks; D ends inside a cell in the fourth case,
+    # and in the last the elements past the last cell are not a whole cell
+    mesh = build_uniform(r_int, r_ext, level)
+    far = _far_field(monkeypatch, mesh, _ctx(key, kappa=kappa))[1]
+    struck = far.copy()
+    d = farfield.CELL_SEPARATION + 1
+    struck[np.arange(far.shape[0] - d), np.arange(d, far.shape[0])] = False
+    rng = np.random.default_rng(level)
+    for marks in (far, struck, rng.random(far.shape) < 0.97):
+        assert np.array_equal(farfield.needed(mesh, marks), _needed_by_offset(mesh, marks))
 
 
 KERNEL_GRID_CASES = [(key, kappa) for key in ("step", "bump", "ramp")
@@ -987,7 +1030,7 @@ def test_far_cells_hold_block_tolerance(key, kappa):
     # every cell pair the far field takes, of every cell size it builds at
     # levels 7 to 9, at the closest cell offsets and at farther ones,
     # against order-24 element-pair blocks: six pairs per offset for the
-    # cells of 16 elements at levels 7 and 8, three for the other cases
+    # cells of CELL_SIZE elements at levels 7 and 8, three for the other cases
     import varmatern.assembly as asm
 
     ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
@@ -1005,9 +1048,10 @@ def test_far_cells_hold_block_tolerance(key, kappa):
                 err, count = _cell_pair_errors(ctx, mesh, cells, d, sample)
                 assert err <= asm.DISJOINT_BLOCK_RTOL, (level, size, d, err)
                 taken[size] = taken.get(size, 0) + count
-    # cells of 16 to 64 elements take pairs at every kappa, of 128 where
-    # kappa L <= CELL_KAPPA_LENGTH at level 9 (kappa < 10)
-    wanted = {16, 32, 64} | ({128} if kappa < 10 else set())
+    # cells of 8 to 128 elements take pairs at every kappa: those of 128 at
+    # level 9, where kappa L <= CELL_KAPPA_LENGTH for kappa < 10, and kappa L
+    # = CELL_KAPPA_LARGEST for kappa = 10, where they are the largest size
+    wanted = {8, 16, 32, 64, 128}
     assert wanted <= {size for size, count in taken.items() if count}, taken
 
 
@@ -1091,18 +1135,20 @@ def test_stiffness_rows_match_single_pair_oracle(key, level):
 
 
 def test_irregular_cells_keep_the_element_path(monkeypatch):
-    # D = [-2.75, 2.75] ends inside a cell, and the profile has knots inside
-    # cells: those cells keep the element path at every offset, and A
-    # agrees with the element path alone
+    # D = [-r_int, r_int] ends inside a cell, 4.5 cells from either end of
+    # G, and the profile has knots inside cells: those cells keep the
+    # element path at every offset, and A agrees with the element path alone
     import varmatern.assembly as asm
 
-    mesh = build_uniform(2.75, 4, 5)  # 40 exterior elements at either end
+    size = farfield.CELL_SIZE
+    r_int = 4 - 4.5 * size / 32
+    mesh = build_uniform(r_int, 4, 5)
     profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
     ctx = KernelContext(2.5, 1.0, profile)
     cells, regular = farfield.far_cells(mesh, profile, asm._BetaTable(profile))
-    lefts = mesh.nodes[: cells.count * farfield.CELL_SIZE : farfield.CELL_SIZE]
-    straddle = (lefts < -2.75) & (lefts + farfield.CELL_SIZE * mesh.h > -2.75)
-    knot = (lefts < -0.3) & (lefts + farfield.CELL_SIZE * mesh.h > -0.3)
+    lefts = mesh.nodes[: cells.count * size : size]
+    straddle = (lefts < -r_int) & (lefts + size * mesh.h > -r_int)
+    knot = (lefts < -0.3) & (lefts + size * mesh.h > -0.3)
     assert np.count_nonzero(straddle) == np.count_nonzero(knot) == 1
     assert not np.any(regular[straddle | knot])
     cellular = assemble_stiffness(mesh, ctx)
@@ -1138,18 +1184,24 @@ def test_far_cells_match_the_element_path(monkeypatch, kappa):
 
 
 def test_far_cells_skip_sizes_too_long_for_kappa(monkeypatch):
-    # kappa L <= CELL_KAPPA_LEAF for the cells of 16 elements and
-    # CELL_KAPPA_LENGTH for larger ones, L the cell's length: at level 5
-    # with kappa = 10 (kappa L = 5 for cells of 16 elements) no cell is built
-    # and no far-cell grid reaches the kernel
-    mesh = build_uniform(3, 4, 5)
+    # kappa L <= CELL_KAPPA_LENGTH, L the cell's length, for every size but
+    # the largest, which may reach CELL_KAPPA_LARGEST where more than 8 of its
+    # cells fit: at level 4 with kappa = 10 (kappa L = 5 for cells of
+    # CELL_SIZE = 8 elements) no cell is built and no far-cell grid reaches
+    # the kernel
+    size = farfield.CELL_SIZE
+    mesh = build_uniform(3, 4, 4)
     assert farfield.cell_sizes(mesh, 10.0) == []
-    assert farfield.cell_sizes(build_uniform(3, 4, 6), 10.0) == [16]  # kappa L = 2.5
-    assert farfield.cell_sizes(mesh, 2.5) == [16]  # 32 elements: kappa L = 2.5
-    assert farfield.cell_sizes(mesh, 1.25) == [16, 32]
-    # at small kappa the mesh bounds them: 4 cells of 64 elements fit, and
-    # 2 of 128 are fewer than CELL_SEPARATION + 1
-    assert farfield.cell_sizes(mesh, 0.1) == [16, 32, 64]
+    # kappa L = 2.5 for 32 cells of 8 elements at level 5, 32 of 16 at
+    # level 6, 8 of 16 at level 4 and 8 of 8 at level 3
+    assert farfield.cell_sizes(build_uniform(3, 4, 5), 10.0) == [size]
+    assert farfield.cell_sizes(build_uniform(3, 4, 6), 10.0) == [size, 2 * size]
+    assert farfield.cell_sizes(mesh, 2.5) == [size]
+    assert farfield.cell_sizes(build_uniform(3, 4, 3), 2.5) == []
+    assert farfield.cell_sizes(mesh, 1.25) == [size, 2 * size]
+    # at small kappa the mesh bounds them: 4 cells of 32 elements fit, and
+    # 2 of 64 are fewer than CELL_SEPARATION + 1
+    assert farfield.cell_sizes(mesh, 0.1) == [size, 2 * size, 4 * size]
     shapes = []
     real = farfield.kernel_grids
 

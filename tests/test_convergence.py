@@ -12,11 +12,14 @@ from varmatern.convergence import (
     level_error_samples,
     rate_from_systems,
 )
-from varmatern.assembly import assemble_plain_mass
+from varmatern import smoothness
+from varmatern.assembly import assemble_plain_mass, assemble_stiffness
+from varmatern.kernel import KernelContext
 from varmatern.mesh import build_uniform
 from varmatern.quadrature import gauss_legendre_01
 from varmatern.sampler import draw_noise
 
+from conftest import PROFILES
 from oracles import expected_level_errors
 
 
@@ -230,3 +233,26 @@ def test_level_errors_match_the_exact_expectation(build_system, profile):
         sq = report.per_sample[level] ** 2
         stderr = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - exact[level]) <= 3.0 * stderr, (level, sq.mean(), exact[level])
+
+
+ORACLE_PROFILES = {
+    "bump": PROFILES["bump"],
+    "ramp": PROFILES["ramp"],
+    "tabulated": lambda: smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61]),
+}
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.5, 10.0])
+@pytest.mark.parametrize("profile", list(ORACLE_PROFILES))
+def test_level_errors_match_the_exact_expectation_across_profiles(profile, kappa):
+    # the same oracle over varying profiles and kappa at levels 5/4/3, at 4
+    # standard errors; the far cells take element pairs at level 5
+    ctx = KernelContext(kappa, 1.0, ORACLE_PROFILES[profile]())
+    systems = [assemble_stiffness(build_uniform(3, 4, lev), ctx) for lev in (5, 4, 3)]
+    assert systems[0].quad_meta["far_cells"]["cell_pairs"] > 0
+    exact = expected_level_errors(systems)
+    report = rate_from_systems(systems, 500, seed=2417)
+    for level in (5, 4):
+        sq = report.per_sample[level] ** 2
+        stderr = sq.std(ddof=1) / np.sqrt(sq.size)
+        assert abs(sq.mean() - exact[level]) <= 4.0 * stderr, (level, sq.mean(), exact[level])

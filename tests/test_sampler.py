@@ -27,6 +27,38 @@ def test_draw_noise_identity_covariance():
     assert np.max(np.abs(cov - np.eye(6))) < 0.02
 
 
+@pytest.mark.parametrize("level", [3, 6, 8])
+def test_draw_noise_is_mass_factor_times_standard_normal(build_system, level):
+    # L z formed in z's memory equals the sparse product bitwise
+    from varmatern.sampler import _standard_normal
+
+    lower = build_system("const05", 2.5, level).mass_cholesky
+    n = lower.shape[0]
+    for m in (0, 1, 7, 1000):
+        b = draw_noise(lower, m, seed=5)
+        assert b.shape == (n, m)
+        assert np.array_equal(b, lower @ _standard_normal(n, m, 5)), m
+
+
+def test_draw_noise_holds_one_load_array(build_system):
+    lower = build_system("const05", 2.5, 8).mass_cholesky
+    n, m = lower.shape[0], 1000
+    tracemalloc.start()
+    try:
+        b = draw_noise(lower, m, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.shape == (n, m)
+    assert peak <= 1.1 * n * m * 8, peak / (n * m * 8)
+
+
+def test_draw_noise_rejects_a_factor_that_is_not_bidiagonal():
+    lower = np.tril(np.ones((5, 5)))
+    with pytest.raises(ValueError, match="bidiagonal"):
+        draw_noise(lower, 3, seed=1)
+
+
 def test_draw_noise_matches_mass(build_system):
     system = build_system("const05", 2.5, 3)
     m = 20_000
