@@ -36,10 +36,14 @@ the rest to BETA_TAIL_RTOL raises AssemblyError. The cross blocks of a cell
 offset go onto A in one strided add per farfield._BLOCK_BYTES of them, and
 the self blocks are summed per element and reach its band once.
 
-A is summed in place over the N unknowns: entries of exterior nodes are
-dropped as they arrive, A2 is accumulated on its upper triangle, and A1 adds
-its diagonal and superdiagonal. A stays on its upper triangle, which is all
-that linalg.cholesky reads, until AssembledSystem.a is first read: that
+assemble_stiffness runs four phases, each a module function that adds into
+one A and returns its part of the manifest: _add_near_field (identical and
+vertex-sharing pairs), _add_far_cells, _add_element_pairs (the disjoint
+pairs the far cells leave, then every self block) and _add_weighted_mass
+(A1). A is summed in place over the N unknowns: entries of exterior nodes
+are dropped as they arrive, A2 is accumulated on its upper triangle, and A1
+adds its diagonal and superdiagonal. A stays on its upper triangle, which is
+all that linalg.cholesky reads, until AssembledSystem.a is first read: that
 mirrors it in place, so A read there is exactly symmetric.
 
 Pair bookkeeping: each unordered pair is computed once and off-diagonal
@@ -417,15 +421,17 @@ def _adjacent_blocks(ctx, h, rule, s_up, shared_coords, alpha, delta):
     return _by_rows(blocks_of, first.size)[inverse], first.size
 
 
-def _band_add(a, first, dr, dc, vec):
-    """A[e + dr - first, e + dc - first] += vec[e] for every e that lands in
-    A (dc >= dr); ``first`` is the mesh node of A's first row and column."""
+def _add_upper_blocks(a, first, blocks):
+    """A[e + i - first, e + j - first] += blocks[e, i, j] for every i <= j and
+    e that land in A, entry by entry in row-major order; ``first`` is the
+    mesh node of A's first row and column."""
     n = a.shape[0]
-    e0 = max(first - dr, 0)
-    e1 = min(vec.size, n + first - dc)
-    if e1 > e0:
-        start = (e0 + dr - first) * (n + 1) + dc - dr
-        a.ravel()[start : start + (e1 - e0) * (n + 1) : n + 1] += vec[e0:e1]
+    for i in range(blocks.shape[1]):
+        for j in range(i, blocks.shape[2]):
+            e0, e1 = max(first - i, 0), min(len(blocks), n + first - j)
+            if e1 > e0:
+                start = (e0 + i - first) * (n + 1) + j - i
+                a.ravel()[start : start + (e1 - e0) * (n + 1) : n + 1] += blocks[e0:e1, i, j]
 
 
 class _BetaTable:
@@ -570,95 +576,40 @@ def _kept_finite(blocks, keep, what, first, second):
     return blocks
 
 
-def assemble_stiffness(
-    mesh,
-    ctx,
-    n=None,
-    *,
-    c=1.0,
-    target_rate=None,
-    n_min=4,
-    n_max=64,
-):
-    """Assemble the full system (stiffness A = A1 + A2, plain mass M).
-
-    ``n`` fixes the tensor-Gauss order for every pair class; when omitted it
-    is derived from the log(1/h) rule with constant ``c`` and the target
-    rate (defaulting to the expected strong rate of the profile).
-
-    The disjoint pairs are cell pairs (farfield): first the far cell pairs,
-    as the module docstring and farfield say (cells of 8, 16, 32, ...
-    elements, pairs of the smallest from 24 elements apart), then every
-    element pair they leave, as a pair of one-element cells under tensor
-    Gauss of order min(n, n_far(k)) at offset k, which holds each block to
-    DISJOINT_BLOCK_RTOL of itself where kappa h is small (where kappa h > 1
-    they keep n). Each pass takes about _CHUNK_POINTS points of distinct
-    kernel grids, evaluated in one farfield.kernel_grids call: directly
-    where they are few (a piecewise-constant profile), else from a
-    Chebyshev table in beta of degree BETA_DEGREE, chopped where its tail
-    is negligible.
-
-    ``quad_meta`` records the table degree as "beta_degree", the bands as
-    "disjoint_orders", [[k_first, k_last, order], ...], and the far field as
-    "far_cells", {"cell_size": the smallest size, "order", "separation",
-    "cell_pairs": the cell pairs interpolated, "cell_pairs_by_size": the
-    same per size built, keyed by the size as a string, "element_pairs":
-    the disjoint element pairs
-    left to the element path}; "n_disjoint" is n, the order of the nearest
-    pairs. The identical and vertex-sharing pairs evaluate each run of equal
-    integrands once; the run counts are "near_field_keys", {"identical":
-    ..., "vertex_sharing": ...}. The blocks and kernel grids are checked
-    where they reach the pairs, so a failure names the first kept pair. A is
-    summed on its upper triangle, over the N unknowns only, with A1's
-    diagonal and superdiagonal, and left there: the system mirrors it when
-    ``a`` is first read. Raises AssemblyError when a kept pair's
-    block is not finite or the beta table does not resolve the kernel; A
-    itself is checked where it is factored (``stiffness_cholesky``).
-    """
-    profile = ctx.profile
-    if n is None:
-        n = quadrature_order(mesh.h, profile.s_upper, profile.s_lower, c, target_rate,
-                             n_min=n_min, n_max=n_max)
-    n = int(n)
-    rule = gauss_legendre_01(n)
-
-    n_el = mesh.n_elements
-    h = mesh.h
-    first = mesh.first_interior_node
-    el_max = _element_order_max(profile, h, mesh.nodes[:n_el])
+def _add_near_field(a, mesh, ctx, rule):
+    """The identical and vertex-sharing pairs onto A, under tensor Gauss of
+    ``rule`` in the transformed variables. Each run of equal integrands is
+    evaluated once; returns the run counts, quad_meta's "near_field_keys"."""
+    n_el, h, first = mesh.n_elements, mesh.h, mesh.first_interior_node
+    el_max = _element_order_max(ctx.profile, h, mesh.nodes[:n_el])
     ext = ~mesh.element_interior
     elements = np.arange(n_el)
-    # A on its upper triangle and over the unknowns only
-    a = np.zeros((mesh.interior_node_count,) * 2)
-
     # identical pairs: one value per element, both anchors averaged
-    vals, identical_keys = _identical_common(ctx, h, rule, el_max, mesh.nodes[: n_el + 1])
+    vals, identical = _identical_common(ctx, h, rule, el_max, mesh.nodes[: n_el + 1])
     vals = _kept_finite(vals, ~ext, "identical", elements, elements)
     q = _identical_q_signs(mesh, 0)
-    for da, db in ((0, 0), (0, 1), (1, 1)):
-        _band_add(a, first, da, db, q[da] * q[db] * vals)
-
+    _add_upper_blocks(a, first, vals[:, None, None] * np.outer(q, q))
     # vertex-sharing pairs
     alpha, delta = _adjacent_delta_coeffs(mesh, 0)
-    s_up_adj = 0.5 * (el_max[:-1] + el_max[1:])
-    adj, adjacent_keys = _adjacent_blocks(
-        ctx, h, rule, s_up_adj, mesh.nodes[1:n_el], alpha, delta
-    )
-    adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing",
-                       elements[:-1], elements[1:])
-    for da in range(3):
-        for db in range(da, 3):
-            _band_add(a, first, da, db, 2.0 * adj[:, da, db])
+    s_up = 0.5 * (el_max[:-1] + el_max[1:])
+    adj, vertex_sharing = _adjacent_blocks(ctx, h, rule, s_up, mesh.nodes[1:n_el], alpha, delta)
+    adj = _kept_finite(adj, ~(ext[:-1] & ext[1:]), "vertex-sharing", elements[:-1], elements[1:])
+    _add_upper_blocks(a, first, 2.0 * adj)
+    return {"identical": identical, "vertex_sharing": vertex_sharing}
 
-    # disjoint pairs: far cell pairs from the largest cells down (``far`` marks
-    # their leaf blocks), then the element pairs they leave, in order bands
-    table = _BetaTable(profile)
+
+def _add_far_cells(a, mesh, ctx, table):
+    """The far cell pairs onto A, from the largest cells down. Returns the
+    mask ``far`` of the CELL_SIZE cell pairs whose blocks they took (the
+    leaves), their self blocks summed per element, (n_el, 2, 2), and
+    quad_meta's "far_cells" but for its "element_pairs"."""
+    n_el = mesh.n_elements
     sizes = farfield.cell_sizes(mesh, ctx.kappa)
     cell_pairs = dict.fromkeys(map(str, sizes), 0)
     far = np.zeros((n_el // farfield.CELL_SIZE + 1,) * 2, dtype=bool)
     self_blocks = np.zeros((n_el, 2, 2))
     for size in sizes[::-1]:
-        cells, regular = farfield.far_cells(mesh, profile, table, size)
+        cells, regular = farfield.far_cells(mesh, ctx.profile, table, size)
         scale = size // farfield.CELL_SIZE
         leaves = slice(0, cells.count * scale, scale)
         pairs = _far_candidates(cells, regular, far[leaves, leaves])
@@ -673,17 +624,33 @@ def assemble_stiffness(
             cells.add(a, cell, d, g, inverse[ok])
             cell_pairs[str(size)] += cell.size
         self_blocks += cells.self_blocks()
+    return far, self_blocks, {
+        "cell_size": farfield.CELL_SIZE,
+        "order": farfield.CELL_ORDER,
+        "separation": farfield.CELL_SEPARATION,
+        "cell_pairs": sum(cell_pairs.values()),
+        "cell_pairs_by_size": cell_pairs,
+    }
 
-    cell_of = np.minimum(elements // farfield.CELL_SIZE, far.shape[0] - 1)
+
+def _add_element_pairs(a, mesh, ctx, table, n, far, self_blocks):
+    """The disjoint element pairs that the far cells (``far``) leave onto A,
+    as pairs of one-element cells in the order bands of _disjoint_orders;
+    then their self blocks, summed into the far cells' ``self_blocks``, all
+    onto A's band at once. Returns the bands, quad_meta's
+    "disjoint_orders", and the number of element pairs."""
+    n_el = mesh.n_elements
+    ext = ~mesh.element_interior
+    cell_of = np.minimum(np.arange(n_el) // farfield.CELL_SIZE, far.shape[0] - 1)
 
     def covered(e, f):
         return (ext[e] & ext[f]) | far[cell_of[e], cell_of[f]]
 
     needed = farfield.needed(mesh, far)
     element_pairs = 0
-    bands = _disjoint_orders(n_el, n, ctx.kappa * h)
+    bands = _disjoint_orders(n_el, n, ctx.kappa * mesh.h)
     for k_first, k_last, order in bands:
-        level = farfield.element_cells(mesh, profile, table, order)
+        level = farfield.element_cells(mesh, ctx.profile, table, order)
         for e, k in _passes(level, k_first, k_last, needed, covered):
             g, inverse = level.grids(ctx, e, k)
             bad = np.flatnonzero(~np.all(np.isfinite(g), axis=(1, 2))[inverse])
@@ -694,32 +661,51 @@ def assemble_stiffness(
             level.add(a, e, k, g, inverse)
             element_pairs += e.size
         self_blocks += level.self_blocks()
-    for da, db in ((0, 0), (0, 1), (1, 1)):
-        _band_add(a, first, da, db, 2.0 * self_blocks[:, da, db])
+    _add_upper_blocks(a, mesh.first_interior_node, 2.0 * self_blocks)
+    return bands, element_pairs
 
+
+def _add_weighted_mass(a, mesh, ctx, rule):
+    """A1, from assemble_weighted_mass under ``rule``, onto A's diagonal and
+    superdiagonal; returns A1."""
     a1 = assemble_weighted_mass(mesh, ctx, rule)
-    n_int = a.shape[0]
     diagonals = a.ravel()
-    diagonals[:: n_int + 1] += a1.diagonal()
-    diagonals[1 :: n_int + 1] += a1.diagonal(1)
-    m = assemble_plain_mass(mesh)
+    diagonals[:: a.shape[0] + 1] += a1.diagonal()
+    diagonals[1 :: a.shape[0] + 1] += a1.diagonal(1)
+    return a1
+
+
+def assemble_stiffness(mesh, ctx, n=None):
+    """Assemble the full system (stiffness A = A1 + A2, plain mass M).
+
+    ``n`` is the tensor-Gauss order of the near field, of A1 and of the
+    nearest disjoint pairs; when omitted it comes from the log(1/h) rule of
+    quadrature_order with its defaults. Four phases add into one A, on its
+    upper triangle and over the N unknowns only, in turn: the near field,
+    the far cells, the element pairs they leave and A1. The system mirrors
+    A when ``a`` is first read. quad_meta records n as "n_disjoint", the
+    beta table's degree as "beta_degree" and what each phase returns.
+    Raises AssemblyError naming the first kept pair whose block is not
+    finite, or when the beta table does not resolve the kernel; A itself is
+    checked where it is factored (``stiffness_cholesky``).
+    """
+    profile = ctx.profile
+    if n is None:
+        n = quadrature_order(mesh.h, profile.s_upper, profile.s_lower)
+    n = int(n)
+    rule = gauss_legendre_01(n)
+    table = _BetaTable(profile)
+    a = np.zeros((mesh.interior_node_count,) * 2)
+    near_field_keys = _add_near_field(a, mesh, ctx, rule)
+    far, self_blocks, far_cells = _add_far_cells(a, mesh, ctx, table)
+    bands, far_cells["element_pairs"] = _add_element_pairs(a, mesh, ctx, table, n, far,
+                                                           self_blocks)
+    a1 = _add_weighted_mass(a, mesh, ctx, rule)
     quad_meta = {
-        "n_identical": n,
-        "n_adjacent": n,
         "n_disjoint": n,
         "disjoint_orders": bands,
-        "n_weighted_mass": n,
-        "c": c,
-        "target_rate": target_rate,
         "beta_degree": table.degree,
-        "near_field_keys": {"identical": identical_keys, "vertex_sharing": adjacent_keys},
-        "far_cells": {
-            "cell_size": farfield.CELL_SIZE,
-            "order": farfield.CELL_ORDER,
-            "separation": farfield.CELL_SEPARATION,
-            "cell_pairs": sum(cell_pairs.values()),
-            "cell_pairs_by_size": cell_pairs,
-            "element_pairs": element_pairs,
-        },
+        "near_field_keys": near_field_keys,
+        "far_cells": far_cells,
     }
-    return AssembledSystem(mesh, ctx, a, m, a1, quad_meta)
+    return AssembledSystem(mesh, ctx, a, assemble_plain_mass(mesh), a1, quad_meta)

@@ -99,7 +99,7 @@ def _assembled(cfg, timings):
     with _timed(timings, "assemble"):
         for mesh in cfg.meshes:
             try:
-                systems.append(assemble_stiffness(mesh, cfg.ctx, **cfg.assemble_kwargs()))
+                systems.append(assemble_stiffness(mesh, cfg.ctx, cfg.quad_order(mesh)))
             except AssemblyError as exc:
                 raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
     return systems

@@ -17,7 +17,7 @@ from . import smoothness
 from .convergence import NORM_KINDS
 from .kernel import KernelContext
 from .mesh import MeshError, build_uniform
-from .quadrature import MAX_ORDER
+from .quadrature import MAX_ORDER, quadrature_order
 
 __all__ = ["ConfigError", "RunConfig", "default_config_dict", "load_config"]
 
@@ -234,14 +234,14 @@ class RunConfig:
         out["profile"] = self.profile.to_dict()
         return out
 
-    def assemble_kwargs(self):
-        return {
-            "n": self.quad_n_override,
-            "c": self.quad_c,
-            "target_rate": self.quad_target_rate,
-            "n_min": self.quad_n_min,
-            "n_max": self.quad_n_max,
-        }
+    def quad_order(self, mesh):
+        """The tensor-Gauss order n of ``mesh``: quadrature.n_override, else
+        the log(1/h) rule with the block's c, target_rate, n_min and n_max."""
+        if self.quad_n_override is not None:
+            return self.quad_n_override
+        return quadrature_order(mesh.h, self.profile.s_upper, self.profile.s_lower,
+                                self.quad_c, self.quad_target_rate,
+                                self.quad_n_min, self.quad_n_max)
 
 
 def load_config(path=None, overrides=None):

@@ -11,7 +11,7 @@ Up to z = kappa r = Z_SERIES, phi comes from Temme's series for K_nu(z)
 (Temme, "On the numerical evaluation of the modified Bessel function of the
 third kind", J. Comput. Phys. 19, 1975), which holds the r -> 0 limit and
 the order nu = 1 without cancellation; against 30-digit values it is within
-4e-15 relative over beta in (0, 1). Above it, K_nu comes from
+1.1e-14 relative over beta in (0, 1). Above it, K_nu comes from
 scipy.special.kv (the AMOS routines, Amos, ACM TOMS Alg. 644), within 6e-16
 relative there; bessel_k adds the order window, argument checks and the
 underflow rule.
@@ -258,7 +258,7 @@ def _phi_from_beta(kappa, b, r):
     leading axis, with the factors that depend on the order alone computed
     on the shape of b's slice (once per node for the beta table). It gives
     the limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) at r = 0 and is
-    within 4e-15 relative of 30-digit values for z in (0, Z_SERIES], nu = 1
+    within 1.1e-14 relative of 30-digit values for z in (0, Z_SERIES], nu = 1
     included. Above Z_SERIES, phi is the direct product
     prefactor * bessel_k * r**nu. Passing r directly avoids the
     cancellation in |x - y| when transformed quadrature already knows r in

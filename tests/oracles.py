@@ -7,7 +7,8 @@ singular-block oracles integrate the untransformed element-pair triangles
 with dyadic refinement toward the singularity plus a Richardson tail
 correction with the known exponent. The rate-estimator oracle at the end,
 expected_level_errors, gives the exact expected strong errors from its own
-injection, Gram matrices and scipy solves.
+injection, Gram matrices and scipy solves; coercivity gives the lowest mode
+of (A, M) from scipy's eigh and criterion 8's floor under it.
 
 The single-pair blocks and kernel arrangements after them, which no command
 runs, do not. pair_block_identical and pair_block_adjacent run one pair
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 
 from varmatern import assembly, smoothness
 from varmatern.kernel import (
@@ -334,7 +335,7 @@ def phi(ctx, x, y, r=None):
 
     Equal to prefactor * K_nu(kappa r) * r**nu for r > 0 and to its finite
     limit prefactor * 2**(nu-1) Gamma(nu) kappa**(-nu) at r = 0: Temme's
-    series up to kappa*r = kernel.Z_SERIES (within 4e-15 relative of 30-digit
+    series up to kappa*r = kernel.Z_SERIES (within 1.1e-14 relative of 30-digit
     values, the limit included), bessel_k above it.
     """
     x_arr = np.asarray(x, dtype=float)
@@ -411,3 +412,15 @@ def expected_level_errors(systems):
         expected[systems[l].mesh.level] = float(np.sum(d * (_p1_gram(coords[l]) @ d))) / mu**2
         load = p.T @ load
     return expected
+
+
+def coercivity(system):
+    """The lowest eigenvalue of (A, M), by scipy's eigh, and criterion 8's
+    floor under it, min(kappa^(2 s_lower), kappa^(2 s_upper)) less 1e-9 of
+    itself for the rounding of s. A1 is Gauss of order n >= 2, exact on
+    psi_a psi_b, applied to the weight kappa^(2 s(x)), which never falls
+    below that minimum; so A1 >= floor M, and A2 >= 0 adds to it."""
+    lowest = eigh(system.a, system.m.toarray(), subset_by_index=[0, 0], eigvals_only=True)
+    kappa, profile = system.ctx.kappa, system.ctx.profile
+    floor = min(kappa ** (2 * profile.s_lower), kappa ** (2 * profile.s_upper))
+    return float(lowest[0]), (1.0 - 1e-9) * floor

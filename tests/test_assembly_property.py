@@ -1,10 +1,14 @@
 """Property test of the assembled system: for every profile kind, kappa
 log-uniform in [1e-3, 1e2] and levels 3-5, the stiffness A is exactly
-symmetric, finite and positive definite, and meets criterion 8's coercivity
-floor against the mass M. A mirror-symmetric profile (constant, or the
-gaussian bump, which is centred at 0) gives A equal to its mirror image.
-Levels 4 and 5 reach the far cells for small enough kappa; the explicit
-examples make sure that some run takes them, and cells of 32 elements."""
+symmetric, finite and positive definite, and the lowest mode of (A, M)
+meets criterion 8's coercivity floor min(kappa^(2 s_lower),
+kappa^(2 s_upper)). A mirror-symmetric profile (constant, or the gaussian
+bump, which is centred at 0) gives A equal to its mirror image. Levels 4
+and 5 reach the far cells for small enough kappa; the explicit examples make
+sure that some run takes them, and cells of 32 elements. Two more pin the
+floor: a step of tiny orders at kappa = 0.01, whose lowest mode lies below
+min(1, kappa^(2 s_lower)), and a constant order at kappa = 10, whose lowest
+mode sits 0.1 % above kappa^(2 s)."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,6 +19,8 @@ from varmatern.assembly import assemble_stiffness
 from varmatern.kernel import KernelContext
 from varmatern.linalg import cholesky
 from varmatern.mesh import build_uniform
+
+from oracles import coercivity
 
 R_INT, R_EXT = 3.0, 4.0
 
@@ -58,6 +64,8 @@ _FAR_EXAMPLES = (
 @example(_FAR_EXAMPLES[1], -1.0, 5)
 @example(_FAR_EXAMPLES[2], -0.5, 5)
 @example(_FAR_EXAMPLES[3], -1.0, 5)
+@example(smoothness.step(0.00390625, 0.0625), -2.0, 3)
+@example(smoothness.constant(0.5), 1.0, 3)
 def test_assembled_system_invariants(profile, log_kappa, level):
     kappa = 10.0**log_kappa
     system = assemble_stiffness(
@@ -72,9 +80,7 @@ def test_assembled_system_invariants(profile, log_kappa, level):
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, a.T)
     cholesky(a)  # raises unless positive definite
-    floor = min(1.0, kappa ** (2 * profile.s_lower))
-    v = np.random.default_rng(level).standard_normal((system.n, 20))
-    energy = np.einsum("ik,ik->k", v, a @ v)
-    assert np.all(energy >= floor * np.einsum("ik,ik->k", v, system.m @ v))
+    lowest, floor = coercivity(system)
+    assert lowest >= floor
     if profile.kind in ("constant", "gaussian_bump"):
         assert np.max(np.abs(a - a[::-1, ::-1])) <= 1e-14 * np.max(np.abs(a))

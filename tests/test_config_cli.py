@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from varmatern import assembly, cli, fileio
 from varmatern.assembly import assemble_weighted_mass
 from varmatern.config import ConfigError, default_config_dict, load_config
-from varmatern.quadrature import gauss_legendre_01
+from varmatern.mesh import build_uniform
+from varmatern.quadrature import gauss_legendre_01, quadrature_order
 
 
 # ------------------------------------------------------------------ config
@@ -266,7 +267,7 @@ def test_cli_assemble_writes_dense_masses(tmp_path):
     m_ref[0, 0] = m_ref[-1, -1] = h / 3
     assert np.array_equal(fileio.read_matrix(out / "mass.vwm1")[0], m_ref)
     man = json.loads((out / "manifest.json").read_text())
-    rule = gauss_legendre_01(man["system"]["quadrature"]["n_weighted_mass"])
+    rule = gauss_legendre_01(man["system"]["quadrature"]["n_disjoint"])
     a1_ref = assemble_weighted_mass(mesh, cfg.ctx, rule).toarray()
     assert np.array_equal(fileio.read_matrix(out / "weighted_mass.vwm1")[0], a1_ref)
 
@@ -436,10 +437,10 @@ def test_converge_reads_its_levels_not_domain_level(tmp_path, capsys):
 def test_converge_assembly_failure_names_level(tmp_path, capsys, monkeypatch):
     real = cli.assemble_stiffness
 
-    def failing(mesh, ctx, **kwargs):
+    def failing(mesh, ctx, n):
         if mesh.level == 3:
             raise cli.AssemblyError("non-finite disjoint block for element pair (0, 2)")
-        return real(mesh, ctx, **kwargs)
+        return real(mesh, ctx, n)
 
     monkeypatch.setattr(cli, "assemble_stiffness", failing)
     out = tmp_path / "v"
@@ -567,6 +568,32 @@ def test_cli_converge_honours_quadrature_order_bounds(tmp_path):
     assert max(orders[0].values()) > 4  # the bound below binds
     assert orders[2] == {"6": 4, "5": 4, "4": 4}
     assert orders[4] == {"6": 7, "5": 7, "4": 7}
+
+
+@pytest.mark.parametrize("flags, knob", [
+    ([], {}),
+    (["--quadrature.c", "2"], {"c": 2.0}),
+    (["--quadrature.n_max", "9"], {"n_max": 9}),
+    (["--quadrature.target_rate", "1.5"], {"target_rate": 1.5}),
+    (["--quadrature.n_override", "5"], {"n_override": 5}),
+])
+def test_cli_quadrature_knobs_reach_the_order(tmp_path, flags, knob):
+    # on this profile each knob moves the order at level 5 off the default 11
+    profile = ["--profile", "step", "--s-lower", "0.85", "--s-upper", "0.95"]
+    rule = {"c": 1.0, "target_rate": None, "n_min": 4, "n_max": 64, **knob}
+    override = rule.pop("n_override", None)
+    expected = {str(level): override or quadrature_order(
+        build_uniform(3.0, 4.0, level).h, 0.95, 0.85, **rule) for level in (5, 4, 3)}
+    assert (expected["5"] == 11) == (not flags)
+    out = tmp_path / "asm"
+    assert _run(["assemble", "--level", "5", *profile, *flags, "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["system"]["quadrature"]["n_disjoint"] == expected["5"]
+    out = tmp_path / "conv"
+    assert _run(["converge", "--levels", "5,4,3", "--m", "2", *profile, *flags,
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rate_report.json").read_text())
+    assert report["config"]["quad_n_per_level"] == expected
 
 
 def test_cli_flags_before_command_and_help(tmp_path, capsys):
