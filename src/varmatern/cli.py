@@ -20,7 +20,7 @@ from .fileio import write_csv, write_json, write_matrix
 from .linalg import NotPositiveDefiniteError
 from .mesh import MeshError
 from .reference import MaternParams, matern_cov, params_from_profile, whittle_variance
-from .sampler import analytic_covariance, covariance_slice, nearest_node, sample_fields
+from .sampler import analytic_covariance, sample_fields
 from .smoothness import ProfileError
 
 COMMANDS = ("assemble", "sample", "covariance", "matern", "converge", "kernel-check")
@@ -140,10 +140,10 @@ def _cmd_sample(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
     with _timed(timings, "sample"):
-        batch = sample_fields(system, cfg.m, cfg.seed)
-    names = ["node_x"] + [f"u_{k + 1}" for k in range(batch.m)]
+        u = sample_fields(system, cfg.m, cfg.seed)
+    names = ["node_x"] + [f"u_{k + 1}" for k in range(u.shape[1])]
     with _timed(timings, "write"):
-        path = write_csv(cfg.out_dir / "samples.csv", names, [batch.coords, batch.samples])
+        path = write_csv(cfg.out_dir / "samples.csv", names, [system.mesh.interior_coords, u])
     _write_manifest(cfg, "sample", [path], timings, system=system.to_manifest())
     return 0
 
@@ -156,21 +156,22 @@ def _cmd_covariance(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
     with _timed(timings, "covariance"):
-        cov = analytic_covariance(system)
+        c = analytic_covariance(system)
+    coords = system.mesh.interior_coords
     outputs, snapped = [], []
     with _timed(timings, "write"):
-        for x0 in cfg.slices:
-            node = float(cov.coords[nearest_node(cov, x0)])
+        for x0 in cfg.slices:  # config checks put each x0 in D
+            i = int(np.argmin(np.abs(coords - x0)))
+            node = float(coords[i])
             if node != x0:
                 print(f"note: slice location {x0} is not a node; using the node at {node}",
                       file=sys.stderr)
                 snapped.append({"requested": x0, "node": node})
-            ys, vals = covariance_slice(cov, node)
             path = cfg.out_dir / f"covariance_x{_slice_tag(x0)}.csv"
-            outputs.append(write_csv(path, ["y", "C_x0_y"], [ys, vals]))
+            outputs.append(write_csv(path, ["y", "C_x0_y"], [coords, c[i]]))
         if "vwm1" in cfg.formats:
             side = {"config": cfg.echo(), **system.to_manifest()}
-            outputs.append(write_matrix(cfg.out_dir / "covariance.vwm1", cov.matrix, side))
+            outputs.append(write_matrix(cfg.out_dir / "covariance.vwm1", c, side))
     # recorded only where a slice moved, so on-node runs keep their manifest
     extra = {"snapped_slices": snapped} if snapped else {}
     _write_manifest(cfg, "covariance", outputs, timings, system=system.to_manifest(), **extra)

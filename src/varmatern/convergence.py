@@ -29,6 +29,10 @@ __all__ = [
 # Error norms rate_from_systems accepts, over D or over the whole mesh (error_mass).
 NORM_KINDS = ("mass_matrix", "quadrature")
 
+# Failures of a stage that rate_from_systems reports with the stage's name; any
+# other exception (a TypeError, say) is a programming error and propagates.
+_NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
+
 
 class RateReport:
     """Per-level strong errors and the estimated convergence rate."""
@@ -133,14 +137,14 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
     mu = systems[0].ctx.mu
     try:
         loads = coupled_loads(systems[0], meshes[1:], m, seed)
-    except Exception as exc:
+    except _NUMERICAL_ERRORS as exc:
         raise RuntimeError(f"coupled load generation failed: {exc}") from exc
 
     sols = []  # each solved in its load's memory
     for sys_l, b in zip(systems, loads):
         try:
             sols.append(solve_with_factor(sys_l.stiffness_cholesky, b, overwrite_b=True))
-        except Exception as exc:
+        except _NUMERICAL_ERRORS as exc:
             raise RuntimeError(
                 f"solve failed at level {sys_l.mesh.level}: {exc}"
             ) from exc

@@ -140,19 +140,20 @@ def test_criterion_04_singular_block_oracle_equivalence():
 def test_criterion_05_constant_order_covariance(build_system):
     system = build_system("const05", 2.5, 6)
     cov = analytic_covariance(system)
-    i0 = int(np.argmin(np.abs(cov.coords)))
-    ref = 0.2 * np.exp(-2.5 * np.abs(cov.coords))
-    band = np.abs(cov.coords) <= 1.5
-    dev = float(np.max(np.abs(cov.matrix[i0] - ref)[band]))
+    coords = system.mesh.interior_coords
+    i0 = int(np.argmin(np.abs(coords)))
+    ref = 0.2 * np.exp(-2.5 * np.abs(coords))
+    band = np.abs(coords) <= 1.5
+    dev = float(np.max(np.abs(cov[i0] - ref)[band]))
     _report(5, dev <= 0.02,
             f"max |C(0,y) - 0.2 e^(-2.5|y|)| = {dev:.3e} <= 0.02 on |y| <= 1.5")
 
 
 # ---------------------------------------------------------------------------
 def test_criterion_06_case1_covariance_sandwich(build_system):
-    c_mid = analytic_covariance(build_system("step", 2.0, 6)).matrix
-    c_lo = analytic_covariance(build_system("const035", 1.5, 6)).matrix
-    c_hi = analytic_covariance(build_system("const085", 2.5, 6)).matrix
+    c_mid = analytic_covariance(build_system("step", 2.0, 6))
+    c_lo = analytic_covariance(build_system("const035", 1.5, 6))
+    c_hi = analytic_covariance(build_system("const085", 2.5, 6))
     coords = build_system("step", 2.0, 6).mesh.interior_coords
     worst = -np.inf
     for x0 in (-1.5, 0.0, 1.5):

@@ -281,10 +281,10 @@ def test_truncation_insensitivity(build_system):
     sys5 = build_system("const05", 2.5, 5, r_ext=5.0)
     c4 = analytic_covariance(sys4)
     c5 = analytic_covariance(sys5)
-    i4 = int(np.argmin(np.abs(c4.coords)))
-    i5 = int(np.argmin(np.abs(c5.coords)))
-    v4 = c4.matrix[i4, i4]
-    v5 = c5.matrix[i5, i5]
+    i4 = int(np.argmin(np.abs(sys4.mesh.interior_coords)))
+    i5 = int(np.argmin(np.abs(sys5.mesh.interior_coords)))
+    v4 = c4[i4, i4]
+    v5 = c5[i5, i5]
     assert abs(v4 - v5) / v5 < 0.02
 
 
@@ -294,8 +294,8 @@ def test_quadrature_order_robustness(build_system):
     bumped = build_system("const05", 2.5, 6, n=n0 + 4)
     c0 = analytic_covariance(base)
     c1 = analytic_covariance(bumped)
-    i0 = int(np.argmin(np.abs(c0.coords)))
-    rel = abs(c0.matrix[i0, i0] - c1.matrix[i0, i0]) / c1.matrix[i0, i0]
+    i0 = int(np.argmin(np.abs(base.mesh.interior_coords)))
+    rel = abs(c0[i0, i0] - c1[i0, i0]) / c1[i0, i0]
     assert rel < 1e-6
 
 

@@ -254,6 +254,28 @@ def test_cli_covariance_off_node_slice_prints_one_note(tmp_path, capsys):
     assert "snapped_slices" not in json.loads((on_node / "manifest.json").read_text())
 
 
+def test_cli_covariance_slices_are_rows_of_the_written_matrix(tmp_path):
+    # with vwm1, each slice holds the row of the written matrix at its node
+    out = tmp_path / "cov"
+    slices = (-1.5, 0.013, 1.5)
+    assert _run(["covariance", "--level", "4", "--profile", "step", "--s-lower", "0.35",
+                 "--s-upper", "0.85", "--slices", ",".join(map(str, slices)),
+                 "--outputs.formats", '["csv","vwm1"]', "--out", str(out)]) == 0
+    c, side = fileio.read_matrix(out / "covariance.vwm1")
+    assert np.array_equal(c, c.T)
+    assert "config" in side and "quadrature" in side
+    man = json.loads((out / "manifest.json").read_text())
+    assert str(out / "covariance.vwm1") in man["outputs"]
+    cfg = load_config(overrides={"domain.level": 4})
+    cfg.check_command("covariance")
+    coords = cfg.meshes[0].interior_coords
+    for x0 in slices:
+        lines = (out / f"covariance_x{cli._slice_tag(x0)}.csv").read_text().splitlines()
+        ys, vals = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        assert np.array_equal(ys, coords)
+        assert np.array_equal(vals, c[int(np.argmin(np.abs(coords - x0)))]), x0
+
+
 def test_cli_assemble_writes_dense_masses(tmp_path):
     # M and A1 are held sparse; their .vwm1 files hold the dense matrices
     out = tmp_path / "asm"

@@ -186,6 +186,19 @@ def test_stage_failure_names_stage(monkeypatch, build_system):
         rate_from_systems(systems, 10, seed=1)
 
 
+def test_programming_error_is_not_a_stage_failure(monkeypatch, build_system):
+    # only numerical failures are renamed for the stage; a bug propagates as itself
+    systems = [build_system("const05", 2.5, lev) for lev in (5, 4, 3)]
+    import varmatern.convergence as conv
+
+    def bug(*a, **k):
+        raise TypeError("synthetic")
+
+    monkeypatch.setattr(conv, "draw_noise", bug)
+    with pytest.raises(TypeError, match="synthetic"):
+        rate_from_systems(systems, 10, seed=1)
+
+
 def test_level_error_samples_matches_per_sample_loop(rng):
     from varmatern.convergence import level_error_samples
 

@@ -6,14 +6,7 @@ import pytest
 from varmatern import assembly, linalg, smoothness
 from varmatern.kernel import KernelContext
 from varmatern.mesh import build_uniform
-from varmatern.sampler import (
-    SampleBatch,
-    analytic_covariance,
-    covariance_slice,
-    draw_noise,
-    empirical_covariance,
-    sample_fields,
-)
+from varmatern.sampler import analytic_covariance, draw_noise, empirical_covariance, sample_fields
 
 
 def test_draw_noise_empty():
@@ -73,36 +66,35 @@ def test_sample_scaling_in_mu(build_system):
     sys1 = build_system("const05", 2.5, 3, mu=1.0)
     sys2 = build_system("const05", 2.5, 3, mu=2.0)
     assert np.allclose(sys1.a, sys2.a)  # mu enters only through the load
-    u1 = sample_fields(sys1, 16, seed=5).samples
-    u2 = sample_fields(sys2, 16, seed=5).samples
+    u1 = sample_fields(sys1, 16, seed=5)
+    u2 = sample_fields(sys2, 16, seed=5)
     assert np.array_equal(u1, 2.0 * u2)
 
 
 def test_sampling_deterministic_given_seed(build_system):
     system = build_system("const05", 2.5, 3)
-    a = sample_fields(system, 32, seed=11).samples
-    b = sample_fields(system, 32, seed=11).samples
-    c = sample_fields(system, 32, seed=12).samples
+    a = sample_fields(system, 32, seed=11)
+    b = sample_fields(system, 32, seed=11)
+    c = sample_fields(system, 32, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_empty_batch(build_system):
     system = build_system("const05", 2.5, 3)
-    batch = sample_fields(system, 0, seed=1)
-    assert batch.samples.shape == (system.n, 0)
+    u = sample_fields(system, 0, seed=1)
+    assert u.shape == (system.n, 0)
     with pytest.raises(ValueError):
-        empirical_covariance(batch)
+        empirical_covariance(u)
 
 
 def test_analytic_covariance_basic_properties(build_system):
     system = build_system("const05", 2.5, 4)
     cov = analytic_covariance(system)
-    assert cov.kind == "analytic"
-    assert np.all(np.diag(cov.matrix) > 0)
-    assert np.max(np.abs(cov.matrix - cov.matrix.T)) <= 1e-12 * np.max(cov.matrix)
-    eigs = np.linalg.eigvalsh(cov.matrix)
-    assert eigs.min() >= -1e-10 * np.max(np.abs(cov.matrix))
+    assert np.all(np.diag(cov) > 0)
+    assert np.max(np.abs(cov - cov.T)) <= 1e-12 * np.max(cov)
+    eigs = np.linalg.eigvalsh(cov)
+    assert eigs.min() >= -1e-10 * np.max(np.abs(cov))
 
 
 def test_stiffness_factored_once_per_system(monkeypatch):
@@ -124,7 +116,7 @@ def test_stiffness_factored_once_per_system(monkeypatch):
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_analytic_covariance_symmetric_and_matches_dense(build_system, profile, level):
     system = build_system(profile, 2.5, level)
-    c = analytic_covariance(system).matrix
+    c = analytic_covariance(system)
     assert np.array_equal(c, c.T)
     a = build_system(profile, 2.5, level).a  # factoring overwrote system.a
     ref = np.linalg.solve(a, np.linalg.solve(a, system.m.toarray()).T) / system.ctx.mu**2
@@ -133,10 +125,10 @@ def test_analytic_covariance_symmetric_and_matches_dense(build_system, profile, 
 
 def test_analytic_covariance_mu_scaling(build_system):
     # 1/mu scales M's factor: a power of two commutes with every rounding
-    c1 = analytic_covariance(build_system("const05", 2.5, 3, mu=1.0)).matrix
-    c2 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.0)).matrix
+    c1 = analytic_covariance(build_system("const05", 2.5, 3, mu=1.0))
+    c2 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.0))
     assert np.array_equal(c1, 4.0 * c2)
-    c25 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.5)).matrix
+    c25 = analytic_covariance(build_system("const05", 2.5, 3, mu=2.5))
     assert np.array_equal(c25, c25.T)
     assert np.max(np.abs(6.25 * c25 - c1)) <= 1e-14 * np.max(np.abs(c1))
 
@@ -146,66 +138,47 @@ def test_empirical_matches_analytic(build_system):
     system = build_system("const05", 2.5, 3)  # the covariance took the first one's factor
     m = 2000
     emp = empirical_covariance(sample_fields(system, m, seed=3))
-    stderr = np.sqrt(
-        (np.outer(np.diag(cov.matrix), np.diag(cov.matrix)) + cov.matrix**2) / m
-    )
-    assert np.all(np.abs(emp.matrix - cov.matrix) <= 5 * stderr)
+    stderr = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / m)
+    assert np.all(np.abs(emp - cov) <= 5 * stderr)
 
 
 def test_monte_carlo_consistency_shrinks(build_system):
-    ref = analytic_covariance(build_system("const05", 2.5, 3)).matrix
+    ref = analytic_covariance(build_system("const05", 2.5, 3))
     system = build_system("const05", 2.5, 3)  # the covariance took the first one's factor
     devs = []
     for m in (100, 1000, 10_000):
-        emp = empirical_covariance(sample_fields(system, m, seed=21)).matrix
+        emp = empirical_covariance(sample_fields(system, m, seed=21))
         devs.append(np.linalg.norm(emp - ref))
     assert devs[0] > devs[1] > devs[2]
 
 
 def test_empirical_covariance_holds_one_array(rng):
     # the product is scaled in its own memory: bitwise (s s^T) / m, one N x N array
-    mesh = build_uniform(3.0, 4.0, 7)
-    n, m = mesh.interior_node_count, 40
-    batch = SampleBatch(mesh, 0, rng.standard_normal((n, m)))
+    n, m = build_uniform(3.0, 4.0, 7).interior_node_count, 40
+    samples = rng.standard_normal((n, m))
     tracemalloc.start()
     try:
-        c = empirical_covariance(batch).matrix
+        c = empirical_covariance(samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(c, (batch.samples @ batch.samples.T) / m)
+    assert np.array_equal(c, (samples @ samples.T) / m)
     assert peak <= 1.02 * n * n * 8
 
 
 def test_covariance_even_symmetry(build_system):
     # even profile on a symmetric domain: C(0, y) = C(0, -y)
-    cov = analytic_covariance(build_system("bump", 2.5, 4))
-    ys, vals = covariance_slice(cov, 0.0)
+    system = build_system("bump", 2.5, 4)
+    i0 = int(np.argmin(np.abs(system.mesh.interior_coords)))
+    vals = analytic_covariance(system)[i0]
     assert np.allclose(vals, vals[::-1], atol=1e-10 * np.max(np.abs(vals)))
-
-
-def test_slice_diagonal_value(build_system):
-    cov = analytic_covariance(build_system("const05", 2.5, 3))
-    ys, vals = covariance_slice(cov, 1.5)
-    idx = int(np.argmin(np.abs(ys - 1.5)))
-    assert vals[idx] == cov.matrix[idx, idx]
-
-
-def test_slice_snapping_warns(build_system):
-    cov = analytic_covariance(build_system("const05", 2.5, 3))
-    with pytest.warns(UserWarning, match="snapping"):
-        ys, vals = covariance_slice(cov, 0.001)
-    i0 = int(np.argmin(np.abs(ys)))  # snapped to the node at 0
-    assert np.array_equal(vals, cov.matrix[i0])
-    with pytest.raises(ValueError):
-        covariance_slice(cov, 3.5)
 
 
 def test_sandwich_preview_level5(build_system):
     # Case-1 ordering at a desk level (the acceptance runs level 6)
-    c_mid = analytic_covariance(build_system("step", 2.0, 5)).matrix
-    c_lo = analytic_covariance(build_system("const035", 1.5, 5)).matrix
-    c_hi = analytic_covariance(build_system("const085", 2.5, 5)).matrix
+    c_mid = analytic_covariance(build_system("step", 2.0, 5))
+    c_lo = analytic_covariance(build_system("const035", 1.5, 5))
+    c_hi = analytic_covariance(build_system("const085", 2.5, 5))
     coords = build_system("step", 2.0, 5).mesh.interior_coords
     for x0 in (-1.5, 0.0, 1.5):
         i = int(np.argmin(np.abs(coords - x0)))
