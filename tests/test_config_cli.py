@@ -4,6 +4,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -182,6 +183,11 @@ _PRE_POW10 = [math.nextafter(10.0**j, 0.0) for j in range(-3, 17)]
 # 17-digit rounding that carries to the next power of ten (1e-14 and 1e98
 # print as such but lie below them), and log10 rounding up below 10**j
 @example(values=[1e-14, -1e98, *_PRE_POW10], n_cols=4)
+# a value that fills its 24-byte slot with the separator exactly, and two
+# outside the window that need 25 bytes
+@example(values=[-0.00012345678901234567], n_cols=1)
+@example(values=[-2.2250738585072014e-308], n_cols=1)
+@example(values=[-3.2140278058893415e+153], n_cols=1)
 def test_csv_bytes_equal_format_float_join(tmp_path_factory, values, n_cols):
     # taller than one block of rows; columns given as a 1d array and a 2d block
     rows = fileio._BLOCK_VALUES // n_cols + 3
@@ -191,6 +197,42 @@ def test_csv_bytes_equal_format_float_join(tmp_path_factory, values, n_cols):
     path = fileio.write_csv(tmp_path_factory.mktemp("csv") / "t.csv", names, cols)
     lines = [",".join(names)] + [",".join(map(fileio.format_float, row)) for row in table]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _fixed_key(x):
+    """(negative, k, index of the last nonzero of the 17 digits) of %.17g."""
+    sign, digits, exponent = Decimal(fileio.format_float(x)).normalize().as_tuple()
+    return sign, len(digits) - 1 + exponent, len(digits) - 1
+
+
+def test_csv_covers_every_slot_template(tmp_path):
+    # one value per template of the window: sign x k in [-4, 15] x the last
+    # nonzero digit in [0, 16]; each the first of a fixed run of m * 10**(k - L)
+    # with m of L + 1 digits whose %.17g keeps exactly those digits
+    values = []
+    for negative, k, last in np.ndindex(2, 20, 17):
+        k -= 4
+        for c in range(1, 300):
+            m = 10**last + c * 7919 % (9 * 10**last)
+            x = float(f"{'-' * negative}{m}e{k - last}")
+            if _fixed_key(x) == (negative, k, last):
+                values.append(x)
+                break
+    assert len(values) == 680
+    path = fileio.write_csv(tmp_path / "t.csv", ["v"], [np.array(values)])
+    lines = ["v", *map(fileio.format_float, values)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_sample_table_as_the_cli_passes_it(tmp_path):
+    # samples.csv at level 6: the node column and the 385 x 1000 sample block,
+    # scaled from 1e-6 to 10 so that values outside the window mix in
+    coords = -3.0 + np.arange(385) * (6.0 / 384)
+    u = np.random.default_rng(3).standard_normal((385, 1000)) * np.logspace(-6, 1, 1000)
+    names = ["node_x"] + [f"u_{k + 1}" for k in range(1000)]
+    path = fileio.write_csv(tmp_path / "samples.csv", names, [coords, u])
+    rows = (",".join(map(fileio.format_float, [x, *row])) for x, row in zip(coords, u))
+    assert path.read_bytes() == ("\n".join([",".join(names), *rows]) + "\n").encode()
 
 
 def test_csv_writer_streams_rows_from_columns(tmp_path):
@@ -224,8 +266,7 @@ def test_cli_covariance_slices(tmp_path):
     ])
     assert code == 0
     files = sorted(p.name for p in out.glob("covariance_*.csv"))
-    assert files == ["covariance_xm1p5.csv", "covariance_x0.csv",
-                     "covariance_x1p5.csv"] or len(files) == 3
+    assert files == ["covariance_x0.csv", "covariance_x1p5.csv", "covariance_xm1p5.csv"]
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "covariance"
     assert man["config"]["domain"]["level"] == 3
