@@ -25,16 +25,9 @@ ordered by offset and then by first cell. On the uniform mesh the pairs of
 one offset share their distance grid, so a pair's kernel grid is set by its
 offset and by the runs of equal s, at its cells' nodes, that hold its two
 cells: each distinct (offset, run, run) of a pass is evaluated once, by
-farfield.kernel_grids. That evaluator takes the grids directly where they
-are few per distance grid (a piecewise-constant profile: one to three per
-offset), and otherwise from a table of the kernel on the pass's distance
-grids at the BETA_DEGREE + 1 Chebyshev points of [s_lower, s_upper] in beta,
-its series chopped after the degree that the pass needs and summed by
-Clenshaw. The table holds the kernel with its growth in nu,
-max(4, 2 kappa r)^nu / r^(2 nu), divided out; a table that does not resolve
-the rest to BETA_TAIL_RTOL raises AssemblyError. The cross blocks of a cell
-offset go onto A in one strided add per farfield._BLOCK_BYTES of them, and
-the self blocks are summed per element and reach its band once.
+farfield.kernel_grids, directly or from its beta table. The cross blocks of
+a cell offset go onto A in one strided add per farfield._BLOCK_BYTES of
+them, and the self blocks are summed per element and reach its band once.
 
 assemble_stiffness runs four phases, each a module function that adds into
 one A and returns its part of the manifest: _add_near_field (identical and
@@ -68,7 +61,7 @@ from scipy import sparse
 from scipy.linalg import cholesky_banded
 
 from . import farfield, smoothness
-from .farfield import _chebyshev, _distinct_rows
+from .farfield import AssemblyError, _distinct_rows
 from .kernel import _phi_from_beta
 from .kernel import bessel_k  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import _mirror_upper, cholesky
@@ -83,16 +76,6 @@ __all__ = [
     "assemble_stiffness",
 ]
 
-
-# Chebyshev degree in beta of the disjoint-pair kernel table.
-BETA_DEGREE = 24
-
-# A table whose last two Chebyshev coefficients at some grid point exceed
-# this share of the largest one there does not resolve the kernel in beta,
-# and assembly fails. It sits a decade under the 1e-10 relative accuracy the
-# blocks are held to, and well above the noise of the tabulated values (K_nu
-# loses about z eps, 1.6e-13 at the z = 700 underflow cutoff).
-BETA_TAIL_RTOL = 1e-11
 
 # Tensor-Gauss order of the disjoint pairs by offset k: n_far(k) is
 # FAR_ORDERS[i] for FAR_BREAKS[i - 1] <= k < FAR_BREAKS[i] (10 for k = 2, 4
@@ -113,15 +96,6 @@ FAR_BREAKS = (3, 6, 24, 64)
 FAR_ORDERS = (10, 8, 6, 5, 4)
 DISJOINT_BLOCK_RTOL = 1e-12
 
-# The series of the beta table is summed only up to the lowest degree past
-# which its coefficients add up to at most this share of the smallest
-# tabulated value, at every point of the pass's grids (after Aurentz &
-# Trefethen, "Chopping a Chebyshev series", ACM TOMS 43(4), 2017), so the
-# chopped sum stays within it of the full one. Measured against the share
-# of the largest coefficient instead, the chopped sum missed the full one by
-# up to 1.4e-12 of itself, where the kernel falls steeply in beta.
-BETA_CHOP_RTOL = 1e-13
-
 # Cell pairs per pass of disjoint offsets, counting every pair an offset
 # may hold: their indices stay at about 1 MB.
 _CHUNK_PAIRS = 2**15
@@ -136,13 +110,6 @@ _CHUNK_POINTS = 2**15
 # integrands: their temporaries stay near 2 MB at order 12, well under the
 # bytes of A from level 6 on.
 _NEAR_ROWS = 256
-
-# Slack on the profile bounds for pair orders that rounding moved past them.
-_BETA_ROUNDING = 1e-14
-
-
-class AssemblyError(RuntimeError):
-    """Numerical failure during assembly (non-finite block, bad pair)."""
 
 
 class AssembledSystem:
@@ -434,62 +401,6 @@ def _add_upper_blocks(a, first, blocks):
                 a.ravel()[start : start + (e1 - e0) * (n + 1) : n + 1] += blocks[e0:e1, i, j]
 
 
-class _BetaTable:
-    """Chebyshev nodes of [s_lower, s_upper] in beta and the map from kernel
-    values at those nodes to Chebyshev coefficients (first kind)."""
-
-    def __init__(self, profile):
-        self.lower = profile.s_lower
-        self.upper = profile.s_upper
-        self.degree = BETA_DEGREE
-        self.mid = 0.5 * (self.lower + self.upper)
-        self.half = 0.5 * (self.upper - self.lower)
-        tau, self.to_coef = _chebyshev(self.degree + 1)
-        self.nodes = self.mid + self.half * tau
-
-    def coefficients(self, kappa, r, log_growth, ks):
-        """Coefficients in t of F = phi / max(4, 2 kappa r)^nu on the grids
-        r (one per offset in ``ks``, shape (len(ks), m, m)), shape
-        (chop + 1,) + r.shape; raises when unresolved.
-
-        ``log_growth`` is log max(4, 2 kappa r). phi grows like 4^nu where
-        kappa r is small and like (2 kappa r)^nu where it is large; dividing
-        that out leaves no growth in beta that depends on r or kappa, which
-        is what lets one fixed degree resolve every r and kappa. Grid points
-        where the kernel underflows to 0 count as resolved. The series is
-        chopped after the lowest degree past which the coefficients add up
-        to at most BETA_CHOP_RTOL of the smallest tabulated value, at every
-        grid point."""
-        b = self.nodes.reshape((-1,) + (1,) * r.ndim)
-        values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
-        coef = np.tensordot(self.to_coef, values, axes=1)
-        largest = np.max(np.abs(coef), axis=0)
-        trailing = np.max(np.abs(coef[-2:]), axis=0)
-        unresolved = trailing > BETA_TAIL_RTOL * largest
-        if np.any(unresolved):
-            worst = np.max(trailing[unresolved] / largest[unresolved])
-            raise AssemblyError(
-                f"beta table of degree {self.degree} does not resolve the kernel "
-                f"at disjoint offset {ks[np.argwhere(unresolved)[0][0]]}: trailing "
-                f"Chebyshev coefficient {worst:.1e} of the largest"
-            )
-        # dropped[j]: what the terms past degree j add up to at most
-        dropped = np.cumsum(np.abs(coef[:0:-1]), axis=0)[::-1]
-        too_much = dropped > BETA_CHOP_RTOL * np.min(np.abs(values), axis=0)
-        too_much = np.flatnonzero(np.any(too_much.reshape(self.degree, -1), axis=1))
-        return coef[: too_much[-1] + 2 if too_much.size else 1]
-
-    def check(self, b, ks):
-        """Raise when a pair order leaves the bounds; b holds the beta grids
-        (B, m, m) and ks the disjoint offset of each."""
-        outside = np.abs(b - self.mid) > self.half + _BETA_ROUNDING
-        if np.any(outside):
-            raise AssemblyError(
-                f"pair order beta leaves the profile bounds [{self.lower}, "
-                f"{self.upper}] at disjoint offset {ks[np.argwhere(outside)[0][0]]}"
-            )
-
-
 def _disjoint_orders(n_el, n, kappa_h):
     """Bands [k_first, k_last, order] of the disjoint offsets 2 ... n_el - 1
     that share one tensor-Gauss order, min(n, n_far(k)); n for every offset
@@ -598,7 +509,7 @@ def _add_near_field(a, mesh, ctx, rule):
     return {"identical": identical, "vertex_sharing": vertex_sharing}
 
 
-def _add_far_cells(a, mesh, ctx, table):
+def _add_far_cells(a, mesh, ctx):
     """The far cell pairs onto A, from the largest cells down. Returns the
     mask ``far`` of the CELL_SIZE cell pairs whose blocks they took (the
     leaves), their self blocks summed per element, (n_el, 2, 2), and
@@ -609,7 +520,7 @@ def _add_far_cells(a, mesh, ctx, table):
     far = np.zeros((n_el // farfield.CELL_SIZE + 1,) * 2, dtype=bool)
     self_blocks = np.zeros((n_el, 2, 2))
     for size in sizes[::-1]:
-        cells, regular = farfield.far_cells(mesh, ctx.profile, table, size)
+        cells, regular = farfield.far_cells(mesh, ctx.profile, size)
         scale = size // farfield.CELL_SIZE
         leaves = slice(0, cells.count * scale, scale)
         pairs = _far_candidates(cells, regular, far[leaves, leaves])
@@ -633,7 +544,7 @@ def _add_far_cells(a, mesh, ctx, table):
     }
 
 
-def _add_element_pairs(a, mesh, ctx, table, n, far, self_blocks):
+def _add_element_pairs(a, mesh, ctx, n, far, self_blocks):
     """The disjoint element pairs that the far cells (``far``) leave onto A,
     as pairs of one-element cells in the order bands of _disjoint_orders;
     then their self blocks, summed into the far cells' ``self_blocks``, all
@@ -650,7 +561,7 @@ def _add_element_pairs(a, mesh, ctx, table, n, far, self_blocks):
     element_pairs = 0
     bands = _disjoint_orders(n_el, n, ctx.kappa * mesh.h)
     for k_first, k_last, order in bands:
-        level = farfield.element_cells(mesh, ctx.profile, table, order)
+        level = farfield.element_cells(mesh, ctx.profile, order)
         for e, k in _passes(level, k_first, k_last, needed, covered):
             g, inverse = level.grids(ctx, e, k)
             bad = np.flatnonzero(~np.all(np.isfinite(g), axis=(1, 2))[inverse])
@@ -683,8 +594,8 @@ def assemble_stiffness(mesh, ctx, n=None):
     quadrature_order with its defaults. Four phases add into one A, on its
     upper triangle and over the N unknowns only, in turn: the near field,
     the far cells, the element pairs they leave and A1. The system mirrors
-    A when ``a`` is first read. quad_meta records n as "n_disjoint", the
-    beta table's degree as "beta_degree" and what each phase returns.
+    A when ``a`` is first read. quad_meta records n as "n_disjoint",
+    farfield.BETA_DEGREE as "beta_degree" and what each phase returns.
     Raises AssemblyError naming the first kept pair whose block is not
     finite, or when the beta table does not resolve the kernel; A itself is
     checked where it is factored (``stiffness_cholesky``).
@@ -694,17 +605,15 @@ def assemble_stiffness(mesh, ctx, n=None):
         n = quadrature_order(mesh.h, profile.s_upper, profile.s_lower)
     n = int(n)
     rule = gauss_legendre_01(n)
-    table = _BetaTable(profile)
     a = np.zeros((mesh.interior_node_count,) * 2)
     near_field_keys = _add_near_field(a, mesh, ctx, rule)
-    far, self_blocks, far_cells = _add_far_cells(a, mesh, ctx, table)
-    bands, far_cells["element_pairs"] = _add_element_pairs(a, mesh, ctx, table, n, far,
-                                                           self_blocks)
+    far, self_blocks, far_cells = _add_far_cells(a, mesh, ctx)
+    bands, far_cells["element_pairs"] = _add_element_pairs(a, mesh, ctx, n, far, self_blocks)
     a1 = _add_weighted_mass(a, mesh, ctx, rule)
     quad_meta = {
         "n_disjoint": n,
         "disjoint_orders": bands,
-        "beta_degree": table.degree,
+        "beta_degree": farfield.BETA_DEGREE,
         "near_field_keys": near_field_keys,
         "far_cells": far_cells,
     }

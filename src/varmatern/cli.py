@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .assembly import AssemblyError, assemble_stiffness
 from .checks import bessel_bound_summary, two_regime_summary
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, slice_file
 from .convergence import rate_from_systems
 from .fileio import write_csv, write_json, write_matrix
 from .linalg import NotPositiveDefiniteError
@@ -148,10 +148,6 @@ def _cmd_sample(cfg):
     return 0
 
 
-def _slice_tag(x0):
-    return format(x0, "g").replace("-", "m").replace(".", "p")
-
-
 def _cmd_covariance(cfg):
     timings = {}
     system, = _assembled(cfg, timings)
@@ -160,14 +156,14 @@ def _cmd_covariance(cfg):
     coords = system.mesh.interior_coords
     outputs, snapped = [], []
     with _timed(timings, "write"):
-        for x0 in cfg.slices:  # config checks put each x0 in D
+        for x0 in cfg.slices:  # config checks put each x0 in D, in a file of its own
             i = int(np.argmin(np.abs(coords - x0)))
             node = float(coords[i])
             if node != x0:
                 print(f"note: slice location {x0} is not a node; using the node at {node}",
                       file=sys.stderr)
                 snapped.append({"requested": x0, "node": node})
-            path = cfg.out_dir / f"covariance_x{_slice_tag(x0)}.csv"
+            path = cfg.out_dir / slice_file(x0)
             outputs.append(write_csv(path, ["y", "C_x0_y"], [coords, c[i]]))
         if "vwm1" in cfg.formats:
             side = {"config": cfg.echo(), **system.to_manifest()}
@@ -206,18 +202,29 @@ def _cmd_converge(cfg):
     timings = {}
     systems = _assembled(cfg, timings)
     with _timed(timings, "converge"):
-        report = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
-    payload = report.to_dict()
-    payload["config_echo"] = cfg.echo()
-    levels = sorted(report.per_sample, reverse=True)
-    cols = [np.arange(1, report.m + 1)] + [report.per_sample[l] for l in levels]
-    names = ["sample"] + [f"err_level_{l}" for l in levels]
+        errors, r_hat, per_sample = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
+    payload = {
+        "levels": [s.mesh.level for s in systems],
+        "m": cfg.m,
+        "errors": {str(level): e for level, e in errors.items()},
+        "r_hat": r_hat,
+        "norm_kind": cfg.norm_kind,
+        "config": {
+            "kernel": cfg.ctx.to_dict(),
+            "mesh": systems[0].mesh.to_dict(),
+            "seed": cfg.seed,
+            "quad_n_per_level": {str(s.mesh.level): s.quad_meta["n_disjoint"] for s in systems},
+        },
+        "config_echo": cfg.echo(),
+    }
+    cols = [np.arange(1, cfg.m + 1), *per_sample.values()]
+    names = ["sample"] + [f"err_level_{level}" for level in per_sample]
     with _timed(timings, "write"):
         outputs = [
             write_json(cfg.out_dir / "rate_report.json", payload),
             write_csv(cfg.out_dir / "per_sample_errors.csv", names, cols),
         ]
-    _write_manifest(cfg, "converge", outputs, timings, r_hat=report.r_hat)
+    _write_manifest(cfg, "converge", outputs, timings, r_hat=r_hat)
     return 0
 
 

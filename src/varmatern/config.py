@@ -19,7 +19,7 @@ from .kernel import KernelContext
 from .mesh import MeshError, build_uniform
 from .quadrature import MAX_ORDER, quadrature_order
 
-__all__ = ["ConfigError", "RunConfig", "default_config_dict", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "default_config_dict", "load_config", "slice_file"]
 
 
 class ConfigError(ValueError):
@@ -45,6 +45,12 @@ def default_config_dict():
     }
 
 OUTPUT_FORMATS = ("csv", "vwm1")
+
+
+def slice_file(x0):
+    """The file name of the covariance slice at x0: covariance_x<tag>.csv,
+    the tag x0 in "%g" with "-" as "m" and "." as "p" (-1.5 -> xm1p5)."""
+    return "covariance_x" + format(x0, "g").replace("-", "m").replace(".", "p") + ".csv"
 
 
 def _deep_update(base, extra, prefix=""):
@@ -213,6 +219,11 @@ class RunConfig:
                     f"config key 'slices.x0' holds locations {outside} outside "
                     f"D = [{-self.r_int}, {self.r_int}]"
                 )
+            files = [slice_file(x) for x in self.slices]
+            shared = sorted({name for name in files if files.count(name) > 1})
+            if shared:
+                raise ConfigError(f"config key 'slices.x0' holds locations {self.slices} that "
+                                  f"share slice files: {', '.join(shared)}")
         if command == "matern":  # the Whittle variance needs nu = 2 s - 1/2 > 0
             if self.profile.kind == "constant":
                 if self.profile.params["s"] <= 0.25:

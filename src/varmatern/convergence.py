@@ -1,4 +1,4 @@
-"""Coupled-noise nested-mesh strong-error estimation and rate reporting.
+"""Coupled-noise nested-mesh strong-error estimation and the rate estimate.
 
 One fine Gaussian vector drives every level: the fine load is b_f = L_f z,
 coarser loads are successive restrictions P^T b. The strong error between
@@ -18,7 +18,6 @@ from .sampler import draw_noise
 
 __all__ = [
     "NORM_KINDS",
-    "RateReport",
     "injection",
     "coupled_loads",
     "level_error_samples",
@@ -32,31 +31,6 @@ NORM_KINDS = ("mass_matrix", "quadrature")
 # Failures of a stage that rate_from_systems reports with the stage's name; any
 # other exception (a TypeError, say) is a programming error and propagates.
 _NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError)
-
-
-class RateReport:
-    """Per-level strong errors and the estimated convergence rate."""
-
-    __slots__ = ("levels", "m", "errors", "r_hat", "norm_kind", "config", "per_sample")
-
-    def __init__(self, levels, m, errors, r_hat, norm_kind, config, per_sample=None):
-        self.levels = list(levels)
-        self.m = int(m)
-        self.errors = dict(errors)
-        self.r_hat = float(r_hat)
-        self.norm_kind = norm_kind
-        self.config = dict(config)
-        self.per_sample = dict(per_sample or {})
-
-    def to_dict(self):
-        return {
-            "levels": self.levels,
-            "m": self.m,
-            "errors": {str(k): v for k, v in self.errors.items()},
-            "r_hat": self.r_hat,
-            "norm_kind": self.norm_kind,
-            "config": self.config,
-        }
 
 
 def injection(coarse, fine):
@@ -78,18 +52,15 @@ def injection(coarse, fine):
     return sparse.csr_array((vals, (rows, cols)), shape=(fine.interior_node_count, i.size))
 
 
-def coupled_loads(fine_system, coarser_meshes, m, seed):
+def coupled_loads(fine_system, prolongations, m, seed):
     """Loads per level: fine b = L z, then successive restrictions P^T b.
 
-    ``coarser_meshes`` is ordered fine-to-coarse, each one level below the
-    previous; the returned list starts with the fine load.
+    ``prolongations`` holds the injections into each level from the one
+    below, fine to coarse; the returned list starts with the fine load.
     """
     loads = [draw_noise(fine_system.mass_cholesky, m, seed)]
-    mesh_fine = fine_system.mesh
-    for mesh_coarse in coarser_meshes:
-        p = injection(mesh_coarse, mesh_fine)
+    for p in prolongations:
         loads.append(p.T @ loads[-1])
-        mesh_fine = mesh_coarse
     return loads
 
 
@@ -126,17 +97,20 @@ def error_mass(system, norm_kind):
 def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
     """Rate estimate from three systems of consecutive levels, ordered fine
     to coarse: coupled loads by successive restriction, one solve per level
-    with its cached factor, and log2(E_{l-1} / E_l). Raises
-    FloatingPointError when a solution is not finite."""
+    with its cached factor, and log2(E_{l-1} / E_l). Returns (errors, r_hat,
+    per_sample): E_l and the per-sample errors keyed by the two finer
+    levels, fine first. Raises FloatingPointError when a solution is not
+    finite."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     levels = [s.mesh.level for s in systems]
     if len(systems) != 3 or levels[0] - levels[1] != 1 or levels[1] - levels[2] != 1:
         raise ValueError(f"need three consecutive levels fine to coarse, got {levels}")
-    meshes = [s.mesh for s in systems]
     mu = systems[0].ctx.mu
     try:
-        loads = coupled_loads(systems[0], meshes[1:], m, seed)
+        prolongations = [injection(coarse.mesh, fine.mesh)
+                         for fine, coarse in zip(systems, systems[1:])]
+        loads = coupled_loads(systems[0], prolongations, m, seed)
     except _NUMERICAL_ERRORS as exc:
         raise RuntimeError(f"coupled load generation failed: {exc}") from exc
 
@@ -155,21 +129,10 @@ def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
                 f"converge: non-finite solution at level {sys_l.mesh.level} (mu = {mu})"
             )
 
-    errors = {}
-    per_sample = {}
-    for i in (0, 1):
-        p = injection(meshes[i + 1], meshes[i])
-        mass = error_mass(systems[i], norm_kind)
-        samples = level_error_samples(sols[i], sols[i + 1], p, mass)
-        per_sample[levels[i]] = samples
-        errors[levels[i]] = float(np.sqrt(np.mean(samples**2)))
-    r_hat = float(np.log2(errors[levels[1]] / errors[levels[0]]))
-    config = {
-        "kernel": systems[0].ctx.to_dict(),
-        "mesh": meshes[0].to_dict(),
-        "seed": seed,
-        "quad_n_per_level": {
-            str(s.mesh.level): s.quad_meta["n_disjoint"] for s in systems
-        },
+    per_sample = {
+        levels[i]: level_error_samples(sols[i], sols[i + 1], p, error_mass(systems[i], norm_kind))
+        for i, p in enumerate(prolongations)
     }
-    return RateReport(levels, m, errors, r_hat, norm_kind, config, per_sample)
+    errors = {level: float(np.sqrt(np.mean(e**2))) for level, e in per_sample.items()}
+    r_hat = float(np.log2(errors[levels[1]] / errors[levels[0]]))
+    return errors, r_hat, per_sample

@@ -23,9 +23,21 @@ CELL_SEPARATION or more cells apart that no larger pair holds take g from its
 interpolant where that resolves g, else split in four; cell_sizes stops where
 cells are too long to resolve exp(-kappa r). Every kernel grid comes from kernel_grids, the one
 evaluator of the disjoint pairs.
+
+kernel_grids takes the grids directly where they are few per distance grid
+(a piecewise-constant profile: one to three per offset), and otherwise from
+a table of the kernel on the distance grids at the BETA_DEGREE + 1
+Chebyshev points of [s_lower, s_upper] in beta (_beta_coefficients), its
+series chopped after the degree that the grids need and summed by Clenshaw.
+The table holds the kernel with its growth in nu, max(4, 2 kappa r)^nu /
+r^(2 nu), divided out; a table that does not resolve the rest to
+BETA_TAIL_RTOL, or a pair order outside the profile bounds, raises
+AssemblyError.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -81,15 +93,45 @@ CELL_KAPPA_LARGEST = 2.5
 # the one-level far field, which raised the peak RSS of the sampling after it.
 _BLOCK_BYTES = 2**19
 
+# Chebyshev degree in beta of the disjoint-pair kernel table.
+BETA_DEGREE = 24
 
+# A table whose last two Chebyshev coefficients at some grid point exceed
+# this share of the largest one there does not resolve the kernel in beta,
+# and assembly fails. It sits a decade under the 1e-10 relative accuracy the
+# blocks are held to, and well above the noise of the tabulated values (K_nu
+# loses about z eps, 1.6e-13 at the z = 700 underflow cutoff).
+BETA_TAIL_RTOL = 1e-11
+
+# The series of the beta table is summed only up to the lowest degree past
+# which its coefficients add up to at most this share of the smallest
+# tabulated value, at every point of the grids (after Aurentz & Trefethen,
+# "Chopping a Chebyshev series", ACM TOMS 43(4), 2017), so the chopped sum
+# stays within it of the full one. Measured against the share of the
+# largest coefficient instead, the chopped sum missed the full one by up to
+# 1.4e-12 of itself, where the kernel falls steeply in beta.
+BETA_CHOP_RTOL = 1e-13
+
+# Slack on the profile bounds for pair orders that rounding moved past them.
+_BETA_ROUNDING = 1e-14
+
+
+class AssemblyError(RuntimeError):
+    """Numerical failure during assembly (non-finite block, bad pair)."""
+
+
+@cache
 def _chebyshev(count):
     """The ``count`` Chebyshev points of the first kind on [-1, 1] and the map
-    from values there to the coefficients of their interpolant."""
+    from values there to the coefficients of their interpolant, read-only
+    (cached per count)."""
     j = np.arange(count)
     theta = np.pi * (j + 0.5) / count
     to_coef = 2.0 / count * np.cos(np.outer(j, theta))
     to_coef[0] *= 0.5
-    return np.cos(theta), to_coef
+    tau = np.cos(theta)
+    tau.flags.writeable = to_coef.flags.writeable = False
+    return tau, to_coef
 
 
 def _clenshaw(coef, t):
@@ -106,29 +148,70 @@ def _clenshaw(coef, t):
     return coef[0] + t * b1 - b2
 
 
-def kernel_grids(kappa, table, r, beta, group, ks):
+def _beta_coefficients(kappa, mid, half, r, log_growth, ks):
+    """Coefficients in t of F = phi / max(4, 2 kappa r)^nu, nu = 1/2 + beta,
+    beta = mid + half t, from its values at the BETA_DEGREE + 1 Chebyshev
+    points in t on the grids r (one per offset in ``ks``, shape (len(ks),
+    m, m)), shape (chop + 1,) + r.shape; raises AssemblyError when
+    unresolved.
+
+    ``log_growth`` is log max(4, 2 kappa r). phi grows like 4^nu where
+    kappa r is small and like (2 kappa r)^nu where it is large; dividing
+    that out leaves no growth in beta that depends on r or kappa, which is
+    what lets one fixed degree resolve every r and kappa. Grid points where
+    the kernel underflows to 0 count as resolved. The series is chopped
+    after the lowest degree past which the coefficients add up to at most
+    BETA_CHOP_RTOL of the smallest tabulated value, at every grid point."""
+    tau, to_coef = _chebyshev(BETA_DEGREE + 1)
+    b = (mid + half * tau).reshape((-1,) + (1,) * r.ndim)
+    values = _phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
+    coef = np.tensordot(to_coef, values, axes=1)
+    largest = np.max(np.abs(coef), axis=0)
+    trailing = np.max(np.abs(coef[-2:]), axis=0)
+    unresolved = trailing > BETA_TAIL_RTOL * largest
+    if np.any(unresolved):
+        worst = np.max(trailing[unresolved] / largest[unresolved])
+        raise AssemblyError(
+            f"beta table of degree {BETA_DEGREE} does not resolve the kernel "
+            f"at disjoint offset {ks[np.argwhere(unresolved)[0][0]]}: trailing "
+            f"Chebyshev coefficient {worst:.1e} of the largest"
+        )
+    # dropped[j]: what the terms past degree j add up to at most
+    dropped = np.cumsum(np.abs(coef[:0:-1]), axis=0)[::-1]
+    too_much = dropped > BETA_CHOP_RTOL * np.min(np.abs(values), axis=0)
+    too_much = np.flatnonzero(np.any(too_much.reshape(BETA_DEGREE, -1), axis=1))
+    return coef[: too_much[-1] + 2 if too_much.size else 1]
+
+
+def kernel_grids(kappa, profile, r, beta, group, ks):
     """The kernel g = phi r^(-1 - 2 beta) of disjoint pairs on the beta grids
     ``beta`` (B, m, m), grid i at the distances r[group[i]] (r holds one
     grid per offset, ``group`` ascends); ks[j] is the element offset of
     r[j], which errors name.
 
-    Orders outside the bounds of the beta ``table`` raise first. Grids that
-    number at most the table's degree + 1 nodes per distance grid (a
+    Orders outside the bounds of ``profile`` raise AssemblyError first.
+    Grids that number at most BETA_DEGREE + 1 per distance grid (a
     piecewise-constant profile) are evaluated directly; more than that cost
-    less from the table: its series on the distance grids, chopped where
-    its tail is negligible, summed by one Clenshaw pass per distance grid.
+    less from the beta table: its series on the distance grids, chopped
+    where its tail is negligible, summed by one Clenshaw pass per distance
+    grid.
     """
-    table.check(beta, ks[group])
-    if beta.shape[0] <= (table.degree + 1) * r.shape[0]:
+    lower, upper = profile.s_lower, profile.s_upper
+    mid, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    outside = np.abs(beta - mid) > half + _BETA_ROUNDING
+    if np.any(outside):
+        raise AssemblyError(f"pair order beta leaves the profile bounds [{lower}, {upper}] at "
+                            f"disjoint offset {ks[group][np.argwhere(outside)[0][0]]}")
+    if beta.shape[0] <= (BETA_DEGREE + 1) * r.shape[0]:
         r = r[group]
         return _phi_from_beta(kappa, beta, r) * r ** (-1.0 - 2.0 * beta)
     log_growth = np.log(np.maximum(4.0, 2.0 * kappa * r))
-    coef = table.coefficients(kappa, r, log_growth, ks)
+    coef = _beta_coefficients(kappa, mid, half, r, log_growth, ks)
     g = np.empty_like(beta)
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     for i0, i1 in zip(starts, np.append(starts[1:], group.size)):
         j, b = group[i0], beta[i0:i1]
-        f = _clenshaw(coef[:, j], (b - table.mid) / table.half)
+        f = _clenshaw(coef[:, j], (b - mid) / half)
         g[i0:i1] = f * np.exp((0.5 + b) * (log_growth[j] - 2.0 * np.log(r[j])))
     return g
 
@@ -154,9 +237,8 @@ class _Cells:
     over the pairs a cell is first in and mu G over those it is second in.
     """
 
-    def __init__(self, mesh, table, size, t, s, w, mu, m2):
+    def __init__(self, mesh, size, t, s, w, mu, m2):
         self.mesh = mesh
-        self.table = table
         self.size = size
         self.t, self.s, self.w, self.mu, self.m2 = t, s, w, mu, m2
         self.count = n = s.shape[0]
@@ -175,7 +257,7 @@ class _Cells:
         first, group = _distinct_rows(d)
         d = d[first]
         r = self.mesh.h * self.size * (d[:, None, None] + self.t[None, :] - self.t[:, None])
-        return kernel_grids(ctx.kappa, self.table, r, beta, group, d * self.size), inverse
+        return kernel_grids(ctx.kappa, ctx.profile, r, beta, group, d * self.size), inverse
 
     def add(self, a, c, d, g, inverse):
         """Add the cell pairs (c, c + d), ordered by d, with the kernel grids
@@ -212,14 +294,14 @@ class _Cells:
         return blocks
 
 
-def element_cells(mesh, profile, table, order):
+def element_cells(mesh, profile, order):
     """The elements as cells of one element, on the nodes of tensor Gauss of
     ``order``."""
     rule = gauss_legendre_01(order)
     x, w = rule.nodes, rule.weights
     psi = np.stack([1.0 - x, x])
     s = smoothness.evaluate(profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * x)
-    return _Cells(mesh, table, 1, x, s, w * psi, w, (w * psi[:, None] * psi)[None])
+    return _Cells(mesh, 1, x, s, w * psi, w, (w * psi[:, None] * psi)[None])
 
 
 def _moments(size, to_coef):
@@ -254,7 +336,7 @@ def cell_sizes(mesh, kappa):
     return sizes
 
 
-def far_cells(mesh, profile, table, size=CELL_SIZE):
+def far_cells(mesh, profile, size=CELL_SIZE):
     """The far field's cells of ``size`` elements on CELL_ORDER Chebyshev
     points, and which are regular: all interior or all exterior, with no
     breakpoint of s inside. Only a pair of regular cells, not both
@@ -269,7 +351,7 @@ def far_cells(mesh, profile, table, size=CELL_SIZE):
     w = np.zeros((size + 1, CELL_ORDER))
     w[:-1] += m1[:, 0]
     w[1:] += m1[:, 1]
-    cells = _Cells(mesh, table, size, t, s, w, m1.sum(axis=(0, 1)), m2)
+    cells = _Cells(mesh, size, t, s, w, m1.sum(axis=(0, 1)), m2)
     interior = np.all(mesh.element_interior[: n * size].reshape(n, size), axis=1)
     breaks = np.array(smoothness._breakpoints(profile, mesh.nodes[0], mesh.nodes[-1]))
     broken = np.searchsorted(breaks, rights) > np.searchsorted(breaks, lefts, "right")

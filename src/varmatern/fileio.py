@@ -222,6 +222,8 @@ def write_csv(path, names, columns):
     consecutive columns; all hold the same number of rows.
     """
     blocks = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    if not blocks or not names:
+        raise ValueError("a CSV needs at least one column")
     if any(c.ndim != 2 or len(c) != len(blocks[0]) for c in blocks):
         raise ValueError("columns must be equal-length 1d arrays or 2d column blocks")
     if len(names) != sum(c.shape[1] for c in blocks):

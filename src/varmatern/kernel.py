@@ -24,6 +24,8 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import kv as _kv
 from scipy.special import rgamma as _rgamma
 
+from . import smoothness
+
 __all__ = [
     "NU_SUPPORT",
     "Z_SERIES",
@@ -121,11 +123,9 @@ class KernelContext:
     freely across threads.
     """
 
-    __slots__ = ("kappa", "mu", "profile", "dim")
+    __slots__ = ("kappa", "mu", "profile")
 
-    def __init__(self, kappa, mu, profile, dim=1):
-        if dim != 1:
-            raise ValueError("only the one-dimensional kernel is implemented")
+    def __init__(self, kappa, mu, profile):
         kappa = float(kappa)
         mu = float(mu)
         if not (0 < kappa < np.inf and 0 < mu < np.inf):
@@ -133,7 +133,6 @@ class KernelContext:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "dim", 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelContext is immutable")
@@ -144,16 +143,11 @@ class KernelContext:
             f"profile={self.profile.kind})"
         )
 
-    def beta(self, x, y):
-        from . import smoothness
-
-        return smoothness.beta(self.profile, x, y)
-
     def to_dict(self):
         return {
             "kappa": self.kappa,
             "mu": self.mu,
-            "dim": self.dim,
+            "dim": 1,  # the kernel is one-dimensional; manifests keep the key
             "profile": self.profile.to_dict(),
         }
 
@@ -312,7 +306,7 @@ def gamma_kernel(ctx, x, y):
     r = np.abs(x_arr - y_arr)
     if np.any(r == 0.0):
         raise ValueError("gamma_kernel: x == y is singular")
-    b = ctx.beta(x_arr, y_arr)
+    b = smoothness.beta(ctx.profile, x_arr, y_arr)
     nu = 0.5 + b
     out = _phi_from_beta(ctx.kappa, b, r) * r ** (-2.0 * nu)
     if np.ndim(x) == 0 and np.ndim(y) == 0:

@@ -323,7 +323,7 @@ def pair_block_disjoint(mesh, ctx, e1, e2, n=64):
 
 def prefactor(ctx, x, y):
     """Smooth positive prefactor of the kernel (symmetric, singularity-free)."""
-    b = ctx.beta(x, y)
+    b = beta_of(ctx.profile, x, y)
     out = _prefactor_from_beta(ctx.kappa, np.asarray(b, dtype=float))
     if np.ndim(b) == 0:
         return float(out)
@@ -340,7 +340,7 @@ def phi(ctx, x, y, r=None):
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    b = ctx.beta(x_arr, y_arr)
+    b = beta_of(ctx.profile, x_arr, y_arr)
     if r is None:
         r = np.abs(x_arr - y_arr)
     out = _phi_from_beta(ctx.kappa, b, r)
@@ -358,7 +358,7 @@ def w_tilde(ctx, x, y):
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     r = np.abs(x_arr - y_arr)
-    b = ctx.beta(x_arr, y_arr)
+    b = beta_of(ctx.profile, x_arr, y_arr)
     nu = 0.5 + b
     out = (
         2.0 ** (0.5 + b)

@@ -322,8 +322,8 @@ def test_grouped_non_finite_block_names_pair(monkeypatch, key):
     ctx = _ctx(key)
     real = farfield.kernel_grids
 
-    def poisoned(kappa, table, r, beta, group, ks):
-        g = real(kappa, table, r, beta, group, ks)
+    def poisoned(kappa, profile, r, beta, group, ks):
+        g = real(kappa, profile, r, beta, group, ks)
         g[ks[group] == 3] = np.nan
         return g
 
@@ -397,7 +397,7 @@ def _element_sums(ctx, mesh, ks, order):
     import varmatern.assembly as asm
 
     ext = ~mesh.element_interior
-    cells = farfield.element_cells(mesh, ctx.profile, asm._BetaTable(ctx.profile), order)
+    cells = farfield.element_cells(mesh, ctx.profile, order)
     e, k = asm._pairs_left(mesh.n_elements, ks, lambda e, f: ext[e] & ext[f])
     a = np.zeros((mesh.interior_node_count,) * 2)
     if e.size:
@@ -448,7 +448,7 @@ def test_grouped_weights_match_pair_loop(monkeypatch, key, level):
     assert np.array_equal(np.stack([f - e, e], axis=1), np.array(pairs))
 
     monkeypatch.setattr(farfield, "kernel_grids",
-                        lambda kappa, table, r, beta, group, ks: beta + ks[group, None, None])
+                        lambda kappa, profile, r, beta, group, ks: beta + ks[group, None, None])
     rule = gauss_legendre_01(4)
     got = _element_sums(_ctx(key), mesh, ks, rule.n)
     s_q = smoothness.evaluate(PROFILES[key](), mesh.nodes[:n_el, None] + mesh.h * rule.nodes)
@@ -563,10 +563,7 @@ KERNEL_GRID_CASES = [(key, kappa) for key in ("step", "bump", "ramp")
 def test_kernel_grids_table_matches_direct(monkeypatch, key, kappa):
     # the grids of 56 pairs at each of four offsets take the beta table in
     # one call, and each grid alone the direct kernel
-    import varmatern.assembly as asm
-
     ctx = _ctx(key, kappa=kappa)
-    table = asm._BetaTable(ctx.profile)
     mesh = build_uniform(3, 4, 5)
     xq = gauss_legendre_01(8).nodes
     s_q = smoothness.evaluate(ctx.profile, mesh.nodes[: mesh.n_elements, None] + mesh.h * xq)
@@ -576,18 +573,18 @@ def test_kernel_grids_table_matches_direct(monkeypatch, key, kappa):
     group = np.repeat(np.arange(ks.size), e.size)
     r = mesh.h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
     tables = []
-    real = asm._BetaTable.coefficients
+    real = farfield._beta_coefficients
 
-    def coefficients(self, *args):
+    def coefficients(*args):
         tables.append(args)
-        return real(self, *args)
+        return real(*args)
 
-    monkeypatch.setattr(asm._BetaTable, "coefficients", coefficients)
-    many = farfield.kernel_grids(kappa, table, r, beta, group, ks)
+    monkeypatch.setattr(farfield, "_beta_coefficients", coefficients)
+    many = farfield.kernel_grids(kappa, ctx.profile, r, beta, group, ks)
     assert len(tables) == 1
     for i, j in enumerate(group):
-        one = farfield.kernel_grids(kappa, table, r[j : j + 1], beta[i : i + 1], np.zeros(1, int),
-                                    ks[j : j + 1])[0]
+        one = farfield.kernel_grids(kappa, ctx.profile, r[j : j + 1], beta[i : i + 1],
+                                    np.zeros(1, int), ks[j : j + 1])[0]
         assert np.max(np.abs(many[i] - one)) <= 1e-12 * np.max(np.abs(one)), (i, ks[j])
     assert len(tables) == 1
 
@@ -598,22 +595,20 @@ def test_kernel_grids_table_matches_direct(monkeypatch, key, kappa):
     ("bump", 6, True),
 ])
 def test_beta_table_only_for_many_grids_per_offset(monkeypatch, key, level, takes_table):
-    import varmatern.assembly as asm
-
     tables, grids = [], []
-    real_coefficients = asm._BetaTable.coefficients
+    real_coefficients = farfield._beta_coefficients
     real_grids = farfield.kernel_grids
 
-    def coefficients(self, *args):
+    def coefficients(*args):
         tables.append(args)
-        return real_coefficients(self, *args)
+        return real_coefficients(*args)
 
-    def kernel_grids(kappa, table, r, beta, group, ks):
+    def kernel_grids(kappa, profile, r, beta, group, ks):
         if beta.shape[-1] != farfield.CELL_ORDER:  # the element path
             grids.append(np.bincount(group).max())
-        return real_grids(kappa, table, r, beta, group, ks)
+        return real_grids(kappa, profile, r, beta, group, ks)
 
-    monkeypatch.setattr(asm._BetaTable, "coefficients", coefficients)
+    monkeypatch.setattr(farfield, "_beta_coefficients", coefficients)
     monkeypatch.setattr(farfield, "kernel_grids", kernel_grids)
     assemble_stiffness(build_uniform(3, 4, level), _ctx(key))
     assert bool(tables) == takes_table
@@ -648,8 +643,6 @@ def test_grouped_chunking_matches_brute_force(monkeypatch, key):
 
 def test_quad_metadata_recorded():
     mesh = build_uniform(3, 4, 3)
-    import varmatern.assembly as asm
-
     for key in ("const05", "bump"):
         profile = PROFILES[key]()
         meta = assemble_stiffness(mesh, _ctx(key)).quad_meta
@@ -657,7 +650,7 @@ def test_quad_metadata_recorded():
         assert set(meta) == {"n_disjoint", "disjoint_orders", "beta_degree",
                              "near_field_keys", "far_cells"}
         assert meta["n_disjoint"] == quadrature_order(mesh.h, profile.s_upper, profile.s_lower)
-        assert meta["beta_degree"] == asm.BETA_DEGREE
+        assert meta["beta_degree"] == farfield.BETA_DEGREE
         # the order bands cover the offsets 2 ... n_el - 1 in turn, none above n
         bands = meta["disjoint_orders"]
         assert bands[0][0] == 2 and bands[-1][1] == mesh.n_elements - 1
@@ -806,6 +799,26 @@ def test_near_field_evaluates_each_key_once(monkeypatch, key, rows):
     }
 
 
+def test_phi_in_assembly_serves_the_near_field_alone(monkeypatch):
+    # on the bump the disjoint pairs take the beta table, whose phi is
+    # farfield's: assembly's phi evaluates 2 n^2 points per near-field key
+    # (both anchors or halves of each), and nothing more
+    import varmatern.assembly as asm
+
+    points = []
+    real = asm._phi_from_beta
+
+    def counted(kappa, b, r):
+        points.append(np.broadcast(b, r).size)
+        return real(kappa, b, r)
+
+    monkeypatch.setattr(asm, "_phi_from_beta", counted)
+    system = assemble_stiffness(build_uniform(3, 4, 6), _ctx("bump"))
+    n, keys = system.quad_meta["n_disjoint"], system.quad_meta["near_field_keys"]
+    assert n == 8
+    assert sum(points) == 2 * n * n * (keys["identical"] + keys["vertex_sharing"]) == 98_944
+
+
 @pytest.mark.parametrize("what, vertex_sharing, pair", [
     ("identical", False, (4, 4)),
     ("vertex-sharing", True, (3, 4)),
@@ -881,11 +894,8 @@ BETA_TABLE_CASES = [
 @pytest.mark.parametrize("key, kappa, levels", BETA_TABLE_CASES,
                          ids=[f"{key}-{kappa}" for key, kappa, _ in BETA_TABLE_CASES])
 def test_beta_table_offset_blocks_match_direct(key, kappa, levels):
-    import varmatern.assembly as asm
-
     profile = BETA_TABLE_PROFILES[key]()
     ctx = KernelContext(kappa, 1.0, profile)
-    assert asm._BetaTable(profile).degree == asm.BETA_DEGREE
     rule = gauss_legendre_01(8)
     for level in levels:
         mesh = build_uniform(3, 4, level)
@@ -940,18 +950,14 @@ def test_far_orders_hold_block_tolerance(key, kappa):
 
 
 def test_beta_degree_recorded_for_general_path():
-    import varmatern.assembly as asm
-
     # wide bounds and a large kappa: every offset's table must resolve
     ctx = KernelContext(50.0, 1.0, BETA_TABLE_PROFILES["bump_01"]())
     system = assemble_stiffness(build_uniform(3, 4, 3), ctx)
-    assert system.quad_meta["beta_degree"] == asm.BETA_DEGREE
+    assert system.quad_meta["beta_degree"] == farfield.BETA_DEGREE
 
 
 def test_beta_table_unresolved_degree_raises(monkeypatch):
-    import varmatern.assembly as asm
-
-    monkeypatch.setattr(asm, "BETA_DEGREE", 4)
+    monkeypatch.setattr(farfield, "BETA_DEGREE", 4)
     ctx = KernelContext(2.5, 1.0, smoothness.gaussian_bump(0.05, 0.95, 0.9, 3.0))
     with pytest.raises(AssemblyError, match="beta table of degree 4"):
         assemble_stiffness(build_uniform(3, 4, 2), ctx, n=4)
@@ -964,9 +970,9 @@ CHOP_CASES = [(bounds, kappa) for bounds in ((0.35, 0.85), (0.01, 0.99))
 @pytest.mark.parametrize("bounds, kappa", CHOP_CASES,
                          ids=[f"{lo}-{hi}-{kappa}" for (lo, hi), kappa in CHOP_CASES])
 def test_beta_table_chopped_sum_matches_full_degree(bounds, kappa):
-    import varmatern.assembly as asm
-
-    table = asm._BetaTable(smoothness.gaussian_bump(*bounds, 0.9, 3.0))
+    lower, upper = bounds
+    mid, half = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    tau, to_coef = farfield._chebyshev(farfield.BETA_DEGREE + 1)
     xq = gauss_legendre_01(6).nodes
     rng = np.random.default_rng(7)
     terms = []
@@ -975,11 +981,11 @@ def test_beta_table_chopped_sum_matches_full_degree(bounds, kappa):
         for ks in (np.arange(2, 6), np.arange(40, 48), np.arange(1990, 2000)):
             r = h * (ks[:, None, None] + xq[None, None, :] - xq[None, :, None])
             log_growth = np.log(np.maximum(4.0, 2.0 * kappa * r))
-            chopped = table.coefficients(kappa, r, log_growth, ks)
-            b = table.nodes.reshape(-1, 1, 1, 1)
-            values = asm._phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
-            full = np.tensordot(table.to_coef, values, axes=1)
-            assert full.shape[0] == asm.BETA_DEGREE + 1
+            chopped = farfield._beta_coefficients(kappa, mid, half, r, log_growth, ks)
+            b = (mid + half * tau).reshape(-1, 1, 1, 1)
+            values = farfield._phi_from_beta(kappa, b, r) * np.exp(-(0.5 + b) * log_growth)
+            full = np.tensordot(to_coef, values, axes=1)
+            assert full.shape[0] == farfield.BETA_DEGREE + 1
             assert np.array_equal(chopped, full[: chopped.shape[0]])
             terms.append(chopped.shape[0])
             t = rng.uniform(-1.0, 1.0, (50,) + r.shape)
@@ -987,7 +993,7 @@ def test_beta_table_chopped_sum_matches_full_degree(bounds, kappa):
             err = np.abs(farfield._clenshaw(chopped, t) - ref)
             assert np.all(err <= 1e-13 * np.abs(ref)), (level, ks[0], terms[-1])
     # the chop shortens the series on most grids
-    assert np.median(terms) < asm.BETA_DEGREE + 1, terms
+    assert np.median(terms) < farfield.BETA_DEGREE + 1, terms
 
 
 def test_beta_table_order_outside_profile_bounds_raises():
@@ -1056,13 +1062,12 @@ def test_far_cells_hold_block_tolerance(key, kappa):
     import varmatern.assembly as asm
 
     ctx = KernelContext(kappa, 1.0, BETA_TABLE_PROFILES[key]())
-    table = asm._BetaTable(ctx.profile)
     gap = farfield.CELL_SEPARATION
     taken = {}
     for level in (7, 8, 9):
         mesh = build_uniform(3, 4, level)
         for size in farfield.cell_sizes(mesh, kappa):
-            cells, regular = farfield.far_cells(mesh, ctx.profile, table, size)
+            cells, regular = farfield.far_cells(mesh, ctx.profile, size)
             samples = 6 if size == farfield.CELL_SIZE and level < 9 else 3
             for d in sorted({gap, gap + 1, gap + 2, 2 * gap, cells.count // 2}
                             & set(range(gap, cells.count))):
@@ -1085,13 +1090,12 @@ def test_far_cells_fail_one_cell_closer_or_four_orders_fewer(monkeypatch):
     ctx = KernelContext(2.5, 1.0, BETA_TABLE_PROFILES["gaussian_bump"]())
     mesh = build_uniform(3, 4, 7)
     closer = farfield.CELL_SEPARATION - 1
-    table = asm._BetaTable(ctx.profile)
-    cells, regular = farfield.far_cells(mesh, ctx.profile, table)
+    cells, regular = farfield.far_cells(mesh, ctx.profile)
     sample = _far_cell_sample(cells, regular, closer)
     err, _ = _cell_pair_errors(ctx, mesh, cells, closer, sample, False)
     assert err > asm.DISJOINT_BLOCK_RTOL
     monkeypatch.setattr(farfield, "CELL_ORDER", farfield.CELL_ORDER - 4)
-    cells, regular = farfield.far_cells(mesh, ctx.profile, table)
+    cells, regular = farfield.far_cells(mesh, ctx.profile)
     gap = farfield.CELL_SEPARATION
     err, _ = _cell_pair_errors(ctx, mesh, cells, gap, _far_cell_sample(cells, regular, gap), False)
     assert err > asm.DISJOINT_BLOCK_RTOL
@@ -1160,14 +1164,12 @@ def test_irregular_cells_keep_the_element_path(monkeypatch):
     # D = [-r_int, r_int] ends inside a cell, 4.5 cells from either end of
     # G, and the profile has knots inside cells: those cells keep the
     # element path at every offset, and A agrees with the element path alone
-    import varmatern.assembly as asm
-
     size = farfield.CELL_SIZE
     r_int = 4 - 4.5 * size / 32
     mesh = build_uniform(r_int, 4, 5)
     profile = smoothness.tabulated([-3.0, -0.3, 0.2, 3.5], [0.45, 0.8, 0.52, 0.61])
     ctx = KernelContext(2.5, 1.0, profile)
-    cells, regular = farfield.far_cells(mesh, profile, asm._BetaTable(profile))
+    cells, regular = farfield.far_cells(mesh, profile)
     lefts = mesh.nodes[: cells.count * size : size]
     straddle = (lefts < -r_int) & (lefts + size * mesh.h > -r_int)
     knot = (lefts < -0.3) & (lefts + size * mesh.h > -0.3)
@@ -1227,9 +1229,9 @@ def test_far_cells_skip_sizes_too_long_for_kappa(monkeypatch):
     shapes = []
     real = farfield.kernel_grids
 
-    def kernel_grids(kappa, table, r, beta, group, ks):
+    def kernel_grids(kappa, profile, r, beta, group, ks):
         shapes.append(beta.shape[1:])
-        return real(kappa, table, r, beta, group, ks)
+        return real(kappa, profile, r, beta, group, ks)
 
     monkeypatch.setattr(farfield, "kernel_grids", kernel_grids)
     system = assemble_stiffness(mesh, _ctx("const05", kappa=10.0))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from varmatern import assembly, cli, fileio
 from varmatern.assembly import assemble_weighted_mass
-from varmatern.config import ConfigError, default_config_dict, load_config
+from varmatern.config import ConfigError, default_config_dict, load_config, slice_file
 from varmatern.mesh import build_uniform
 from varmatern.quadrature import gauss_legendre_01, quadrature_order
 
@@ -254,6 +254,12 @@ def test_csv_writer_streams_rows_from_columns(tmp_path):
         fileio.write_csv(tmp_path / "r.csv", ["a", "b"], [table[:, :3]])
 
 
+def test_csv_needs_a_column(tmp_path):
+    for names, columns in (([], []), (["a"], [])):
+        with pytest.raises(ValueError, match="at least one column"):
+            fileio.write_csv(tmp_path / "e.csv", names, columns)
+
+
 def _run(argv):
     return cli.main(argv)
 
@@ -311,7 +317,7 @@ def test_cli_covariance_slices_are_rows_of_the_written_matrix(tmp_path):
     cfg.check_command("covariance")
     coords = cfg.meshes[0].interior_coords
     for x0 in slices:
-        lines = (out / f"covariance_x{cli._slice_tag(x0)}.csv").read_text().splitlines()
+        lines = (out / slice_file(x0)).read_text().splitlines()
         ys, vals = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
         assert np.array_equal(ys, coords)
         assert np.array_equal(vals, c[int(np.argmin(np.abs(coords - x0)))]), x0
@@ -419,6 +425,9 @@ FRONT_END_ERRORS = {
     "levels-item": (["converge", "--levels", "5,x,3"], "convergence.levels"),
     "levels-gap": (["converge", "--levels", "5,3,2"], "convergence.levels"),
     "slices-item": (["covariance", "--slices", "a"], "slices.x0"),
+    # two locations with one file tag would write one file
+    "slices-shared-tag": (["covariance", "--slices", "1.0000001,1.0000002,0.5"], "slices.x0"),
+    "slices-repeated": (["covariance", "--slices", "0,0"], "slices.x0"),
     "domain-scalar": (["sample", "--domain", "3"], "'domain'"),
     "sampling-scalar": (["sample", "--sampling", "5"], "'sampling'"),
     "convergence-scalar": (["sample", "--convergence", "7"], "'convergence'"),

@@ -66,10 +66,10 @@ def test_coupled_loads_galerkin_mass(build_system):
     fine = build_system("const05", 2.5, 3)
     coarse = build_system("const05", 2.5, 2)
     m = 10_000
-    loads = coupled_loads(fine, [coarse.mesh], m, seed=17)
+    p = injection(coarse.mesh, fine.mesh)
+    loads = coupled_loads(fine, [p], m, seed=17)
     b_c = loads[1]
     emp = b_c @ b_c.T / m
-    p = injection(coarse.mesh, fine.mesh)
     ref = (p.T @ fine.m @ p).toarray()
     stderr = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref**2) / m)
     assert np.all(np.abs(emp - ref) <= 5 * stderr)
@@ -95,10 +95,10 @@ def test_level_error_identical_and_unit_vector(build_system):
 
 def test_quadrature_norm_close_to_mass_norm(build_system):
     systems = [build_system("const05", 2.5, lev) for lev in (5, 4, 3)]
-    rep_mass = rate_from_systems(systems, 200, seed=31, norm_kind="mass_matrix")
-    rep_quad = rate_from_systems(systems, 200, seed=31, norm_kind="quadrature")
+    errors_mass = rate_from_systems(systems, 200, seed=31, norm_kind="mass_matrix")[0]
+    errors_quad = rate_from_systems(systems, 200, seed=31, norm_kind="quadrature")[0]
     for lev in (5, 4):
-        ratio = rep_quad.errors[lev] / rep_mass.errors[lev]
+        ratio = errors_quad[lev] / errors_mass[lev]
         assert abs(ratio - 1.0) < 0.10
 
 
@@ -132,10 +132,10 @@ def test_quadrature_norm_matches_gauss_loop(level, rng):
 
 def test_quadrature_norm_reports_per_sample(build_system):
     systems = [build_system("const05", 2.5, lev) for lev in (5, 4, 3)]
-    rep = rate_from_systems(systems, 50, seed=31, norm_kind="quadrature")
+    errors, _, per_sample = rate_from_systems(systems, 50, seed=31, norm_kind="quadrature")
     for lev in (5, 4):
-        assert rep.per_sample[lev].shape == (50,)
-        assert rep.errors[lev] == np.sqrt(np.mean(rep.per_sample[lev] ** 2))
+        assert per_sample[lev].shape == (50,)
+        assert errors[lev] == np.sqrt(np.mean(per_sample[lev] ** 2))
 
 
 def test_converge_rate_report_contents(tmp_path):
@@ -241,9 +241,9 @@ def test_level_errors_match_the_exact_expectation(build_system, profile):
     # the exact ||M^{1/2} D||_F^2 / mu^2 (oracles.expected_level_errors)
     systems = [build_system(profile, 2.5, lev) for lev in (7, 6, 5)]
     exact = expected_level_errors(systems)
-    report = rate_from_systems(systems, 500, seed=814)
+    per_sample = rate_from_systems(systems, 500, seed=814)[2]
     for level in (7, 6):
-        sq = report.per_sample[level] ** 2
+        sq = per_sample[level] ** 2
         stderr = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - exact[level]) <= 3.0 * stderr, (level, sq.mean(), exact[level])
 
@@ -264,8 +264,8 @@ def test_level_errors_match_the_exact_expectation_across_profiles(profile, kappa
     systems = [assemble_stiffness(build_uniform(3, 4, lev), ctx) for lev in (5, 4, 3)]
     assert systems[0].quad_meta["far_cells"]["cell_pairs"] > 0
     exact = expected_level_errors(systems)
-    report = rate_from_systems(systems, 500, seed=2417)
+    per_sample = rate_from_systems(systems, 500, seed=2417)[2]
     for level in (5, 4):
-        sq = report.per_sample[level] ** 2
+        sq = per_sample[level] ** 2
         stderr = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - exact[level]) <= 4.0 * stderr, (level, sq.mean(), exact[level])

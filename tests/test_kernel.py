@@ -203,7 +203,7 @@ def test_phi_large_argument_asymptotics(ctx_step):
     # kappa r >= 20: compare against the optimally truncated asymptotic series
     for x, y in ((-4.0, 4.0), (-2.0, 51.0 / 8.0)):
         r = abs(x - y)
-        b = ctx_step.beta(x, y)
+        b = smoothness.beta(ctx_step.profile, x, y)
         nu = 0.5 + b
         ref = prefactor(ctx_step, x, y) * bessel_k_asymptotic(nu, ctx_step.kappa * r) * r**nu
         assert phi(ctx_step, x, y) == pytest.approx(ref, rel=1e-8)
@@ -261,7 +261,7 @@ def test_consistency_gamma_vs_w_tilde(rng):
         r = np.exp(rng.uniform(np.log(1e-5), np.log(4), 1000))
         y = np.clip(x + r, -4, 4)
         x = y - r
-        b = ctx.beta(x, y)
+        b = smoothness.beta(ctx.profile, x, y)
         lhs = 2.0 * gamma_kernel(ctx, x, y) * r ** (1.0 + 2.0 * b)
         rhs = w_tilde(ctx, x, y)
         assert np.allclose(lhs, rhs, rtol=1e-12), key
@@ -295,8 +295,6 @@ def test_kernel_context_validation():
         KernelContext(0.0, 1.0, prof)
     with pytest.raises(ValueError):
         KernelContext(1.0, -1.0, prof)
-    with pytest.raises(ValueError):
-        KernelContext(1.0, 1.0, prof, dim=2)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             KernelContext(bad, 1.0, prof)
