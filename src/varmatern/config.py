@@ -151,6 +151,8 @@ class RunConfig:
         self.ctx = KernelContext(kappa, mu, self.profile)
         quad = raw["quadrature"]
         self.quad_c = _require(quad, "c", float, "quadrature")
+        if self.quad_c <= 0:  # else every level gets n_min
+            raise ConfigError(f"config key 'quadrature.c' must be positive, got {self.quad_c}")
         self.quad_n_min = _order(quad, "n_min")
         self.quad_n_max = _order(quad, "n_max")
         if self.quad_n_min > self.quad_n_max:
@@ -164,6 +166,9 @@ class RunConfig:
         self.quad_target_rate = quad.get("target_rate")
         if self.quad_target_rate is not None:
             self.quad_target_rate = _require(quad, "target_rate", float, "quadrature")
+            if self.quad_target_rate < 0:
+                raise ConfigError(f"config key 'quadrature.target_rate' must be >= 0, "
+                                  f"got {self.quad_target_rate}")
         samp = raw["sampling"]
         self.m = _require(samp, "m", int, "sampling")
         if self.m < 0:
@@ -213,6 +218,9 @@ class RunConfig:
         except MeshError as exc:
             raise ConfigError(f"invalid {key}: {exc}") from exc
         if command == "covariance":
+            if not self.slices and "vwm1" not in self.formats:
+                raise ConfigError("config key 'slices.x0' is empty and 'outputs.formats' "
+                                  "holds no 'vwm1', so covariance would write nothing")
             outside = [x for x in self.slices if not -self.r_int <= x <= self.r_int]
             if outside:
                 raise ConfigError(

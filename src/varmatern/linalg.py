@@ -7,10 +7,12 @@ by the caller, except that ``overwrite_*`` reuses the input's memory for the
 output (LAPACK's in-place convention) and the sandwich consumes A's factor.
 Nothing here caches a factor: the solves and the sandwich take the factors the
 caller holds (``AssembledSystem`` for A and M). The solves sweep L in row
-blocks of ``_SOLVE_BLOCK``: each off-diagonal block enters through a matrix
-product (GEMM) on a view of L, and each diagonal block through its inverse
-(LAPACK dtrtri), applied by GEMM too, so the work runs at GEMM speed rather
-than that of the BLAS triangular solve dtrsm. ``cholesky`` reads one triangle
+blocks of ``_SOLVE_BLOCK``, in place in the loads: the blocks off the
+diagonal enter through one matrix product (BLAS dgemm) per block, and each
+diagonal block through a triangular solve (BLAS dtrsm), so most of the work
+runs at GEMM speed and no block is inverted. They call scipy's BLAS, the
+library whose LAPACK factors L, so factorization and solves share one thread
+pool. ``cholesky`` reads one triangle
 of a symmetric matrix, the upper one of a C-order input, so A is factored as
 assembly leaves it, on its upper triangle, with no mirror and no symmetry
 check. One N x N array carries A, its factor L and then C: the sandwich takes
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dpotrf, dpotri
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -83,59 +86,46 @@ def cholesky(mat, overwrite_a=False):
     return c
 
 
-# Row-block height of the solve sweeps. With 1000 right-hand sides on one
-# OpenBLAS thread (2-vCPU x86-64 host), two dtrsm sweeps ran at 21 GF/s
-# (N = 385) to 42 GF/s (N = 1537) and the panel GEMMs at 53-64 GF/s. Each
-# block costs one dtrtri of its diagonal block per sweep (0.12-0.16 ms at
-# 128 rows, about 5 GF/s), which few right-hand sides do not amortize: with
-# m <= 10 these sweeps lose 0.7-1.9 ms to dtrsm at N <= 1537. 256-row
-# blocks were slower than 128 at every N and m measured, and lost to dtrsm
-# up to m = 100; 64-row ones won at m <= 100 and at N = 385 but lost
-# 6-14 % at m = 1000 for N >= 1537. Applying the inverse by dtrmm would
-# halve the diagonal flops, but OpenBLAS's two-thread dtrmm took 6-8 ms per
-# block, against 0.35 ms on one thread and 0.41-0.45 ms for the GEMM on two.
+# Row-block height of the solve sweeps. On one OpenBLAS thread (2-vCPU x86-64
+# host, medians of 15 alternating solves, m = 1, 10, 100, 1000), 256-row
+# blocks were 8-38 % slower than 128 at N = 385 and 1537; 64-row ones won
+# 6-12 % at N = 385 but lost up to 14 % at N = 1537 (m = 1000), where the
+# off-diagonal GEMMs dominate. A 128 x 1000 diagonal dtrsm runs at about
+# 18 GF/s, a 128-row GEMM at 53 GF/s.
 _SOLVE_BLOCK = 128
-_STRICT_UPPER = ~np.tri(_SOLVE_BLOCK, dtype=bool)
 
 
 def solve_with_factor(lower, b, overwrite_b=False):
     """x = A^{-1} b from A's lower factor L; b is (N,) or (N, m) and finite (else
     ValueError). Two sweeps over L in row blocks of _SOLVE_BLOCK, forward for
     L y = b, y_i = L_ii^{-1} (b_i - L[i, :i] y[:i]), and backward for
-    L^T x = y, x_i = L_ii^{-T} (y_i - L[i+1:, i]^T x[i+1:]). Every product
-    is a GEMM on views of L, of any layout, through one _SOLVE_BLOCK x m
-    panel; the diagonal inverses come from LAPACK dtrtri, one at a time,
-    once per sweep. Only L's lower triangle is read, and a zero on its
-    diagonal raises NotPositiveDefiniteError. With overwrite_b, a C-order
-    float64 b holds x in its own memory."""
+    L^T x = y, x_i = L_ii^{-T} (y_i - L[i+1:, i]^T x[i+1:]), on the
+    Fortran-order view b^T (m x N) of the loads, where block i is the
+    contiguous columns b^T[:, i]. In each block one BLAS dgemm subtracts the
+    blocks before it (after it, backward) and one dtrsm solves with the
+    diagonal block, both in place and both from scipy's BLAS, the library
+    that factored L. L may have any layout: f2py copies a strided block of it
+    per call, so at most one _SOLVE_BLOCK x N block of L lives at a time.
+    Only L's lower triangle is read, and a zero on its diagonal raises
+    NotPositiveDefiniteError with its 1-based index. With overwrite_b, a
+    C-order float64 b holds x in its own memory."""
     b = np.asarray(b, dtype=float, order="C") if overwrite_b else np.array(b, dtype=float, order="C")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side has non-finite entries")
-    y = b.reshape(b.shape[0], -1)
-    n = y.shape[0]
-    panel = np.empty((min(_SOLVE_BLOCK, n), y.shape[1]))
-    blocks = [slice(i0, min(i0 + _SOLVE_BLOCK, n)) for i0 in range(0, n, _SOLVE_BLOCK)]
+    zero = np.flatnonzero(np.diagonal(lower) == 0.0)
+    if zero.size:
+        raise NotPositiveDefiniteError(zero[0] + 1)
+    n = b.shape[0]
+    y = b.reshape(n, -1).T
+    # f2py rejects an operand with no rows, so m = 0 makes no call
+    blocks = [slice(i0, min(i0 + _SOLVE_BLOCK, n)) for i0 in range(0, n, _SOLVE_BLOCK) if y.size]
     for i in blocks:
-        p = panel[: i.stop - i.start]
-        np.subtract(y[i], np.matmul(lower[i, : i.start], y[: i.start], out=p), out=p)
-        np.matmul(_diagonal_inverse(lower, i), p, out=y[i])
+        dgemm(-1.0, y[:, : i.start], lower[i, : i.start], 1.0, y[:, i], trans_b=1, overwrite_c=1)
+        dtrsm(1.0, lower[i, i], y[:, i], side=1, lower=1, trans_a=1, overwrite_b=1)
     for i in reversed(blocks):
-        p = panel[: i.stop - i.start]
-        np.subtract(y[i], np.matmul(lower[i.stop :, i].T, y[i.stop :], out=p), out=p)
-        np.matmul(_diagonal_inverse(lower, i).T, p, out=y[i])
+        dgemm(-1.0, y[:, i.stop :], lower[i.stop :, i], 1.0, y[:, i], overwrite_c=1)
+        dtrsm(1.0, lower[i, i], y[:, i], side=1, lower=1, overwrite_b=1)
     return b
-
-
-def _diagonal_inverse(lower, i):
-    """Inverse of the diagonal block lower[i, i], read from its lower triangle;
-    dtrtri keeps the input's strictly upper triangle, which is zeroed."""
-    inv, info = dtrtri(lower[i, i], lower=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(i.start + info)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtri")
-    np.copyto(inv, 0.0, where=_STRICT_UPPER[: inv.shape[0], : inv.shape[0]])
-    return inv
 
 
 def inv_triple_product(lower, mass_lower):

@@ -43,14 +43,12 @@ class MaternParams:
         }
 
 
-def whittle_variance(s_or_avg, kappa, mu, d=1):
+def whittle_variance(s_or_avg, kappa, mu):
     """Stationary variance of the Whittle field for order s (d = 1).
 
     sigma^2 = Gamma(nu) / ((4 pi)^{1/2} kappa^{2 nu} Gamma(nu + 1/2) mu^2)
     with nu = 2 s - 1/2; requires s > 1/4 so that nu > 0.
     """
-    if d != 1:
-        raise ValueError("only d = 1 is supported")
     s = float(s_or_avg)
     nu = 2.0 * s - 0.5
     if nu <= 0:

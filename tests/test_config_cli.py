@@ -323,6 +323,16 @@ def test_cli_covariance_slices_are_rows_of_the_written_matrix(tmp_path):
         assert np.array_equal(vals, c[int(np.argmin(np.abs(coords - x0)))]), x0
 
 
+def test_cli_covariance_without_slices_writes_the_matrix(tmp_path):
+    # no slice locations are valid when vwm1 is listed: the matrix is the output
+    out = tmp_path / "cov"
+    assert _run(["covariance", "--level", "3", "--slices", ",",
+                 "--outputs.formats", '["vwm1"]', "--out", str(out)]) == 0
+    c, _ = fileio.read_matrix(out / "covariance.vwm1")
+    assert np.array_equal(c, c.T) and c.shape[0] == 49
+    assert not list(out.glob("covariance_x*.csv"))
+
+
 def test_cli_assemble_writes_dense_masses(tmp_path):
     # M and A1 are held sparse; their .vwm1 files hold the dense matrices
     out = tmp_path / "asm"
@@ -449,6 +459,13 @@ FRONT_END_ERRORS = {
     # the generator takes seeds in [0, 2**128)
     "seed-negative": (["sample", "--seed", "-1"], "'sampling.seed'"),
     "seed-2-128": (["sample", "--seed", str(2**128)], "'sampling.seed'"),
+    # a nonpositive c or a negative target rate gives n = n_min at every level
+    "quadrature-c-negative": (["sample", "--quadrature.c", "-1"], "'quadrature.c'"),
+    "quadrature-c-zero": (["sample", "--quadrature.c", "0"], "'quadrature.c'"),
+    "target-rate-negative": (["sample", "--quadrature.target_rate", "-5"],
+                             "'quadrature.target_rate'"),
+    # covariance with no slice and no vwm1 would form C and write nothing
+    "covariance-writes-nothing": (["covariance", "--slices", ","], "'slices.x0'"),
     # exp(-(r_int / sigma)**2) overflows in the profile
     "sigma-overflow": (["sample", "--profile", "gaussian_bump", "--s-lower", "0.3",
                         "--s-upper", "0.6", "--profile.sigma", "1e-300"], "sigma=1e-300"),

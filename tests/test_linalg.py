@@ -392,17 +392,40 @@ def test_solve_identity_and_zero_across_block_boundaries(rng, n):
 
 
 def test_solve_reads_only_the_lower_triangle(rng):
-    # dtrtri leaves a diagonal block's strictly upper triangle as it was; the
-    # inverse is zeroed there before it enters a GEMM
+    # the GEMMs read blocks strictly below the diagonal, and dtrsm reads only
+    # the lower triangle of each diagonal block
     lower = cholesky(_spd(rng, 300))
     b = rng.standard_normal((300, 4))
     junk = np.asfortranarray(lower + np.triu(rng.uniform(-1e3, 1e3, (300, 300)), 1))
     assert np.array_equal(solve_with_factor(junk, b), solve_with_factor(lower, b))
 
 
-def test_solve_zero_pivot_raises():
-    lower = np.tril(np.ones((300, 300)))
-    lower[200, 200] = 0.0
+@pytest.mark.parametrize("row", [1, 128, 129, 201, 300])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_solve_zero_pivot_raises(row, order):
+    # the 1-based index of the first zero on L's diagonal, at either end of a
+    # 128-row block and at N = 300, for a factor in either layout
+    lower = np.asarray(np.tril(np.ones((300, 300))), order=order)
+    lower[row - 1, row - 1] = lower[-1, -1] = 0.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
         solve_with_factor(lower, np.ones(300))
-    assert exc.value.index == 201
+    assert exc.value.index == row
+
+
+def test_solve_in_place_holds_one_block_of_the_factor(rng):
+    # with overwrite_b the loads hold x: besides them the solve holds no
+    # N x m array, and f2py copies at most one 128-row block of L per call
+    # (641 x 128 floats at most here, 0.67 of the bound)
+    n, m = 769, 300
+    lower = cholesky(_spd(rng, n))
+    b = rng.standard_normal((n, m))
+    ref = cho_solve((lower, True), b)
+    tracemalloc.start()
+    try:
+        x = solve_with_factor(lower, b, overwrite_b=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 128 * n * 8
+    assert np.shares_memory(x, b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -36,8 +36,6 @@ def test_variance_gamma_oracle():
 def test_variance_domain_error():
     with pytest.raises(ValueError, match="s > d/4"):
         whittle_variance(0.25, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        whittle_variance(0.5, 1.0, 1.0, d=2)
 
 
 def test_matern_exponential_closed_form():
