@@ -15,7 +15,7 @@ from . import __version__
 from .assembly import AssemblyError, assemble_stiffness
 from .checks import bessel_bound_summary, two_regime_summary
 from .config import ConfigError, load_config, slice_file
-from .convergence import rate_from_systems
+from .convergence import rate_from_systems, rate_standard_errors
 from .fileio import write_csv, write_json, write_matrix
 from .linalg import NotPositiveDefiniteError
 from .mesh import MeshError
@@ -87,22 +87,19 @@ def _parse_args(argv):
 
 @contextmanager
 def _timed(timings, stage):
-    """Record the wall time of the block as ``timings[stage]``."""
+    """Add the wall time of the block to ``timings[stage]``."""
     t0 = time.perf_counter()
     yield
-    timings[stage] = time.perf_counter() - t0
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
-def _assembled(cfg, timings):
-    """The system of each mesh the command reads (``cfg.meshes``), in order."""
-    systems = []
+def _assembled(cfg, timings, mesh):
+    """The system of ``mesh``, one of ``cfg.meshes``, timed under "assemble"."""
     with _timed(timings, "assemble"):
-        for mesh in cfg.meshes:
-            try:
-                systems.append(assemble_stiffness(mesh, cfg.ctx, cfg.quad_order(mesh)))
-            except AssemblyError as exc:
-                raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
-    return systems
+        try:
+            return assemble_stiffness(mesh, cfg.ctx, cfg.quad_order(mesh))
+        except AssemblyError as exc:
+            raise AssemblyError(f"assembly failed at level {mesh.level}: {exc}") from exc
 
 
 def _write_manifest(cfg, command, outputs, timings, **extra):
@@ -121,7 +118,7 @@ def _write_manifest(cfg, command, outputs, timings, **extra):
 
 def _cmd_assemble(cfg):
     timings = {}
-    system, = _assembled(cfg, timings)
+    system = _assembled(cfg, timings, cfg.meshes[0])
     if not np.isfinite(system.a).all():  # the other commands check A where it is factored
         raise AssemblyError("stiffness: matrix has non-finite entries")
     side = {"config": cfg.echo(), **system.to_manifest()}
@@ -138,7 +135,7 @@ def _cmd_assemble(cfg):
 
 def _cmd_sample(cfg):
     timings = {}
-    system, = _assembled(cfg, timings)
+    system = _assembled(cfg, timings, cfg.meshes[0])
     with _timed(timings, "sample"):
         u = sample_fields(system, cfg.m, cfg.seed)
     names = ["node_x"] + [f"u_{k + 1}" for k in range(u.shape[1])]
@@ -150,7 +147,7 @@ def _cmd_sample(cfg):
 
 def _cmd_covariance(cfg):
     timings = {}
-    system, = _assembled(cfg, timings)
+    system = _assembled(cfg, timings, cfg.meshes[0])
     with _timed(timings, "covariance"):
         c = analytic_covariance(system)
     coords = system.mesh.interior_coords
@@ -199,21 +196,27 @@ def _cmd_matern(cfg):
 
 
 def _cmd_converge(cfg):
-    timings = {}
-    systems = _assembled(cfg, timings)
+    # Each level is assembled when rate_from_systems asks for it, after the
+    # level before it is solved and dropped: one N x N array lives at a time.
+    timings = {"assemble": 0.0}
     with _timed(timings, "converge"):
-        errors, r_hat, per_sample = rate_from_systems(systems, cfg.m, cfg.seed, cfg.norm_kind)
+        errors, r_hat, per_sample = rate_from_systems(
+            (_assembled(cfg, timings, mesh) for mesh in cfg.meshes), cfg.m, cfg.seed, cfg.norm_kind)
+    timings["converge"] -= timings["assemble"]
+    errors_se, r_hat_se = rate_standard_errors(per_sample)
     payload = {
-        "levels": [s.mesh.level for s in systems],
+        "levels": [mesh.level for mesh in cfg.meshes],
         "m": cfg.m,
         "errors": {str(level): e for level, e in errors.items()},
+        "errors_se": {str(level): se for level, se in errors_se.items()},
         "r_hat": r_hat,
+        "r_hat_se": r_hat_se,
         "norm_kind": cfg.norm_kind,
         "config": {
             "kernel": cfg.ctx.to_dict(),
-            "mesh": systems[0].mesh.to_dict(),
+            "mesh": cfg.meshes[0].to_dict(),
             "seed": cfg.seed,
-            "quad_n_per_level": {str(s.mesh.level): s.quad_meta["n_disjoint"] for s in systems},
+            "quad_n_per_level": {str(mesh.level): cfg.quad_order(mesh) for mesh in cfg.meshes},
         },
         "config_echo": cfg.echo(),
     }

@@ -217,6 +217,9 @@ class RunConfig:
             self.meshes = [build_uniform(self.r_int, self.r_ext, lev) for lev in levels]
         except MeshError as exc:
             raise ConfigError(f"invalid {key}: {exc}") from exc
+        if command in ("sample", "converge") and set(self.formats) != {"csv"}:
+            raise ConfigError(f"config key 'outputs.formats' must list only 'csv' for "
+                              f"{command}, which writes no other format, got {self.formats}")
         if command == "covariance":
             if not self.slices and "vwm1" not in self.formats:
                 raise ConfigError("config key 'slices.x0' is empty and 'outputs.formats' "

@@ -14,6 +14,7 @@ from scipy import sparse
 
 from .assembly import assemble_stiffness  # noqa: F401  (perfbench/spans.py traces this name)
 from .linalg import solve_with_factor
+from .mesh import build_uniform
 from .sampler import draw_noise
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "level_error_samples",
     "error_mass",
     "rate_from_systems",
+    "rate_standard_errors",
 ]
 
 # Error norms rate_from_systems accepts, over D or over the whole mesh (error_mass).
@@ -95,44 +97,80 @@ def error_mass(system, norm_kind):
 
 
 def rate_from_systems(systems, m, seed, norm_kind="mass_matrix"):
-    """Rate estimate from three systems of consecutive levels, ordered fine
-    to coarse: coupled loads by successive restriction, one solve per level
-    with its cached factor, and log2(E_{l-1} / E_l). Returns (errors, r_hat,
-    per_sample): E_l and the per-sample errors keyed by the two finer
-    levels, fine first. Raises FloatingPointError when a solution is not
-    finite."""
+    """Rate estimate from three systems of consecutive levels, taken fine to
+    coarse from any iterable: coupled loads by successive restriction, one
+    solve per level with its cached factor, and log2(E_{l-1} / E_l). The
+    loads come from the finest system, as the restrictions need only its
+    mesh; each system is solved as it arrives and dropped before the next is
+    asked for, so a generator that assembles each on demand holds one N x N
+    array at a time. Returns (errors, r_hat, per_sample): E_l and the
+    per-sample errors keyed by the two finer levels, fine first. Raises
+    FloatingPointError when a solution is not finite."""
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    levels = [s.mesh.level for s in systems]
-    if len(systems) != 3 or levels[0] - levels[1] != 1 or levels[1] - levels[2] != 1:
-        raise ValueError(f"need three consecutive levels fine to coarse, got {levels}")
-    mu = systems[0].ctx.mu
-    try:
-        prolongations = [injection(coarse.mesh, fine.mesh)
-                         for fine, coarse in zip(systems, systems[1:])]
-        loads = coupled_loads(systems[0], prolongations, m, seed)
-    except _NUMERICAL_ERRORS as exc:
-        raise RuntimeError(f"coupled load generation failed: {exc}") from exc
-
-    sols = []  # each solved in its load's memory
-    for sys_l, b in zip(systems, loads):
-        try:
-            sols.append(solve_with_factor(sys_l.stiffness_cholesky, b, overwrite_b=True))
-        except _NUMERICAL_ERRORS as exc:
-            raise RuntimeError(
-                f"solve failed at level {sys_l.mesh.level}: {exc}"
-            ) from exc
-        with np.errstate(over="ignore"):  # the check below reports an overflow
-            sols[-1] /= mu
-        if not np.isfinite(sols[-1]).all():
-            raise FloatingPointError(
-                f"converge: non-finite solution at level {sys_l.mesh.level} (mu = {mu})"
+    levels, sols, masses = [], [], []  # each solution in its load's memory
+    for system in systems:
+        mesh = system.mesh
+        levels.append(mesh.level)
+        if len(levels) > 3 or levels[0] - mesh.level != len(levels) - 1 or levels[0] < 2:
+            raise ValueError(f"need three consecutive levels fine to coarse, got {levels}")
+        if len(levels) == 1:
+            mu = system.ctx.mu
+            meshes = [mesh] + [build_uniform(mesh.r_int, mesh.r_ext, mesh.level - k) for k in (1, 2)]
+            try:
+                prolongations = [injection(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
+                loads = coupled_loads(system, prolongations, m, seed)
+            except _NUMERICAL_ERRORS as exc:
+                raise RuntimeError(f"coupled load generation failed: {exc}") from exc
+        elif (mesh.r_int, mesh.r_ext) != (meshes[0].r_int, meshes[0].r_ext):
+            raise ValueError(
+                f"incompatible meshes: fine level {mesh.level + 1} vs coarse {mesh.level}"
             )
+        try:
+            u = solve_with_factor(system.stiffness_cholesky, loads[len(sols)], overwrite_b=True)
+        except _NUMERICAL_ERRORS as exc:
+            raise RuntimeError(f"solve failed at level {mesh.level}: {exc}") from exc
+        with np.errstate(over="ignore"):  # the check below reports an overflow
+            u /= mu
+        if not np.isfinite(u).all():
+            raise FloatingPointError(
+                f"converge: non-finite solution at level {mesh.level} (mu = {mu})"
+            )
+        sols.append(u)
+        if len(masses) < 2:
+            masses.append(error_mass(system, norm_kind))
+        del system  # no reference to this level's factor while the next one is made
+    if len(levels) != 3:
+        raise ValueError(f"need three consecutive levels fine to coarse, got {levels}")
 
     per_sample = {
-        levels[i]: level_error_samples(sols[i], sols[i + 1], p, error_mass(systems[i], norm_kind))
+        levels[i]: level_error_samples(sols[i], sols[i + 1], p, masses[i])
         for i, p in enumerate(prolongations)
     }
     errors = {level: float(np.sqrt(np.mean(e**2))) for level, e in per_sample.items()}
     r_hat = float(np.log2(errors[levels[1]] / errors[levels[0]]))
     return errors, r_hat, per_sample
+
+
+def rate_standard_errors(per_sample):
+    """Delta-method standard errors of rate_from_systems' E_l and r_hat from
+    its per-sample errors, with q = mean(e^2) per level, f the finer level
+    and c the coarser: SE(E_l) = sd(e_l^2) / (2 E_l sqrt(m)) and
+    Var(r_hat) = [Var(e_c^2) / q_c^2 + Var(e_f^2) / q_f^2
+    - 2 Cov(e_c^2, e_f^2) / (q_c q_f)] / (4 m ln^2 2), sample moments with
+    m - 1 degrees of freedom. Returns (errors_se keyed like per_sample,
+    r_hat_se); all None when m < 2."""
+    sq = np.stack([e**2 for e in per_sample.values()])
+    m = sq.shape[1]
+    if m < 2:
+        return dict.fromkeys(per_sample), None
+    q = sq.mean(axis=1)
+    cov = np.cov(sq)
+    errors_se = {
+        level: float(np.sqrt(cov[i, i] / m) / (2.0 * np.sqrt(q[i])))
+        for i, level in enumerate(per_sample)
+    }
+    var = (cov[1, 1] / q[1] ** 2 + cov[0, 0] / q[0] ** 2 - 2.0 * cov[0, 1] / (q[0] * q[1])) / (
+        4.0 * m * np.log(2.0) ** 2
+    )
+    return errors_se, float(np.sqrt(var))

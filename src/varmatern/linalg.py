@@ -119,11 +119,16 @@ def solve_with_factor(lower, b, overwrite_b=False):
     y = b.reshape(n, -1).T
     # f2py rejects an operand with no rows, so m = 0 makes no call
     blocks = [slice(i0, min(i0 + _SOLVE_BLOCK, n)) for i0 in range(0, n, _SOLVE_BLOCK) if y.size]
+    # the first block has nothing before it and the last nothing after it: a
+    # dgemm with no inner dimension would still pass over its block
     for i in blocks:
-        dgemm(-1.0, y[:, : i.start], lower[i, : i.start], 1.0, y[:, i], trans_b=1, overwrite_c=1)
+        if i.start:
+            dgemm(-1.0, y[:, : i.start], lower[i, : i.start], 1.0, y[:, i], trans_b=1,
+                  overwrite_c=1)
         dtrsm(1.0, lower[i, i], y[:, i], side=1, lower=1, trans_a=1, overwrite_b=1)
     for i in reversed(blocks):
-        dgemm(-1.0, y[:, i.stop :], lower[i.stop :, i], 1.0, y[:, i], overwrite_c=1)
+        if i.stop < n:
+            dgemm(-1.0, y[:, i.stop :], lower[i.stop :, i], 1.0, y[:, i], overwrite_c=1)
         dtrsm(1.0, lower[i, i], y[:, i], side=1, lower=1, overwrite_b=1)
     return b
 

@@ -207,8 +207,8 @@ def test_criterion_07_convergence_rates_desk_scale(rate_systems):
 
 
 def test_criterion_07_full_scale_reproduction():
-    # built here rather than in the session cache, so that each profile's
-    # three systems are freed once its rate is taken
+    # assembled here, level by level as the rate asks for them, rather than in
+    # the session cache, so that one fine A lives at a time
     targets = {"const05": 0.51, "const03": 0.10, "step_high": 0.83}
     # r_hat at seed 814 as recorded on one BLAS thread; a change that moves
     # one past 1e-8 relative (scaling A1 by 1 + 1e-6 moves the step's by
@@ -219,7 +219,7 @@ def test_criterion_07_full_scale_reproduction():
     details = []
     for key, target in targets.items():
         ctx = KernelContext(2.5, 1.0, PROFILES[key]())
-        systems = [assemble_stiffness(build_uniform(3.0, 4.0, lev), ctx) for lev in (9, 8, 7)]
+        systems = (assemble_stiffness(build_uniform(3.0, 4.0, lev), ctx) for lev in (9, 8, 7))
         r_hat = rate_from_systems(systems, 1000, seed=814)[1]
         good = abs(r_hat - target) <= 0.1
         ok = ok and good

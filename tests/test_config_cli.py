@@ -486,6 +486,26 @@ def test_cli_invalid_config_fails_at_load(tmp_path, capsys, argv, key):
     assert not out.exists()  # failed before any output or compute
 
 
+@pytest.mark.parametrize("formats", [None, '["vwm1"]', "[]", '["csv","vwm1"]'])
+@pytest.mark.parametrize("command", ["sample", "converge"])
+def test_cli_csv_only_commands_check_formats(tmp_path, capsys, command, formats):
+    # sample and converge write CSV only: a format list that names vwm1 or
+    # lacks csv is a config error before the output directory exists
+    out = tmp_path / "x"
+    argv = [command, "--level", "3", "--levels", "3,2,1", "--m", "4", "--out", str(out)]
+    if formats is not None:
+        argv += ["--outputs.formats", formats]
+    code = _run(argv)
+    err = capsys.readouterr().err
+    if formats is None:
+        assert code == 0 and err == ""
+        assert list(out.glob("*.csv"))
+    else:
+        assert code == 1
+        assert err.startswith("config error:") and "outputs.formats" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["matern", "--level", "2000"], "invalid 'domain' block: level=2000"),
     (["assemble", "--level", "64"], "invalid 'domain' block: level=64"),

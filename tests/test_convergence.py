@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from varmatern.convergence import (
     injection,
     level_error_samples,
     rate_from_systems,
+    rate_standard_errors,
 )
 from varmatern import smoothness
 from varmatern.assembly import assemble_plain_mass, assemble_stiffness
@@ -145,10 +148,14 @@ def test_converge_rate_report_contents(tmp_path):
     assert cli.main(["converge", "--levels", "5,4,3", "--m", "100", "--seed", "19",
                      "--out", str(out)]) == 0
     d = json.loads((out / "rate_report.json").read_text())
-    assert set(d) == {"levels", "m", "errors", "r_hat", "norm_kind", "config", "config_echo"}
+    assert set(d) == {"levels", "m", "errors", "errors_se", "r_hat", "r_hat_se", "norm_kind",
+                      "config", "config_echo"}
     assert d["levels"] == [5, 4, 3]
     assert d["m"] == 100
     assert all(v > 0 for v in d["errors"].values())
+    assert set(d["errors_se"]) == set(d["errors"]) == {"5", "4"}
+    assert all(0 < d["errors_se"][k] < d["errors"][k] for k in d["errors"])
+    assert 0 < d["r_hat_se"] < 1
     assert d["r_hat"] == pytest.approx(np.log2(d["errors"]["4"] / d["errors"]["5"]), abs=1e-14)
     # the quadrature settings are in config_echo only
     assert set(d["config"]) == {"kernel", "mesh", "seed", "quad_n_per_level"}
@@ -217,6 +224,15 @@ def test_level_error_samples_matches_per_sample_loop(rng):
     assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
+def _peak_memory(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_rate_from_systems_peak_memory_within_loads(build_system):
     # the factors take A's memory and the solutions the loads'; beyond the loads,
     # the largest array is one 256-row check panel of the fine A (or, just as
@@ -225,13 +241,83 @@ def test_rate_from_systems_peak_memory_within_loads(build_system):
     m = 200
     loads = sum(s.n for s in systems) * m * 8
     panel = 256 * systems[0].n * 8
-    tracemalloc.start()
-    try:
-        rate_from_systems(systems, m, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_memory(lambda: rate_from_systems(systems, m, seed=1))
     assert peak <= 1.05 * (loads + panel), peak / (loads + panel)
+    # from a generator each A is made (copied from the session cache) when it
+    # is asked for, after the finer one is dropped: one fine A lives at a time,
+    # where holding all three would pass the bound by about 8 %
+    fine_a = systems[0].n ** 2 * 8
+    streamed = (build_system("const05", 2.5, lev) for lev in (7, 6, 5))
+    peak = _peak_memory(lambda: rate_from_systems(streamed, m, seed=1))
+    assert peak <= loads + fine_a + panel, peak / (loads + fine_a + panel)
+
+
+@pytest.mark.parametrize("norm_kind", ["mass_matrix", "quadrature"])
+@pytest.mark.parametrize("profile", ["const05", "step", "bump"])
+def test_generator_and_list_agree_bitwise(build_system, profile, norm_kind):
+    levels = (6, 5, 4)
+    listed = rate_from_systems([build_system(profile, 2.5, lev) for lev in levels], 60,
+                               seed=5, norm_kind=norm_kind)
+    streamed = rate_from_systems((build_system(profile, 2.5, lev) for lev in levels), 60,
+                                 seed=5, norm_kind=norm_kind)
+    assert listed[:2] == streamed[:2]
+    assert list(listed[2]) == list(streamed[2]) == [6, 5]
+    for level, e in listed[2].items():
+        assert np.array_equal(e, streamed[2][level])
+
+
+def test_generator_systems_are_dropped_before_the_next_is_asked_for(build_system):
+    factors, dead = [], []
+
+    def finest():
+        system = build_system("const05", 2.5, 5)
+        factors.append(weakref.ref(system.stiffness_cholesky))
+        return system
+
+    def streamed():
+        yield finest()
+        dead.append(factors[0]() is None)
+        yield build_system("const05", 2.5, 4)
+        yield build_system("const05", 2.5, 3)
+
+    rate_from_systems(streamed(), 20, seed=1)
+    assert dead == [True]
+
+
+def test_generator_levels_checked_on_arrival(build_system):
+    # a wrong level is refused when it arrives, before a later one is made
+    made = []
+
+    def streamed(levels):
+        for lev in levels:
+            made.append(lev)
+            yield build_system("const05", 2.5, lev)
+
+    with pytest.raises(ValueError, match=r"consecutive.*\[5, 3\]"):
+        rate_from_systems(streamed((5, 3, 2)), 10, seed=1)
+    assert made == [5, 3]
+    with pytest.raises(ValueError, match="incompatible meshes"):
+        rate_from_systems([build_system("const05", 2.5, 4),
+                           build_system("const05", 2.5, 3, r_ext=5.0)], 10, seed=1)
+
+
+def test_rate_standard_errors_by_hand():
+    # e_f^2 = 1, 2, 3 and e_c^2 = 2, 2, 8: q_f = 2, q_c = 4, Var(e_f^2) = 1,
+    # Var(e_c^2) = 12, Cov = 3 (m - 1 = 2 degrees of freedom), so
+    # SE(E_f) = 1 / (2 sqrt(2) sqrt(3)), SE(E_c) = sqrt(12) / (2 * 2 * sqrt(3)) = 1/2,
+    # Var(r_hat) = (12/16 + 1/4 - 2 * 3 / 8) / (4 * 3 ln^2 2) = 1 / (48 ln^2 2)
+    per_sample = {5: np.sqrt([1.0, 2.0, 3.0]), 4: np.sqrt([2.0, 2.0, 8.0])}
+    errors_se, r_hat_se = rate_standard_errors(per_sample)
+    assert list(errors_se) == [5, 4]
+    assert errors_se[5] == pytest.approx(1.0 / (2.0 * math.sqrt(6.0)), rel=1e-12)
+    assert errors_se[4] == pytest.approx(0.5, rel=1e-12)
+    assert r_hat_se == pytest.approx(1.0 / (math.sqrt(48.0) * math.log(2.0)), rel=1e-12)
+    # e_c^2 = 2 e_f^2 in every sample: r_hat = 1/2 whatever the draw
+    errors_se, r_hat_se = rate_standard_errors({5: np.sqrt([1.0, 3.0]), 4: np.sqrt([2.0, 6.0])})
+    assert errors_se == pytest.approx({5: 1.0 / (2.0 * math.sqrt(2.0)), 4: 0.5}, rel=1e-12)
+    assert r_hat_se == pytest.approx(0.0, abs=1e-12)
+    # one sample has no spread to estimate
+    assert rate_standard_errors({5: np.ones(1), 4: np.ones(1)}) == ({5: None, 4: None}, None)
 
 
 @pytest.mark.parametrize("profile", ["const05", "const03", "step_high"])
@@ -241,11 +327,16 @@ def test_level_errors_match_the_exact_expectation(build_system, profile):
     # the exact ||M^{1/2} D||_F^2 / mu^2 (oracles.expected_level_errors)
     systems = [build_system(profile, 2.5, lev) for lev in (7, 6, 5)]
     exact = expected_level_errors(systems)
-    per_sample = rate_from_systems(systems, 500, seed=814)[2]
+    _, r_hat, per_sample = rate_from_systems(systems, 500, seed=814)
     for level in (7, 6):
         sq = per_sample[level] ** 2
         stderr = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(sq.mean() - exact[level]) <= 3.0 * stderr, (level, sq.mean(), exact[level])
+    # and r_hat lies within 4 of its delta-method standard errors of the rate
+    # of the exact expectations
+    r_exact = 0.5 * np.log2(exact[6] / exact[7])
+    r_hat_se = rate_standard_errors(per_sample)[1]
+    assert abs(r_hat - r_exact) <= 4.0 * r_hat_se, (r_hat, r_exact, r_hat_se)
 
 
 ORACLE_PROFILES = {

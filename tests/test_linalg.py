@@ -429,3 +429,24 @@ def test_solve_in_place_holds_one_block_of_the_factor(rng):
     assert peak <= 1.25 * 128 * n * 8
     assert np.shares_memory(x, b)
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [1, 128, 129, 385])
+def test_solve_makes_no_empty_gemm(monkeypatch, rng, n):
+    # the first forward block has no block before it and the last backward
+    # block none after it, so each sweep makes one dgemm per block but one
+    calls, dgemm = [], linalg.dgemm
+
+    def counted(alpha, a, b, *args, **kwargs):
+        calls.append((a.size, b.size))
+        return dgemm(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "dgemm", counted)
+    lower = cholesky(_spd(rng, n))
+    b = rng.standard_normal((n, 5))
+    x = solve_with_factor(lower, b)
+    blocks = -(-n // linalg._SOLVE_BLOCK)
+    assert len(calls) == 2 * (blocks - 1)
+    assert all(a and b for a, b in calls)
+    ref = cho_solve((lower, True), b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
